@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """Render-performance benchmark: cache + batched rendering vs the honest
-per-class baseline, on the same 100-user x 30-iteration x 3-vector
+one-row-per-pass baseline, on the same 100-user x 30-iteration x 3-vector
 workload (9000 grid items).
 
 Three timed configurations, all producing bit-identical datasets:
 
-  baseline  cache disabled, ``batched=False`` — one engine pass per grid
-            item, one pool task per class: the pre-batching cost model.
-  batched   cache disabled, ``batched=True`` — misses grouped by
+  baseline  cache disabled, the same driver at ``_MAX_BATCH = 1`` — one
+            engine pass per grid item, one pool task per item: the
+            pre-batching cost model.
+  batched   cache disabled, default ``_MAX_BATCH`` — misses grouped by
             (vector, stack) and rendered through the engine's batch axis,
             at the same worker count as the baseline. This isolates the
             batching win from the caching win.
@@ -18,22 +19,21 @@ Three timed configurations, all producing bit-identical datasets:
             hot nodes, pool utilization).
 
 A worker-scaling sweep re-times the batched cold render at workers =
-1, 2, 4, 8 so the pool thresholds in repro.population.study
-(``_POOL_THRESHOLD``, ``_POOL_GROUP_THRESHOLD``) and the group-count
-chunksize heuristic are pinned to measurements, not folklore.
+1, 2, 4, 8 so the pool threshold in repro.population.study
+(``_POOL_GROUP_THRESHOLD``) is pinned to measurements, not folklore.
 
 All of the above run with ``REPRO_RENDER_PATH=quantum`` so they stay the
 128-frame-loop reference. A fourth timed configuration then re-runs the
 batched cold render on the fused whole-buffer path:
 
-  fused     cache disabled, ``batched=True``, ``REPRO_RENDER_PATH=fused``
+  fused     cache disabled, default ``_MAX_BATCH``, ``REPRO_RENDER_PATH=fused``
             — same workload, whole-buffer segment kernels instead of the
             quantum loop. Its dataset must equal the baseline's byte for
             byte (the fused path is pure cost control, never an identity).
 
 Acceptance floor (asserted, so later PRs have a trajectory to beat):
 >= 95% hit rate, cached speedup >= 10x, batched cold throughput >= 3x
-the per-class baseline at equal workers, fused throughput >= 3x batched,
+the one-row baseline at equal workers, fused throughput >= 3x batched,
 datasets bit-identical across every configuration.
 
 Usage: PYTHONPATH=src python benchmarks/bench_render_perf.py [--users N]
@@ -52,10 +52,11 @@ _SRC = os.path.join(os.path.dirname(_HERE), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+import repro.population.study as study_module  # noqa: E402
 from repro import RenderCache, run_study  # noqa: E402
 from repro.obs import Histogram  # noqa: E402
 from repro.population.study import (  # noqa: E402
-    _MAX_BATCH, _POOL_GROUP_THRESHOLD, _POOL_THRESHOLD)
+    _MAX_BATCH, _POOL_GROUP_THRESHOLD)
 from repro.webaudio import ENGINE_VERSION  # noqa: E402
 
 VECTORS = ("dc", "fft", "hybrid")
@@ -161,12 +162,17 @@ def main() -> int:
     print(f"batched run:  {batched_wall:8.2f}s  ({grid_items} renders, "
           f"batch axis, cache disabled)")
 
-    baseline = RenderCache(disabled=True)
-    t0 = time.perf_counter()
-    baseline_dataset = run_study(cache=baseline, batched=False, **common)
-    baseline_wall = time.perf_counter() - t0
+    # the baseline is the same driver with one row per engine pass
+    study_module._MAX_BATCH = 1
+    try:
+        t0 = time.perf_counter()
+        baseline_dataset = run_study(cache=RenderCache(disabled=True),
+                                     **common)
+        baseline_wall = time.perf_counter() - t0
+    finally:
+        study_module._MAX_BATCH = _MAX_BATCH
     print(f"baseline run: {baseline_wall:8.2f}s  ({grid_items} renders, "
-          f"per-class, cache disabled)")
+          f"one row per engine pass, cache disabled)")
 
     bit_identical = (cached_dataset == baseline_dataset == batched_dataset)
     if not bit_identical:
@@ -240,6 +246,7 @@ def main() -> int:
             "wall_s": round(baseline_wall, 4),
             "renders_performed": grid_items,
             "renders_per_s": round(grid_items / baseline_wall, 2),
+            "max_batch": 1,
         },
         "fused": {
             "wall_s": round(fused_wall, 4),
@@ -252,7 +259,6 @@ def main() -> int:
         "batching_speedup": round(batching_speedup, 2),
         "datasets_bit_identical": bit_identical,
         "pool_thresholds": {
-            "per_class_jobs": _POOL_THRESHOLD,
             "batch_groups": _POOL_GROUP_THRESHOLD,
             "note": "pool engages at >= these job counts; the worker sweep "
                     "below measures where extra workers actually pay off "

@@ -7,7 +7,7 @@ equivalence-class render cache exploits (see DESIGN.md).
 """
 
 from .mathlib import MathBackend, MATH_BACKENDS, get_math_backend  # noqa: F401
-from .stacks import (AudioStack, COMPRESSOR_VARIANTS, RENDER_TIERS,  # noqa: F401
+from .stacks import (AudioStack, COMPRESSOR_VARIANTS,  # noqa: F401
                      default_stack_pool)
 from .jitter import (  # noqa: F401
     REFERENCE_PATH,
@@ -26,7 +26,6 @@ __all__ = [
     "get_math_backend",
     "AudioStack",
     "COMPRESSOR_VARIANTS",
-    "RENDER_TIERS",
     "default_stack_pool",
     "REFERENCE_PATH",
     "JitterPath",

@@ -13,14 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..webaudio import ENGINE_VERSION
-from ..webaudio.config import RENDER_BACKENDS, CompressorParams, EngineConfig
+from ..webaudio.config import CompressorParams, EngineConfig
 from ..webaudio.fft import get_fft_backend
 from .mathlib import get_math_backend
-
-#: Execution-tier axis values (webaudio.config.RENDER_BACKENDS): "numpy" is
-#: the reference tier every existing fingerprint was rendered on; "jit" is
-#: the numba/native tier, a deliberately distinct numeric identity.
-RENDER_TIERS = RENDER_BACKENDS
 
 #: Compressor tuning forks across engine families (spec defaults + deltas).
 COMPRESSOR_VARIANTS = {
@@ -41,13 +36,9 @@ class AudioStack:
     compressor_variant: str   # key into COMPRESSOR_VARIANTS
     sample_rate: int = 44100
     channel_count: int = 1
-    #: execution tier (RENDER_TIERS): "numpy" keeps the historical key
-    #: layout so every cached render stays valid; any other tier is a new
-    #: equivalence class and gets its own key component
-    render_tier: str = "numpy"
 
     def cache_key(self) -> str:
-        parts = [
+        return "|".join([
             f"e{ENGINE_VERSION}",
             self.engine,
             self.math_backend,
@@ -55,23 +46,16 @@ class AudioStack:
             self.compressor_variant,
             str(self.sample_rate),
             str(self.channel_count),
-        ]
-        if self.render_tier != "numpy":
-            parts.append(self.render_tier)
-        return "|".join(parts)
+        ])
 
     def realize(self, jitter=None) -> EngineConfig:
         """Build the EngineConfig this stack denotes (optionally jittered)."""
-        if self.render_tier not in RENDER_TIERS:
-            raise KeyError(f"unknown render tier {self.render_tier!r}; "
-                           f"have {list(RENDER_TIERS)}")
         return EngineConfig(
             math=get_math_backend(self.math_backend),
             fft=get_fft_backend(self.fft_backend),
             compressor=COMPRESSOR_VARIANTS[self.compressor_variant],
             jitter_transform=jitter.transform if jitter is not None else None,
             readout_offset=jitter.readout_offset if jitter is not None else 0,
-            render_backend=self.render_tier,
         )
 
 

@@ -1,12 +1,15 @@
 """Sharded, streaming studies: million-user scale under bounded memory.
 
 ``run_study`` materializes the whole grid and dataset in RAM — fine at
-the paper's 2,093 users, not at the north star's millions. This module
-partitions the population into deterministic, independently seeded
-shards and renders them one at a time through the exact machinery the
-monolithic driver uses (`_plan` / `_render_classes` — supervision,
-retry, bisection, checkpoint-resume, chaos hooks all included), then
-streams each shard's per-user series to disk instead of holding them:
+the paper's 2,093 users, not at the north star's millions.
+``run_study_sharded`` partitions the population into deterministic,
+independently seeded shards and runs them one at a time on the driver
+core in ``repro.population.study``: the same front door (validation,
+telemetry lifecycle), the same per-range step per shard (checkpoint
+resume, cache probe, supervised batched render — retry, bisection and
+chaos hooks included), the same assembler and the same run-report
+writer. Each shard's per-user series then streams to disk instead of
+staying in memory:
 
   shard_<start>_<stop>.jsonl           one compact JSON record per user
   shard_<start>_<stop>.manifest.json   the commit point: study
@@ -42,18 +45,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from ..io import atomic_write_chunks, atomic_write_json, atomic_write_text
-from ..obs import EventLog, NULL_RECORDER, Recorder
 from ..resilience import study_fingerprint
 from ..webaudio import ENGINE_VERSION
 from .cache import RenderCache
 from .dataset import StudyDataset
 from .sampler import sample_population_slice
-from .study import (_CHECKPOINT_EVERY, _keyed_to_render, _load_resume,
-                    _plan, _render_classes, _resolve_workers,
-                    _validate_study_args)
+from .study import (_CHECKPOINT_EVERY, _Tally, _assemble, _integer, _phase,
+                    _plan, _render_range, _study_run, _write_report)
 
 SHARD_KIND = "repro.study.shard"
 SHARD_FORMAT = 1
@@ -70,10 +72,7 @@ class ShardIntegrityError(ValueError):
 def shard_ranges(user_count: int, shard_size: int) -> list[tuple[int, int]]:
     """Partition ``[0, user_count)`` into ``shard_size``-user ranges (the
     last shard takes the remainder)."""
-    if not isinstance(shard_size, int) or isinstance(shard_size, bool) \
-            or shard_size <= 0:
-        raise ValueError(f"shard_size must be a positive integer, "
-                         f"got {shard_size!r}")
+    shard_size = _integer("shard_size", shard_size, 1)
     return [(start, min(start + shard_size, user_count))
             for start in range(0, user_count, shard_size)]
 
@@ -439,37 +438,6 @@ class ShardedStudy:
         return combine_shards(self.manifest_paths(), study)
 
 
-def _merge_resilience(summaries: list[dict], checkpoint_info: dict) -> dict:
-    """Fold per-shard supervisor summaries into one report-shaped block
-    (sums match the recorder's counters, which also accumulated across
-    shards — the report validator cross-checks exactly that)."""
-    retry_keys = ("attempts", "retries", "timeouts", "crashes",
-                  "worker_errors", "corrupt_returns", "bisections")
-    retry = {key: sum(s["retry"][key] for s in summaries)
-             for key in retry_keys}
-    quarantined: set[str] = set()
-    for s in summaries:
-        quarantined.update(s["retry"]["quarantined"])
-    retry["quarantined"] = sorted(quarantined)
-    retry["budget"] = {
-        "limit": max((s["retry"]["budget"]["limit"] for s in summaries),
-                     default=0),
-        "spent": sum(s["retry"]["budget"]["spent"] for s in summaries),
-        "exhausted": any(s["retry"]["budget"]["exhausted"]
-                         for s in summaries),
-    }
-    return {
-        "retry": retry,
-        "degraded": {
-            "pool_rebuilds": sum(s["degraded"]["pool_rebuilds"]
-                                 for s in summaries),
-            "inline_fallback": any(s["degraded"]["inline_fallback"]
-                                   for s in summaries),
-        },
-        "checkpoint": checkpoint_info,
-    }
-
-
 def run_study_sharded(user_count: int, shard_size: int | None,
                       out_dir: str, *, iterations: int = 30,
                       vectors: tuple[str, ...] = ("dc", "fft", "hybrid"),
@@ -478,7 +446,6 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                       cache: RenderCache | None = None,
                       workers: int | None = None, recorder=None,
                       report_path: str | None = None,
-                      batched: bool = True,
                       checkpoint_every: int = _CHECKPOINT_EVERY,
                       retry_policy=None, retry_budget: int | None = None,
                       event_log_path: str | None = None,
@@ -486,8 +453,9 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                       analyze: bool = True) -> ShardedStudy:
     """Render the study sharded, streaming results to ``out_dir``.
 
-    Arguments mirror ``run_study`` (same validation, same defaults, same
-    supervision/chaos/telemetry semantics per shard), plus:
+    Arguments mirror ``run_study`` (same front door, so the same
+    validation, defaults, supervision/chaos/telemetry semantics per
+    shard and the same run-report shape), plus:
 
     ``shard_size``: users per shard; the population ``[0, user_count)``
     is partitioned into ``ceil(user_count / shard_size)`` ranges. Pass
@@ -511,224 +479,129 @@ def run_study_sharded(user_count: int, shard_size: int | None,
     O(shard_size + distinct classes): no full-population dataset ever
     exists in this process.
     """
-    _validate_study_args(user_count, iterations, vectors, workers,
-                         checkpoint_every)
-    if ranges is None:
-        ranges = shard_ranges(user_count, shard_size)
-    else:
-        ranges = _validate_ranges(ranges, user_count)
-    vectors = tuple(vectors)
+    with _study_run(user_count, iterations, vectors, seed, cache=cache,
+                    workers=workers, recorder=recorder,
+                    report_path=report_path, event_log_path=event_log_path,
+                    checkpoint_every=checkpoint_every,
+                    retry_policy=retry_policy, retry_budget=retry_budget,
+                    progress=progress) as run:
+        ranges = (shard_ranges(run.user_count, shard_size) if ranges is None
+                  else _validate_ranges(ranges, run.user_count))
+        recorder = run.recorder
+        result = ShardedStudy(out_dir=out_dir, user_count=run.user_count,
+                              iterations=run.iterations, vectors=run.vectors,
+                              seed=run.seed)
+        recorder.event("study.start", users=run.user_count,
+                       iterations=run.iterations, vectors=list(run.vectors),
+                       seed=run.seed, workers=run.workers, sharded=True,
+                       shards=len(ranges))
+        # phase "plan" covers the *shard geometry* — per-shard population
+        # sampling and grid planning happen inside each shard's render (that
+        # locality is the whole point: no full-population plan ever exists)
+        with _phase(recorder, "plan", users=run.user_count,
+                    iterations=run.iterations, vectors=list(run.vectors),
+                    shards=len(ranges)):
+            os.makedirs(out_dir, exist_ok=True)
+            study = study_fingerprint(run.seed, run.user_count,
+                                      run.iterations, run.vectors)
 
-    if recorder is None:
-        recorder = Recorder() if (report_path is not None
-                                  or event_log_path is not None) \
-            else NULL_RECORDER
-    measuring = recorder.enabled
-    if cache is None:
-        cache = RenderCache()
-    event_log = None
-    if event_log_path is not None and measuring:
-        event_log = EventLog(event_log_path)
-        recorder.attach_event_log(event_log)
-    cache.attach_recorder(recorder)
-    try:
-        return _run_study_sharded(
-            user_count, out_dir, iterations, vectors, seed, ranges, cache,
-            workers, recorder, measuring, report_path, batched,
-            checkpoint_every, retry_policy, retry_budget, event_log_path,
-            progress, resume, analyze)
-    finally:
-        cache.detach_recorder()
-        if event_log is not None:
-            recorder.detach_event_log()
-            event_log.close()
-
-
-def _run_study_sharded(user_count, out_dir, iterations, vectors, seed,
-                       ranges, cache, workers, recorder, measuring,
-                       report_path, batched, checkpoint_every, retry_policy,
-                       retry_budget, event_log_path, progress, resume,
-                       analyze) -> ShardedStudy:
-    workers, requested_workers, cpu = _resolve_workers(workers)
-    result = ShardedStudy(out_dir=out_dir, user_count=user_count,
-                          iterations=iterations, vectors=vectors, seed=seed)
-    recorder.event("study.start", users=user_count, iterations=iterations,
-                   vectors=list(vectors), seed=seed, batched=batched,
-                   workers=workers, sharded=True, shards=len(ranges))
-
-    # phase "plan" covers the *shard geometry* — per-shard population
-    # sampling and grid planning happen inside each shard's render (that
-    # locality is the whole point: no full-population plan ever exists)
-    recorder.event("phase.start", phase="plan")
-    with recorder.span("plan", users=user_count, iterations=iterations,
-                       vectors=list(vectors), shards=len(ranges)):
-        os.makedirs(out_dir, exist_ok=True)
-        study = study_fingerprint(seed, user_count, iterations, vectors)
-    recorder.event("phase.end", phase="plan")
-
-    checkpoint_info = {"enabled": True, "writes": 0, "torn_writes": 0,
-                       "resumed_classes": 0, "corrupt_recoveries": 0}
-    summaries: list[dict] = []
-    seen_classes: set[str] = set()
-    grid_items = 0
-    rendered_classes = 0
-    any_pooled = False
-    shard_reports: list[dict] = []
-
-    recorder.event("phase.start", phase="render")
-    with recorder.span("render", shards=len(ranges)):
-        grid_items, rendered_classes, any_pooled = _render_shards(
-            ranges, result, study, user_count, iterations, vectors, seed,
-            cache, workers, requested_workers, recorder, measuring, batched,
-            checkpoint_every, checkpoint_info, retry_policy, retry_budget,
-            progress, resume, analyze, summaries, seen_classes,
-            shard_reports)
-    recorder.event("phase.end", phase="render")
-
-    recorder.event("phase.start", phase="assemble")
-    with recorder.span("assemble"):
-        is_partition = ranges[0][0] == 0 and ranges[-1][1] == user_count \
-            and all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        if analyze and is_partition:
-            from ..analysis.shards import (dumps_shard_or_merged,
-                                           merge_shard_reports)
-            merged = merge_shard_reports(shard_reports)
-            merged_path = os.path.join(out_dir, "analysis.json")
-            atomic_write_text(merged_path, dumps_shard_or_merged(merged))
-            result.merged_report_path = merged_path
-    recorder.event("phase.end", phase="assemble")
-
-    recorder.event("study.end", grid_items=grid_items,
-                   distinct_classes=len(seen_classes),
-                   rendered=rendered_classes, shards=len(ranges))
-
-    if report_path is not None:
-        from ..obs.report import build_report
-        resilience_info = _merge_resilience(summaries, checkpoint_info) \
-            if summaries else {"checkpoint": checkpoint_info}
-        if measuring:
-            busy = recorder.histograms.get("pool.task_wall_s")
-            busy_s = busy.total if busy else 0.0
-            pool_info = {
-                "workers": workers, "pooled": any_pooled,
-                "jobs": int(recorder.counters.get("pool.jobs", 0)),
-                "requested": (requested_workers
-                              if requested_workers is not None else workers),
-                "cpu_count": cpu, "batched": batched, "supervised": True,
-                "rebuilds": resilience_info.get("degraded", {}).get(
-                    "pool_rebuilds", 0),
-                "busy_s": round(busy_s, 6),
-                "utilization": None,
-            }
-        else:
-            pool_info = None
-        workload = {"users": user_count, "iterations": iterations,
-                    "vectors": list(vectors), "seed": seed,
-                    "grid_items": grid_items,
-                    "distinct_classes": len(seen_classes),
-                    "shards": len(ranges)}
-        report = build_report(recorder, workload, cache_stats=cache.stats(),
-                              pool=pool_info, resilience=resilience_info,
-                              events_path=event_log_path)
-        atomic_write_json(report_path, report, indent=2)
-    return result
-
-
-def _render_shards(ranges, result, study, user_count, iterations, vectors,
-                   seed, cache, workers, requested_workers, recorder,
-                   measuring, batched, checkpoint_every, checkpoint_info,
-                   retry_policy, retry_budget, progress, resume, analyze,
-                   summaries, seen_classes, shard_reports):
-    """The shard loop: render (or resume) each range, stream it to disk,
-    commit its manifest, and (optionally) write its mergeable report."""
-    out_dir = result.out_dir
-    grid_items = 0
-    rendered_classes = 0
-    any_pooled = False
-    for index, (start, stop) in enumerate(ranges):
-        paths = ShardPaths.in_dir(out_dir, start, stop)
-        shard_result = ShardResult(index=index, start=start, stop=stop,
-                                   paths=paths)
-        result.shards.append(shard_result)
-
-        manifest = None
-        if resume:
-            try:
-                manifest = load_manifest(paths.manifest)
+        tally = _Tally.start(checkpointing=True)
+        seen_classes: set[str] = set()
+        grid_items = 0
+        rendered_classes = 0
+        shard_reports: list[dict] = []
+        with _phase(recorder, "render", shards=len(ranges)) as render_span:
+            for index, (start, stop) in enumerate(ranges):
+                shard = ShardResult(index=index, start=start, stop=stop,
+                                    paths=ShardPaths.in_dir(out_dir, start,
+                                                            stop))
+                result.shards.append(shard)
+                manifest = (_committed_manifest(recorder, shard, study)
+                            if resume else None)
                 if manifest is not None:
-                    check_shard_study(manifest, study, paths.manifest,
-                                      expected_range=(start, stop))
-                    verify_shard_data(paths, manifest)
-            except ShardIntegrityError as exc:
-                # quarantined by the checker; render the shard fresh
-                shard_result.requarantined = True
-                recorder.count("shard.quarantined")
-                recorder.event("shard.quarantine", shard=index,
-                               start=start, stop=stop, problem=str(exc))
-                manifest = None
+                    if analyze:
+                        shard_reports.append(
+                            _ensure_shard_report(shard.paths, manifest))
+                    continue
+
+                recorder.event("shard.start", shard=index, start=start,
+                               stop=stop)
+                with recorder.span("shard", index=index, start=start,
+                                   stop=stop) as shard_span:
+                    devices = sample_population_slice(run.user_count,
+                                                      run.seed, start, stop)
+                    item_keys, classes = _plan(run, devices,
+                                               first_index=start)
+                    grid_items += sum(len(k) for k in item_keys.values())
+                    seen_classes.update(classes)
+                    shard.classes = len(classes)
+                    rendered, misses = _render_range(
+                        run, tally, item_keys, classes, shard.paths.checkpoint,
+                        dict(study, shard=[start, stop]))
+                    rendered_classes += misses
+                    if run.measuring:
+                        shard_span.set(users=stop - start,
+                                       distinct_classes=len(classes),
+                                       rendered=misses)
+                    dataset = _assemble(run, devices, item_keys, rendered)
+                    manifest = write_shard(shard.paths, study, index, start,
+                                           stop, dataset)
+                    with suppress(OSError):  # the manifest supersedes it
+                        os.remove(shard.paths.checkpoint)
+                    if analyze:
+                        shard_reports.append(_build_and_write_shard_report(
+                            shard.paths, manifest, dataset))
+                recorder.count("shard.completed")
+                recorder.event("shard.end", shard=index, start=start,
+                               stop=stop, records=manifest["data"]["records"],
+                               classes=len(classes))
+                # free this shard's grid before the next shard (or the
+                # merge) builds its own: peak memory stays one shard's worth
+                del devices, item_keys, classes, rendered, dataset
+
+        with _phase(recorder, "assemble"):
+            is_partition = ranges[0][0] == 0 \
+                and ranges[-1][1] == run.user_count \
+                and all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            if analyze and is_partition:
+                from ..analysis.shards import (dumps_shard_or_merged,
+                                               merge_shard_reports)
+                merged = merge_shard_reports(shard_reports)
+                merged_path = os.path.join(out_dir, "analysis.json")
+                atomic_write_text(merged_path, dumps_shard_or_merged(merged))
+                result.merged_report_path = merged_path
+        recorder.event("study.end", grid_items=grid_items,
+                       distinct_classes=len(seen_classes),
+                       rendered=rendered_classes, shards=len(ranges))
+        _write_report(run, tally, render_span.duration_s,
+                      grid_items=grid_items,
+                      distinct_classes=len(seen_classes), shards=len(ranges))
+        return result
+
+
+def _committed_manifest(recorder, shard: ShardResult, study: dict):
+    """The manifest of a shard an earlier run already committed, or None
+    when the shard must be rendered: never committed, or its bytes failed
+    the integrity check (the checker quarantined them)."""
+    paths = shard.paths
+    try:
+        manifest = load_manifest(paths.manifest)
         if manifest is not None:
-            shard_result.resumed = True
-            recorder.count("shard.resumed")
-            recorder.event("shard.resume", shard=index, start=start,
-                           stop=stop, records=manifest["data"]["records"])
-            if analyze:
-                shard_reports.append(_ensure_shard_report(paths, manifest))
-            continue
-
-        recorder.event("shard.start", shard=index, start=start, stop=stop)
-        with recorder.span("shard", index=index, start=start, stop=stop) \
-                as shard_span:
-            devices = sample_population_slice(user_count, seed, start, stop)
-            item_keys, classes = _plan(devices, vectors, iterations, seed,
-                                       first_index=start)
-            grid_items += sum(len(k) for k in item_keys.values())
-            seen_classes.update(classes)
-            shard_result.classes = len(classes)
-            shard_fp = dict(study, shard=[start, stop])
-            resumed = _load_resume(paths.checkpoint, shard_fp, classes,
-                                   recorder, checkpoint_info)
-            keyed = _keyed_to_render(cache, item_keys, classes, resumed,
-                                     recorder)
-            rendered, supervisor, job_count, pooled = _render_classes(
-                keyed, batched=batched, measuring=measuring,
-                recorder=recorder, cache=cache, seed=seed, workers=workers,
-                requested_workers=requested_workers, fingerprint=shard_fp,
-                checkpoint_path=paths.checkpoint,
-                checkpoint_every=checkpoint_every,
-                checkpoint_info=checkpoint_info, retry_policy=retry_policy,
-                retry_budget=retry_budget, progress=progress,
-                resumed=resumed)
-            summaries.append(supervisor.summary())
-            rendered_classes += len(keyed)
-            any_pooled = any_pooled or pooled
-            if measuring:
-                recorder.count("pool.jobs", job_count)
-                shard_span.set(users=stop - start,
-                               distinct_classes=len(classes),
-                               rendered=len(keyed))
-
-            lookup = rendered.__getitem__ if cache.disabled else cache.get
-            dataset = StudyDataset(
-                seed=seed, user_count=len(devices), iterations=iterations,
-                vectors=vectors, users=[d.describe() for d in devices])
-            for vector_name in vectors:
-                dataset.series[vector_name] = {}
-            for (vector_name, user_id), keys in item_keys.items():
-                dataset.series[vector_name][user_id] = \
-                    [lookup(key) for key in keys]
-            manifest = write_shard(paths, study, index, start, stop, dataset)
-            try:
-                os.remove(paths.checkpoint)  # the manifest supersedes it
-            except OSError:
-                pass
-            if analyze:
-                shard_reports.append(
-                    _build_and_write_shard_report(paths, manifest, dataset))
-        recorder.count("shard.completed")
-        recorder.event("shard.end", shard=index, start=start, stop=stop,
-                       records=manifest["data"]["records"],
-                       classes=len(classes))
-    return grid_items, rendered_classes, any_pooled
+            check_shard_study(manifest, study, paths.manifest,
+                              expected_range=(shard.start, shard.stop))
+            verify_shard_data(paths, manifest)
+    except ShardIntegrityError as exc:
+        shard.requarantined = True
+        recorder.count("shard.quarantined")
+        recorder.event("shard.quarantine", shard=shard.index,
+                       start=shard.start, stop=shard.stop, problem=str(exc))
+        return None
+    if manifest is not None:
+        shard.resumed = True
+        recorder.count("shard.resumed")
+        recorder.event("shard.resume", shard=shard.index, start=shard.start,
+                       stop=shard.stop, records=manifest["data"]["records"])
+    return manifest
 
 
 def _build_and_write_shard_report(paths: ShardPaths, manifest: dict,

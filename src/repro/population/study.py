@@ -1,65 +1,55 @@
-"""run_study: the deduplicating, cache-backed, supervised study driver.
+"""run_study, and the driver core both study drivers share.
 
-The paper's headline workload is 2093 users x 30 iterations x 7 vectors
-(~440k renders). Because every eFP is a pure function of (vector, stack,
-jitter path), the grid collapses to its distinct equivalence classes:
+Every eFP is a pure function of (vector, stack, jitter path), so the
+paper's grid (2093 users x 30 iterations x the 11-vector battery)
+collapses to its distinct equivalence classes. ``run_study`` works in
+three phases:
 
-  1. PLAN     — sample the population, then deterministically pre-draw every
-                iteration's jitter path (cheap, no DSP), producing the full
-                item grid plus the set of distinct class keys.
-  2. RENDER   — probe the cache once per class; group the misses by
-                (vector, stack) and render each group as ONE batched pass
-                through the engine's batch axis (graph built once, all
-                jitter paths rendered together — bit-identical to per-class
-                renders, pinned by tests). Groups fan out through a
-                ``repro.resilience.SupervisedExecutor``: jobs are submitted
-                individually with per-job deadlines, failed/hung jobs retry
-                with capped deterministic backoff, failing batch groups are
-                bisected to quarantine the poison class, pool death degrades
-                to inline rendering, and a retry budget turns a
-                systematically broken stack into a structured
-                ``StudyExecutionError`` instead of a hang or a
-                ``BrokenProcessPool``. With ``checkpoint_path`` set, rendered
-                eFPs are crash-safely checkpointed every
-                ``checkpoint_every`` completed jobs, so a killed run resumes
-                without re-rendering — byte-identical either way.
-  3. ASSEMBLE — build the per-user series by cache lookup only.
+  1. PLAN     — sample the population and deterministically pre-draw every
+                iteration's jitter path (cheap, no DSP): the item grid
+                plus the set of distinct class keys.
+  2. RENDER   — resume from the checkpoint, probe the cache once per class,
+                and render the misses grouped by (vector, stack), up to
+                ``_MAX_BATCH`` rows per engine pass (each row bit-identical
+                to rendering it alone, pinned by tests). Groups run under a
+                ``repro.resilience.SupervisedExecutor``: per-job deadlines,
+                capped deterministic retries, bisection down to the poison
+                class, inline fallback when the pool dies, and a retry
+                budget that ends in a structured ``StudyExecutionError``.
+                With ``checkpoint_path`` set, renders are crash-safely
+                checkpointed, so a killed run resumes byte-identically.
+  3. ASSEMBLE — build the per-user series by lookup only.
 
-With the cache disabled the driver degrades to the honest baseline: one
-real render per grid item (still batched by group unless ``batched=False``,
-which restores the one-task-per-class path the benchmark uses as its
-serial comparison baseline). ``bench_render_perf.py`` measures both gaps.
+With the cache disabled every grid item is rendered (the honest
+baseline); at ``_MAX_BATCH = 1`` every row is its own engine pass (the
+serial reference the batching tests and ``bench_render_perf.py`` use).
 
-Observability (repro.obs) is threaded through all three phases but is
-off by default: the ``recorder`` defaults to the null object, render
-jobs carry measure=0, and no per-render recorder call is ever made — the
-dataset is bit-identical either way. When a ``Recorder`` is active (or
-``report_path`` / ``event_log_path`` is set), each batch is timed
-(``render.batch_size`` histogram + per-batch wall clock, plus per-render
-amortized latency so per-vector histograms keep one observation per
-render), the first batch per (vector, stack) pair additionally runs
-under the per-node profiler, and pool workers return their measurements
-as a plain dict riding next to the eFPs — the parent folds those into
-its own recorder, so aggregate counters are identical at any worker
-count. The supervisor adds ``retry.*`` / ``degraded.*`` /
-``checkpoint.*`` counters, surfaced as dedicated run-report sections
-(schema-checked by ``repro.obs.report``).
+``run_study`` and ``repro.population.shards.run_study_sharded`` share
+one core — the front door ``_study_run``, the per-range step
+``_render_range``, ``_assemble`` and ``_write_report`` — so the argument
+rules, the telemetry lifecycle and the report shape each live in one
+place. The monolithic driver runs each phase once over the whole
+population; the sharded driver runs the same helpers once per shard.
 
-Telemetry (repro.obs.events) rides the same channel: the driver, the
-supervisor, the cache, and the checkpoint path all emit sequence events
-(study/phase lifecycle, cache misses and quarantines, checkpoint
-writes/resumes, retries/rebuilds, per-batch renders shipped home from
-pool workers inside their metrics dicts). With ``event_log_path`` set
-the sequence also streams crash-safely to a JSONL sidecar the moment
-each event lands. The opt-in ``progress`` heartbeat prints live
-classes/throughput/ETA lines to stderr from the supervisor loop; both
-are free when disabled (the NullRecorder contract is pinned by tests).
+Observability (repro.obs) is off by default: the null recorder takes no
+per-render calls and the dataset is bit-identical either way. With a
+``Recorder`` (implied by ``report_path`` / ``event_log_path``) each
+batch is timed, the first batch per (vector, stack) also runs under the
+per-node profiler, and pool workers ship their measurements and events
+home next to the eFPs, so aggregate counters are identical at any worker
+count. The supervisor and checkpointing add ``retry.*`` / ``degraded.*``
+/ ``checkpoint.*`` counters and report sections. ``event_log_path``
+streams the event sequence to a crash-safe JSONL sidecar; ``progress``
+prints a live heartbeat to stderr.
 """
 from __future__ import annotations
 
+import operator
 import os
 import string
 import time
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,12 +70,11 @@ from .sampler import sample_population
 
 _STUDY_STREAM = 0x57D  # per-user jitter streams, disjoint from the sampler's
 
-#: Pool engagement thresholds, measured by benchmarks/bench_render_perf.py
+#: Pool engagement threshold, measured by benchmarks/bench_render_perf.py
 #: (see the "pool" section of BENCH_render.json — the worker sweep records
-#: where process-pool overhead actually pays off on this workload):
-#: below these job counts, fork + pickle overhead loses to inline rendering.
-_POOL_THRESHOLD = 24        # per-class jobs (batched=False path)
-_POOL_GROUP_THRESHOLD = 4   # batch groups are fatter, so fewer justify a pool
+#: where process-pool overhead actually pays off on this workload): below
+#: this many batch groups, fork + pickle overhead loses to inline rendering.
+_POOL_GROUP_THRESHOLD = 4
 
 #: Batch rows per engine pass. Caps the working set of a batched render
 #: ((B, channels, 5000) float64 blocks plus the analyser history) while
@@ -104,46 +93,6 @@ _CHECKPOINT_EVERY = 16
 _HEX_DIGITS = frozenset(string.hexdigits.lower())
 
 
-def _user_rng(seed: int, user_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, _STUDY_STREAM, user_index]))
-
-
-def _render_class(job: tuple[str, str, AudioStack, str, int]):
-    """Pool worker: render one equivalence class. Top-level for pickling.
-
-    Returns ``(key, efp, metrics)`` where metrics is None unless the job
-    asked to be measured — the serializable snapshot the parent merges
-    (its ``events`` list rides the same boundary and is merged
-    seq-ordered into the parent's event log). ``render_fault`` is the
-    env-gated chaos hook: a no-op (one env lookup) unless
-    ``$REPRO_FAULTS`` names an active fault plan.
-    """
-    key, vector_name, stack, path, measure = job
-    corrupt = render_fault(key)
-    if not measure:
-        efp = get_vector(vector_name).render(stack, path)
-        return key, (CORRUPT_EFP if corrupt else efp), None
-    start = time.perf_counter()
-    if measure >= _MEASURE_NODES:
-        with profile_nodes() as profiler:
-            efp = get_vector(vector_name).render(stack, path)
-    else:
-        profiler = None
-        efp = get_vector(vector_name).render(stack, path)
-    wall = time.perf_counter() - start
-    metrics = {
-        "vector": vector_name,
-        "stack": stack.cache_key(),
-        "wall_s": wall,
-        "events": [make_event("render.class", vector=vector_name, key=key,
-                              wall_s=wall)],
-    }
-    if profiler is not None:
-        metrics["nodes"] = profiler.seconds
-        metrics["node_calls"] = profiler.calls
-    return key, (CORRUPT_EFP if corrupt else efp), metrics
-
-
 def _render_group(job: tuple[str, AudioStack, list, int]):
     """Pool worker: render one (vector, stack) batch group in a single
     batched engine pass. Top-level for pickling.
@@ -156,22 +105,17 @@ def _render_group(job: tuple[str, AudioStack, list, int]):
     """
     vector_name, stack, members, measure = job
     keys = [key for key, _ in members]
-    paths = [path for _, path in members]
     corrupt_rows = [i for i, key in enumerate(keys) if render_fault(key)]
-    vector = get_vector(vector_name)
-    if not measure:
-        efps = vector.render_batch(stack, paths)
-        for i in corrupt_rows:
-            efps[i] = CORRUPT_EFP
-        return list(zip(keys, efps)), None
     start = time.perf_counter()
-    if measure >= _MEASURE_NODES:
-        with profile_nodes() as profiler:
-            efps = vector.render_batch(stack, paths)
-    else:
-        profiler = None
-        efps = vector.render_batch(stack, paths)
+    with (profile_nodes() if measure >= _MEASURE_NODES
+          else nullcontext()) as profiler:
+        efps = get_vector(vector_name).render_batch(
+            stack, [path for _, path in members])
     wall = time.perf_counter() - start
+    for i in corrupt_rows:
+        efps[i] = CORRUPT_EFP
+    if not measure:
+        return list(zip(keys, efps)), None
     metrics = {
         "vector": vector_name,
         "stack": stack.cache_key(),
@@ -184,33 +128,7 @@ def _render_group(job: tuple[str, AudioStack, list, int]):
     if profiler is not None:
         metrics["nodes"] = profiler.seconds
         metrics["node_calls"] = profiler.calls
-    for i in corrupt_rows:
-        efps[i] = CORRUPT_EFP
     return list(zip(keys, efps)), metrics
-
-
-def _make_jobs(keyed_classes, measuring: bool):
-    """Per-class jobs: attach a measure level to each (key, class) pair.
-
-    When measuring, every job is timed and the first job per distinct
-    (vector, stack) pair also carries the per-node profiler — planning
-    order is deterministic, so the profiled set is identical at any
-    worker count.
-    """
-    if not measuring:
-        return [(key, vector_name, stack, path, _MEASURE_OFF)
-                for key, (vector_name, stack, path) in keyed_classes]
-    jobs = []
-    profiled: set[tuple[str, str]] = set()
-    for key, (vector_name, stack, path) in keyed_classes:
-        pair = (vector_name, stack.cache_key())
-        if pair in profiled:
-            measure = _MEASURE_TIME
-        else:
-            profiled.add(pair)
-            measure = _MEASURE_NODES
-        jobs.append((key, vector_name, stack, path, measure))
-    return jobs
 
 
 def _group_jobs(keyed_classes, measuring: bool):
@@ -230,15 +148,9 @@ def _group_jobs(keyed_classes, measuring: bool):
         entry[2].append((key, path))
     jobs = []
     for vector_name, stack, members in groups.values():
-        first = True
         for lo in range(0, len(members), _MAX_BATCH):
-            if not measuring:
-                measure = _MEASURE_OFF
-            elif first:
-                measure = _MEASURE_NODES
-            else:
-                measure = _MEASURE_TIME
-            first = False
+            measure = (_MEASURE_OFF if not measuring else
+                       _MEASURE_NODES if lo == 0 else _MEASURE_TIME)
             jobs.append((vector_name, stack, members[lo:lo + _MAX_BATCH],
                          measure))
     return jobs
@@ -253,11 +165,6 @@ def _valid_efp(value) -> bool:
         and set(value) <= _HEX_DIGITS
 
 
-def _validate_class_result(job, result) -> bool:
-    key, efp, _metrics = result
-    return key == job[0] and _valid_efp(efp)
-
-
 def _validate_group_result(job, result) -> bool:
     pairs, _metrics = result
     members = job[2]
@@ -265,10 +172,6 @@ def _validate_group_result(job, result) -> bool:
         return False
     return all(key == member_key and _valid_efp(efp)
                for (key, efp), (member_key, _) in zip(pairs, members))
-
-
-def _class_job_keys(job) -> list[str]:
-    return [job[0]]
 
 
 def _group_job_keys(job) -> list[str]:
@@ -287,19 +190,6 @@ def _split_group_job(job):
     tail_measure = _MEASURE_TIME if measure else _MEASURE_OFF
     return [(vector_name, stack, members[:mid], measure),
             (vector_name, stack, members[mid:], tail_measure)]
-
-
-def _absorb_metrics(recorder, metrics: dict) -> None:
-    """Fold one worker-returned metrics snapshot into the parent recorder."""
-    recorder.count("render.renders")
-    recorder.observe(f"render.latency_s.{metrics['vector']}", metrics["wall_s"])
-    recorder.observe("pool.task_wall_s", metrics["wall_s"])
-    for event in metrics.get("events", ()):
-        recorder.merge_event(event)
-    if "nodes" in metrics:
-        recorder.count("render.profiled_renders")
-        recorder.record_node_profile(metrics["stack"], metrics["nodes"],
-                                     metrics["node_calls"])
 
 
 def _absorb_batch_metrics(recorder, metrics: dict) -> None:
@@ -330,8 +220,7 @@ def _absorb_batch_metrics(recorder, metrics: dict) -> None:
                                      metrics["node_calls"])
 
 
-def _plan(devices: list[Device], vectors: tuple[str, ...], iterations: int,
-          seed: int, first_index: int = 0):
+def _plan(run: _StudyRun, devices: list[Device], first_index: int = 0):
     """Pre-draw all jitter paths; return per-item keys and the class table.
 
     Analyser-free vectors draw nothing from the rng, so adding/removing
@@ -343,9 +232,10 @@ def _plan(devices: list[Device], vectors: tuple[str, ...], iterations: int,
     item_keys: dict[tuple[str, str], list[str]] = {}   # (vector, user_id) -> keys
     classes: dict[str, tuple[str, object, str]] = {}
     for offset, device in enumerate(devices):
-        rng = _user_rng(seed, first_index + offset)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            [run.seed, _STUDY_STREAM, first_index + offset]))
         repertoire = sample_repertoire(rng, device.load)
-        for vector_name in vectors:
+        for vector_name in run.vectors:
             vector = get_vector(vector_name)
             # each vector fingerprints its own per-device stack (the audio
             # stack for audio vectors; UA/canvas/fonts/math identities for
@@ -355,7 +245,7 @@ def _plan(devices: list[Device], vectors: tuple[str, ...], iterations: int,
             stack = vector.stack_of(device)
             stack_key = stack.cache_key()
             keys = []
-            for _ in range(iterations):
+            for _ in range(run.iterations):
                 if vector.uses_analyser:
                     path = sample_path(rng, device.load, repertoire)
                 else:
@@ -368,32 +258,66 @@ def _plan(devices: list[Device], vectors: tuple[str, ...], iterations: int,
     return item_keys, classes
 
 
-def _validate_study_args(user_count, iterations, vectors, workers,
-                         checkpoint_every) -> None:
-    """The shared front-door argument checks (``run_study`` and
-    ``run_study_sharded`` reject the same bad inputs the same way)."""
-    if not isinstance(user_count, int) or isinstance(user_count, bool) \
-            or user_count <= 0:
-        raise ValueError(f"user_count must be a positive integer, "
-                         f"got {user_count!r}")
-    if iterations <= 0:
-        raise ValueError(f"iterations must be positive, got {iterations}")
-    if not vectors:
-        raise ValueError("vectors must be non-empty")
-    if workers is not None and workers < 0:
-        raise ValueError(f"workers must be >= 0 (or None for auto), "
-                         f"got {workers}")
-    if checkpoint_every <= 0:
-        raise ValueError(f"checkpoint_every must be positive, "
-                         f"got {checkpoint_every}")
-    seen = set()
-    for name in vectors:
-        get_vector(name)  # fail fast on unknown vectors (UnknownVectorError)
-        if name in seen:
-            # a duplicate would silently double-count the vector's series
-            # assembly; reject it before any rendering happens
-            raise ValueError(f"duplicate vector {name!r} in vectors")
-        seen.add(name)
+# -- the driver core ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class _StudyRun:
+    """One run's validated arguments, plus the recorder and cache the
+    front door attached for it."""
+
+    user_count: int
+    iterations: int
+    vectors: tuple[str, ...]
+    seed: int
+    cache: RenderCache
+    recorder: object
+    #: the effective pool size; ``requested_workers`` is what the caller
+    #: asked for (None = auto) and ``cpu`` the core count it resolved against
+    workers: int
+    requested_workers: int | None
+    cpu: int
+    checkpoint_every: int
+    retry_policy: RetryPolicy | None
+    retry_budget: int | None
+    report_path: str | None
+    event_log_path: str | None
+    progress: object
+
+    @property
+    def measuring(self) -> bool:
+        return self.recorder.enabled
+
+
+@dataclass
+class _Tally:
+    """What a run's render steps add up to; the run report reads it."""
+
+    checkpoint: dict  # the report's "checkpoint" section
+    summaries: list[dict] = field(default_factory=list)  # one per supervisor
+    jobs: int = 0
+    pooled: bool = False
+
+    @classmethod
+    def start(cls, checkpointing: bool) -> "_Tally":
+        return cls(checkpoint={"enabled": checkpointing, "writes": 0,
+                               "torn_writes": 0, "resumed_classes": 0,
+                               "corrupt_recoveries": 0})
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` (anything ``operator.index`` accepts, but
+    never a bool) of at least ``minimum``; else a ValueError naming
+    ``name``."""
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if number >= minimum:
+                return number
+    kind = "a positive" if minimum == 1 else "a non-negative"
+    raise ValueError(f"{name} must be {kind} integer, got {value!r}")
 
 
 def _resolve_workers(workers: int | None) -> tuple[int, int | None, int]:
@@ -419,88 +343,141 @@ def _resolve_workers(workers: int | None) -> tuple[int, int | None, int]:
     return workers, requested, cpu
 
 
-def _load_resume(checkpoint_path, fingerprint, classes, recorder,
-                 checkpoint_info) -> dict[str, str]:
-    """Load a checkpoint and keep only the classes this plan wants."""
-    resumed: dict[str, str] = {}
-    if checkpoint_path is None:
-        return resumed
-    loaded, problem = load_checkpoint(checkpoint_path, fingerprint)
-    if problem is not None:
-        checkpoint_info["corrupt_recoveries"] += 1
-        recorder.count("checkpoint.corrupt")
-        recorder.event("checkpoint.corrupt_quarantine", problem=problem)
-    # only classes this study actually plans can be resumed; an
-    # ENGINE_VERSION bump changes every stack key, so stale
-    # checkpoints resume nothing (and re-render everything)
-    resumed = {key: efp for key, efp in loaded.items() if key in classes}
-    if resumed:
-        checkpoint_info["resumed_classes"] = len(resumed)
-        recorder.count("checkpoint.resumed_classes", len(resumed))
-        recorder.event("checkpoint.resume", classes=len(resumed))
-    return resumed
+@contextmanager
+def _study_run(user_count, iterations, vectors, seed, *, cache, workers,
+               recorder, report_path, event_log_path, checkpoint_every,
+               retry_policy, retry_budget, progress):
+    """The front door both drivers share, and the one place their
+    argument rules live.
 
-
-def _keyed_to_render(cache, item_keys, classes, resumed, recorder):
-    """The classes still needing a render, as ``(key, class)`` pairs.
-
-    With the cache disabled this degrades to the honest baseline: one
-    real render per grid item, charged through the miss-counter API so
-    benchmark speedups isolate the cache.
+    Validates and normalizes the arguments (integers as ``int``,
+    ``vectors`` as a tuple) and resolves the worker count; defaults the
+    recorder (a fresh ``Recorder`` when a report or an event log is
+    asked for, else the null recorder) and the cache; attaches the event
+    log and the cache's recorder for the life of the block; and yields
+    the run as one frozen ``_StudyRun``.
     """
+    user_count = _integer("user_count", user_count, 1)
+    iterations = _integer("iterations", iterations, 1)
+    if isinstance(vectors, str):
+        raise ValueError(f"vectors must be a sequence of vector names, "
+                         f"not the string {vectors!r}")
+    try:
+        vectors = tuple(vectors)
+    except TypeError:
+        raise ValueError(f"vectors must be a sequence of vector names, "
+                         f"got {vectors!r}") from None
+    if not vectors:
+        raise ValueError("vectors must be non-empty")
+    seed = _integer("seed", seed, 0)
+    if workers is not None:
+        workers = _integer("workers", workers, 0)
+    checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
+    for i, name in enumerate(vectors):
+        get_vector(name)  # fail fast on unknown vectors (UnknownVectorError)
+        if name in vectors[:i]:
+            # a duplicate would silently double-count the vector's series
+            # assembly; reject it before any rendering happens
+            raise ValueError(f"duplicate vector {name!r} in vectors")
+
+    if recorder is None:
+        recorder = Recorder() if (report_path is not None
+                                  or event_log_path is not None) \
+            else NULL_RECORDER
+    if cache is None:
+        cache = RenderCache()
+    workers, requested_workers, cpu = _resolve_workers(workers)
+    run = _StudyRun(
+        user_count=user_count, iterations=iterations, vectors=vectors,
+        seed=seed, cache=cache, recorder=recorder, workers=workers,
+        requested_workers=requested_workers, cpu=cpu,
+        checkpoint_every=checkpoint_every, retry_policy=retry_policy,
+        retry_budget=retry_budget, report_path=report_path,
+        event_log_path=event_log_path, progress=progress)
+    event_log = None
+    if event_log_path is not None and recorder.enabled:
+        event_log = EventLog(event_log_path)
+        recorder.attach_event_log(event_log)
+    cache.attach_recorder(recorder)
+    try:
+        yield run
+    finally:
+        cache.detach_recorder()
+        if event_log is not None:
+            recorder.detach_event_log()
+            event_log.close()
+
+
+@contextmanager
+def _phase(recorder, name: str, **attrs):
+    """One top-level phase: ``phase.start`` / ``phase.end`` events around
+    a span of the same name (yielded, so the caller can set attributes)."""
+    recorder.event("phase.start", phase=name)
+    with recorder.span(name, **attrs) as span:
+        yield span
+    recorder.event("phase.end", phase=name)
+
+
+def _render_range(run: _StudyRun, tally: _Tally, item_keys, classes,
+                  checkpoint_path, fingerprint) -> tuple[dict[str, str], int]:
+    """The per-range step both drivers share: resume, then probe, then
+    render one planned range of the population.
+
+    Misses render as supervised batch groups, checkpointed every
+    ``run.checkpoint_every`` completed jobs when ``checkpoint_path`` is
+    set, and go into the cache. With the cache disabled the probe
+    degrades to the honest baseline: one real render per grid item,
+    charged through the miss-counter API so benchmark speedups isolate
+    the cache. Returns ``(rendered, misses)``: class key -> eFP (resumed
+    classes included) and the number of classes sent to the renderer.
+    """
+    recorder, cache = run.recorder, run.cache
+    resumed: dict[str, str] = {}
+    if checkpoint_path is not None:
+        loaded, problem = load_checkpoint(checkpoint_path, fingerprint)
+        if problem is not None:
+            tally.checkpoint["corrupt_recoveries"] += 1
+            recorder.count("checkpoint.corrupt")
+            recorder.event("checkpoint.corrupt_quarantine", problem=problem)
+        # only classes this plan wants can be resumed; an ENGINE_VERSION
+        # bump changes every stack key, so a stale checkpoint resumes
+        # nothing (and everything re-renders)
+        resumed = {key: efp for key, efp in loaded.items() if key in classes}
+        if resumed:
+            tally.checkpoint["resumed_classes"] = len(resumed)
+            recorder.count("checkpoint.resumed_classes", len(resumed))
+            recorder.event("checkpoint.resume", classes=len(resumed))
+
     if cache.disabled:
         keyed = [(key, classes[key])
                  for keys in item_keys.values() for key in keys
                  if key not in resumed]
         cache.record_miss(len(keyed))
-        return keyed
-    with recorder.span("probe"):
-        return [(key, classes[key]) for key in classes
-                if key not in resumed and cache.get(key) is None]
-
-
-def _render_classes(keyed, *, batched, measuring, recorder, cache, seed,
-                    workers, requested_workers, fingerprint,
-                    checkpoint_path, checkpoint_every, checkpoint_info,
-                    retry_policy, retry_budget, progress, resumed):
-    """Render ``keyed`` classes under supervision; the render-phase core
-    shared by ``run_study`` and the sharded driver.
-
-    Returns ``(rendered, supervisor, jobs_count, pooled)`` where
-    ``rendered`` maps class key -> eFP (resumed classes included) and the
-    supervisor carries the resilience summary. Completed renders are
-    pushed into the cache before returning.
-    """
-    if batched:
-        jobs = _group_jobs(keyed, measuring)
-        threshold = _POOL_GROUP_THRESHOLD
-        worker, absorb = _render_group, _absorb_batch_metrics
-        splitter, validator, keys_of = (_split_group_job,
-                                        _validate_group_result,
-                                        _group_job_keys)
     else:
-        jobs = _make_jobs(keyed, measuring)
-        threshold = _POOL_THRESHOLD
-        worker, absorb = _render_class, _absorb_metrics
-        splitter, validator, keys_of = (None, _validate_class_result,
-                                        _class_job_keys)
-    pooled = bool(workers and workers > 1 and len(jobs) >= threshold)
-    if requested_workers is not None and workers < requested_workers:
-        recorder.count("pool.workers_clamped", requested_workers - workers)
-    if not pooled and len(jobs) >= threshold and workers <= 1 \
-            and (requested_workers is None or requested_workers > 1):
+        with recorder.span("probe"):
+            keyed = [(key, classes[key]) for key in classes
+                     if key not in resumed and cache.get(key) is None]
+
+    workers, requested = run.workers, run.requested_workers
+    jobs = _group_jobs(keyed, run.measuring)
+    pooled = workers > 1 and len(jobs) >= _POOL_GROUP_THRESHOLD
+    if requested is not None and workers < requested:
+        recorder.count("pool.workers_clamped", requested - workers)
+    if not pooled and len(jobs) >= _POOL_GROUP_THRESHOLD and workers <= 1 \
+            and (requested is None or requested > 1):
         # enough jobs to pool, but fan-out cannot win on this machine
         recorder.count("pool.fanout_skipped")
-    budget = None if retry_budget is None else RetryBudget(retry_budget)
+    budget = (None if run.retry_budget is None
+              else RetryBudget(run.retry_budget))
     supervisor = SupervisedExecutor(
-        worker, workers=workers if pooled else 0,
-        policy=retry_policy, budget=budget, recorder=recorder,
-        seed=seed, splitter=splitter, validator=validator,
-        keys_of=keys_of)
+        _render_group, workers=workers if pooled else 0,
+        policy=run.retry_policy, budget=budget, recorder=recorder,
+        seed=run.seed, splitter=_split_group_job,
+        validator=_validate_group_result, keys_of=_group_job_keys)
 
     meter = None
-    if progress:
-        stream = progress if hasattr(progress, "write") else None
+    if run.progress:
+        stream = run.progress if hasattr(run.progress, "write") else None
         meter = ProgressMeter(total_jobs=len(jobs),
                               total_classes=len(keyed), stream=stream)
 
@@ -510,29 +487,23 @@ def _render_classes(keyed, *, batched, measuring, recorder, cache, seed,
     def _checkpoint() -> None:
         if write_checkpoint(checkpoint_path, fingerprint, rendered,
                             completed_jobs):
-            checkpoint_info["writes"] += 1
+            tally.checkpoint["writes"] += 1
             recorder.count("checkpoint.writes")
             recorder.event("checkpoint.write", completed_jobs=completed_jobs)
         else:
-            checkpoint_info["torn_writes"] += 1
+            tally.checkpoint["torn_writes"] += 1
             recorder.count("checkpoint.torn_writes")
             recorder.event("checkpoint.torn_write",
                            completed_jobs=completed_jobs)
 
     try:
-        for result in supervisor.run(jobs):
-            if batched:
-                pairs, metrics = result
-                for key, efp in pairs:
-                    rendered[key] = efp
-            else:
-                key, efp, metrics = result
-                rendered[key] = efp
+        for pairs, metrics in supervisor.run(jobs):
+            rendered.update(pairs)
             if metrics is not None:
-                absorb(recorder, metrics)
+                _absorb_batch_metrics(recorder, metrics)
             completed_jobs += 1
             if checkpoint_path is not None \
-                    and completed_jobs % checkpoint_every == 0:
+                    and completed_jobs % run.checkpoint_every == 0:
                 _checkpoint()
             if meter is not None:
                 meter.update(completed_jobs,
@@ -549,20 +520,102 @@ def _render_classes(keyed, *, batched, measuring, recorder, cache, seed,
         _checkpoint()
     if meter is not None:
         meter.finish(len(rendered) - len(resumed),
-                     retries=supervisor.retries,
-                     hit_rate=cache.hit_rate)
+                     retries=supervisor.retries, hit_rate=cache.hit_rate)
     if not cache.disabled:
         for key, efp in rendered.items():
             cache.put(key, efp)
-    return rendered, supervisor, len(jobs), pooled
+    tally.summaries.append(supervisor.summary())
+    tally.jobs += len(jobs)
+    tally.pooled = tally.pooled or pooled
+    if run.measuring:
+        recorder.count("pool.jobs", len(jobs))
+    return rendered, len(keyed)
 
+
+def _assemble(run: _StudyRun, devices: list[Device], item_keys,
+              rendered: dict[str, str]) -> StudyDataset:
+    """One range's dataset: its users' series, by lookup only — in the
+    cache, or in the range's own renders when the cache is disabled."""
+    lookup = rendered.__getitem__ if run.cache.disabled else run.cache.get
+    series: dict[str, dict[str, list[str]]] = {v: {} for v in run.vectors}
+    for (vector_name, user_id), keys in item_keys.items():
+        series[vector_name][user_id] = [lookup(key) for key in keys]
+    return StudyDataset(seed=run.seed, user_count=len(devices),
+                        iterations=run.iterations, vectors=run.vectors,
+                        users=[d.describe() for d in devices], series=series)
+
+
+def _merge_resilience(summaries: list[dict], checkpoint_info: dict) -> dict:
+    """Fold per-range supervisor summaries into one report-shaped block
+    (sums match the recorder's counters, which also accumulated across
+    ranges — the report validator cross-checks exactly that)."""
+    retries = [s["retry"] for s in summaries]
+    budgets = [r["budget"] for r in retries]
+    degraded = [s["degraded"] for s in summaries]
+    retry = {key: sum(r[key] for r in retries)
+             for key in ("attempts", "retries", "timeouts", "crashes",
+                         "worker_errors", "corrupt_returns", "bisections")}
+    retry["quarantined"] = sorted({key for r in retries
+                                   for key in r["quarantined"]})
+    retry["budget"] = {"limit": max((b["limit"] for b in budgets), default=0),
+                       "spent": sum(b["spent"] for b in budgets),
+                       "exhausted": any(b["exhausted"] for b in budgets)}
+    return {"retry": retry,
+            "degraded": {"pool_rebuilds": sum(d["pool_rebuilds"]
+                                              for d in degraded),
+                         "inline_fallback": any(d["inline_fallback"]
+                                                for d in degraded)},
+            "checkpoint": checkpoint_info}
+
+
+def _write_report(run: _StudyRun, tally: _Tally, render_s: float,
+                  **workload) -> None:
+    """Write the run report to ``run.report_path`` (no-op when unset).
+
+    ``render_s`` is the render phase's wall clock (the pool-utilization
+    denominator); ``workload`` adds driver-specific fields to the
+    report's workload section.
+    """
+    if run.report_path is None:
+        return
+    from ..obs.report import build_report  # deferred: only report users pay for it
+    recorder = run.recorder
+    resilience = (_merge_resilience(tally.summaries, tally.checkpoint)
+                  if tally.summaries else {"checkpoint": tally.checkpoint})
+    pool = None
+    if run.measuring:
+        busy = recorder.histograms.get("pool.task_wall_s")
+        busy_s = busy.total if busy else 0.0
+        lanes = run.workers if tally.pooled else 1
+        pool = {
+            "workers": run.workers, "pooled": tally.pooled,
+            "jobs": tally.jobs,
+            "requested": (run.requested_workers
+                          if run.requested_workers is not None
+                          else run.workers),
+            "cpu_count": run.cpu,
+            "supervised": True,
+            "rebuilds": sum(s["degraded"]["pool_rebuilds"]
+                            for s in tally.summaries),
+            "busy_s": round(busy_s, 6),
+            "utilization": round(busy_s / (render_s * lanes), 4)
+            if render_s > 0 else None,
+        }
+    workload = {"users": run.user_count, "iterations": run.iterations,
+                "vectors": list(run.vectors), "seed": run.seed, **workload}
+    report = build_report(recorder, workload, cache_stats=run.cache.stats(),
+                          pool=pool, resilience=resilience,
+                          events_path=run.event_log_path)
+    atomic_write_json(run.report_path, report, indent=2)
+
+
+# -- the monolithic driver ---------------------------------------------------
 
 def run_study(user_count: int, iterations: int = 30,
               vectors: tuple[str, ...] = ("dc", "fft", "hybrid"),
               seed: int = 2021, cache: RenderCache | None = None,
               workers: int | None = None, recorder=None,
               report_path: str | None = None,
-              batched: bool = True,
               checkpoint_path: str | None = None,
               checkpoint_every: int = _CHECKPOINT_EVERY,
               retry_policy: RetryPolicy | None = None,
@@ -571,6 +624,12 @@ def run_study(user_count: int, iterations: int = 30,
               progress=False) -> StudyDataset:
     """Run the synthetic study and return its dataset.
 
+    ``user_count``, ``iterations`` and ``checkpoint_every`` are positive
+    integers and ``seed`` a non-negative one (any ``operator.index``
+    value, never a bool); ``vectors`` is a non-empty sequence of distinct
+    vector names (not a bare string). Anything else raises a
+    ``ValueError`` naming the argument; an unknown vector name raises
+    ``UnknownVectorError``.
     ``workers``: None = auto (cpu count, capped at 8), 0 = render inline.
     Explicit counts above the machine's core count are clamped to it
     (never below 2, so an explicit pool request stays a pool); the clamp
@@ -582,9 +641,6 @@ def run_study(user_count: int, iterations: int = 30,
     recorder.
     ``report_path``: write a machine-readable run report (see repro.obs)
     here after the study completes.
-    ``batched``: True (default) renders cache misses grouped by
-    (vector, stack) through the engine's batch axis; False renders one
-    class per task — the serial baseline the benchmark compares against.
     ``checkpoint_path``: crash-safely checkpoint rendered eFPs here every
     ``checkpoint_every`` completed render jobs; if the file already holds
     a checkpoint of *this* study, its classes are not re-rendered
@@ -605,128 +661,38 @@ def run_study(user_count: int, iterations: int = 30,
     ETA — to stderr (or the stream) while the render phase runs. Off by
     default and costs nothing when off.
     Results are bit-identical regardless of worker count, cache state,
-    batching, observability, checkpoint resume, or any fault recovery
+    batch size, observability, checkpoint resume, or any fault recovery
     that succeeds.
     """
-    _validate_study_args(user_count, iterations, vectors, workers,
-                         checkpoint_every)
-    if recorder is None:
-        recorder = Recorder() if (report_path is not None
-                                  or event_log_path is not None) \
-            else NULL_RECORDER
-    measuring = recorder.enabled
-    if cache is None:
-        cache = RenderCache()
-    event_log = None
-    if event_log_path is not None and measuring:
-        event_log = EventLog(event_log_path)
-        recorder.attach_event_log(event_log)
-    cache.attach_recorder(recorder)
-    try:
-        return _run_study(
-            user_count, iterations, tuple(vectors), seed, cache, workers,
-            recorder, measuring, report_path, batched, checkpoint_path,
-            checkpoint_every, retry_policy, retry_budget, event_log_path,
-            progress)
-    finally:
-        cache.detach_recorder()
-        if event_log is not None:
-            recorder.detach_event_log()
-            event_log.close()
-
-
-def _run_study(user_count, iterations, vectors, seed, cache, workers,
-               recorder, measuring, report_path, batched, checkpoint_path,
-               checkpoint_every, retry_policy, retry_budget, event_log_path,
-               progress) -> StudyDataset:
-    """The study body; ``run_study`` owns argument validation and the
-    telemetry attach/detach lifecycle around it."""
-    workers, requested_workers, cpu = _resolve_workers(workers)
-
-    recorder.event("study.start", users=user_count, iterations=iterations,
-                   vectors=list(vectors), seed=seed, batched=batched,
-                   workers=workers)
-
-    recorder.event("phase.start", phase="plan")
-    with recorder.span("plan", users=user_count, iterations=iterations,
-                       vectors=list(vectors)) as plan_span:
-        devices = sample_population(user_count, seed)
-        item_keys, classes = _plan(devices, tuple(vectors), iterations, seed)
-        grid_items = sum(len(k) for k in item_keys.values())
-        if measuring:
-            plan_span.set(grid_items=grid_items,
-                          distinct_classes=len(classes))
-    recorder.event("phase.end", phase="plan")
-
-    checkpoint_info = {"enabled": checkpoint_path is not None, "writes": 0,
-                       "torn_writes": 0, "resumed_classes": 0,
-                       "corrupt_recoveries": 0}
-    fingerprint = study_fingerprint(seed, user_count, iterations, vectors)
-
-    recorder.event("phase.start", phase="render")
-    with recorder.span("render") as render_span:
-        resumed = _load_resume(checkpoint_path, fingerprint, classes,
-                               recorder, checkpoint_info)
-        keyed = _keyed_to_render(cache, item_keys, classes, resumed, recorder)
-        rendered, supervisor, job_count, pooled = _render_classes(
-            keyed, batched=batched, measuring=measuring, recorder=recorder,
-            cache=cache, seed=seed, workers=workers,
-            requested_workers=requested_workers, fingerprint=fingerprint,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            checkpoint_info=checkpoint_info, retry_policy=retry_policy,
-            retry_budget=retry_budget, progress=progress, resumed=resumed)
-        lookup = rendered.__getitem__ if cache.disabled else cache.get
-    recorder.event("phase.end", phase="render")
-
-    resilience_info = supervisor.summary()
-    resilience_info["checkpoint"] = checkpoint_info
-
-    if measuring:
-        recorder.count("pool.jobs", job_count)
-        busy = recorder.histograms.get("pool.task_wall_s")
-        busy_s = busy.total if busy else 0.0
-        lanes = workers if pooled else 1
-        pool_info = {
-            "workers": workers, "pooled": pooled, "jobs": job_count,
-            "requested": (requested_workers if requested_workers is not None
-                          else workers),
-            "cpu_count": cpu,
-            "batched": batched,
-            "supervised": True,
-            "rebuilds": resilience_info["degraded"]["pool_rebuilds"],
-            "busy_s": round(busy_s, 6),
-            "utilization": round(busy_s / (render_span.duration_s * lanes), 4)
-            if render_span.duration_s > 0 else None,
-        }
-    else:
-        pool_info = None
-
-    recorder.event("phase.start", phase="assemble")
-    with recorder.span("assemble"):
-        dataset = StudyDataset(
-            seed=seed,
-            user_count=user_count,
-            iterations=iterations,
-            vectors=tuple(vectors),
-            users=[d.describe() for d in devices],
-        )
-        for vector_name in vectors:
-            dataset.series[vector_name] = {}
-        for (vector_name, user_id), keys in item_keys.items():
-            dataset.series[vector_name][user_id] = [lookup(key) for key in keys]
-    recorder.event("phase.end", phase="assemble")
-    recorder.event("study.end", grid_items=grid_items,
-                   distinct_classes=len(classes), rendered=len(rendered))
-
-    if report_path is not None:
-        from ..obs.report import build_report  # deferred: only report users pay for it
-        workload = {"users": user_count, "iterations": iterations,
-                    "vectors": list(vectors), "seed": seed,
-                    "grid_items": grid_items,
-                    "distinct_classes": len(classes)}
-        report = build_report(recorder, workload, cache_stats=cache.stats(),
-                              pool=pool_info, resilience=resilience_info,
-                              events_path=event_log_path)
-        atomic_write_json(report_path, report, indent=2)
-    return dataset
+    with _study_run(user_count, iterations, vectors, seed, cache=cache,
+                    workers=workers, recorder=recorder,
+                    report_path=report_path, event_log_path=event_log_path,
+                    checkpoint_every=checkpoint_every,
+                    retry_policy=retry_policy, retry_budget=retry_budget,
+                    progress=progress) as run:
+        recorder = run.recorder
+        recorder.event("study.start", users=run.user_count,
+                       iterations=run.iterations, vectors=list(run.vectors),
+                       seed=run.seed, workers=run.workers)
+        with _phase(recorder, "plan", users=run.user_count,
+                    iterations=run.iterations,
+                    vectors=list(run.vectors)) as plan_span:
+            devices = sample_population(run.user_count, run.seed)
+            item_keys, classes = _plan(run, devices)
+            grid_items = sum(len(keys) for keys in item_keys.values())
+            if run.measuring:
+                plan_span.set(grid_items=grid_items,
+                              distinct_classes=len(classes))
+        tally = _Tally.start(checkpointing=checkpoint_path is not None)
+        fingerprint = study_fingerprint(run.seed, run.user_count,
+                                        run.iterations, run.vectors)
+        with _phase(recorder, "render") as render_span:
+            rendered, _ = _render_range(run, tally, item_keys, classes,
+                                        checkpoint_path, fingerprint)
+        with _phase(recorder, "assemble"):
+            dataset = _assemble(run, devices, item_keys, rendered)
+        recorder.event("study.end", grid_items=grid_items,
+                       distinct_classes=len(classes), rendered=len(rendered))
+        _write_report(run, tally, render_span.duration_s,
+                      grid_items=grid_items, distinct_classes=len(classes))
+        return dataset

@@ -5,27 +5,14 @@
 alternative FFTs, compressor tuning forks, jitter sub-paths) and passes
 them in here; the engine itself only duck-types against them.
 
-Two render-dispatch knobs live here:
-
-``render_path``
-    Which execution strategy the context uses: ``"auto"`` (fused
-    whole-buffer rendering when the graph is fusible, quantum loop
-    otherwise — the default), ``"fused"`` (force the fused path; still
-    falls back to the quantum loop for non-fusible graphs), or
-    ``"quantum"`` (always the 128-frame block loop). The fused NumPy
-    path is bit-identical to the quantum loop, so this knob can never
-    change an eFP — it is pure cost control and is deliberately *not*
-    part of any cache key. The process-wide default can be overridden
-    with ``set_default_render_path()`` or ``$REPRO_RENDER_PATH`` (the
-    env var wins, and is inherited by pool workers).
-
-``render_backend``
-    The numeric execution tier: ``"numpy"`` (reference) or ``"jit"``
-    (numba-compiled sequential kernels when numba is importable, with a
-    transparent NumPy fallback otherwise). The JIT tier evaluates the
-    same DSP in a different floating-point order, so it is a *distinct
-    fingerprint identity* — ``AudioStack.render_tier`` folds it into the
-    cache key rather than letting it mutate existing digests.
+One render-dispatch knob lives here: ``render_path``, the execution
+strategy the context uses. ``"fused"`` (the default) renders fusible
+graphs whole-buffer and falls back to the quantum loop for the rest;
+``"quantum"`` always runs the 128-frame block loop. The fused path is
+bit-identical to the quantum loop, so this knob can never change an eFP
+— it is pure cost control and is deliberately *not* part of any cache
+key. ``$REPRO_RENDER_PATH`` overrides the default (and is inherited by
+pool workers).
 """
 from __future__ import annotations
 
@@ -37,29 +24,18 @@ import numpy as np
 
 from .fft import FFTBackend, NumpyFFT
 
-RENDER_PATHS = ("auto", "fused", "quantum")
-RENDER_BACKENDS = ("numpy", "jit")
-
-_default_render_path = "auto"
-
-
-def set_default_render_path(path: str) -> None:
-    """Set the process-wide default ``EngineConfig.render_path``."""
-    if path not in RENDER_PATHS:
-        raise ValueError(f"render_path must be one of {RENDER_PATHS}, got {path!r}")
-    global _default_render_path
-    _default_render_path = path
+RENDER_PATHS = ("fused", "quantum")
 
 
 def get_default_render_path() -> str:
     """The effective default render path: ``$REPRO_RENDER_PATH`` if it
-    names a valid path, else the ``set_default_render_path()`` value.
+    names a valid path, else ``"fused"``.
 
     Read at ``EngineConfig`` construction time (once per render), so the
     env var also reaches forked/spawned pool workers for free.
     """
     env = os.environ.get("REPRO_RENDER_PATH", "").strip().lower()
-    return env if env in RENDER_PATHS else _default_render_path
+    return env if env in RENDER_PATHS else "fused"
 
 
 class NumpyMath:
@@ -109,19 +85,13 @@ class EngineConfig:
     jitter_transform: Optional[Callable[[np.ndarray], np.ndarray]] = None
     #: frames the analyser readout window is shifted back (jitter timing bucket)
     readout_offset: int = 0
-    #: execution strategy: "auto" | "fused" | "quantum" (bit-identical either way)
+    #: execution strategy: "fused" | "quantum" (bit-identical either way)
     render_path: str = field(default_factory=get_default_render_path)
-    #: numeric tier: "numpy" | "jit" (a distinct fingerprint identity)
-    render_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.render_path not in RENDER_PATHS:
             raise ValueError(
                 f"render_path must be one of {RENDER_PATHS}, got {self.render_path!r}")
-        if self.render_backend not in RENDER_BACKENDS:
-            raise ValueError(
-                f"render_backend must be one of {RENDER_BACKENDS}, "
-                f"got {self.render_backend!r}")
 
     @classmethod
     def default(cls) -> "EngineConfig":

@@ -14,7 +14,7 @@ Two execution strategies produce that buffer (``config.render_path``):
 - **fused** — the default for fusible graphs: ``plan_segments`` checks
   the graph is an automation-free linear chain of known nodes, then each
   node renders the *entire* buffer in one ``process_buffer`` call. The
-  fused NumPy tier is bit-identical to the quantum loop by construction
+  fused path is bit-identical to the quantum loop by construction
   (elementwise stages are blocking-invariant; block-granular state keeps
   its block structure inside the kernels) and by test, so no
   ``ENGINE_VERSION`` bump and no cache invalidation.
@@ -125,7 +125,7 @@ class OfflineAudioContext:
         if self._rendered_batch is not None:
             return self._rendered_batch
         plan = None
-        if self.config.render_path in ("auto", "fused"):
+        if self.config.render_path == "fused":
             plan = plan_segments(self._nodes, self.destination)
         if plan is not None:
             self.render_path_used = "fused"

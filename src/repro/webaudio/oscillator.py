@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import RENDER_QUANTUM_FRAMES, jit
+from . import RENDER_QUANTUM_FRAMES
 from .node import AudioNode
 from .param import AudioParam
 
 _MAX_HARMONICS = 128
-_ULP = 2.0 ** -52
 
 
 class PeriodicWave:
@@ -177,8 +176,7 @@ class OscillatorNode(AudioNode):
         if self._start_frame is None:
             return np.zeros((batch, 1, length), dtype=np.float64)
         fs = self.context.sample_rate
-        config = self.context.config
-        math = config.math
+        math = self.context.config.math
         quantum = RENDER_QUANTUM_FRAMES
 
         freq = self.frequency.values(0, quantum, fs)
@@ -204,14 +202,7 @@ class OscillatorNode(AudioNode):
         phases = ((starts[:, None] + block_cumsum[None, :]) - inc[None, :])
         phases = phases.reshape(-1)[:length]
 
-        if self.type != "custom" and jit.jit_active(config):
-            orders, amps = self._harmonics(fs / 2.0, float(freq[0]))
-            ulp_scale = 1.0 + getattr(math, "ulp_shift", 0) * _ULP
-            signal = jit.synth_harmonics(phases, orders, amps, ulp_scale)
-        else:
-            # custom waves always take the generic NumPy series (the JIT
-            # kernel only synthesizes sine-phase series)
-            signal = self._synthesize(math, phases, fs / 2.0, float(freq[0]))
+        signal = self._synthesize(math, phases, fs / 2.0, float(freq[0]))
 
         frames = np.arange(length)
         active = frames >= self._start_frame

@@ -25,7 +25,7 @@ Eligibility is deliberately conservative — the plan is refused (returns
 - any ``AudioParam`` on any node carries automation events (fused
   kernels assume block-position-independent params);
 - any node has fan-in or fan-out > 1 (multi-source mixing and shared
-  outputs render correctly block-by-block; the fused tier only claims
+  outputs render correctly block-by-block; the fused path only claims
   the linear-chain case its bit-identity tests pin).
 
 The fallback is silent and recorded on the context

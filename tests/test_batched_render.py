@@ -4,7 +4,8 @@ The whole batching optimisation rests on one invariant: a batched render
 is *bit-identical* to the per-class renders it replaces — same digests,
 same dataset bytes, at any batch composition, batch split, worker count,
 or FFT backend. These tests pin that invariant, plus the crash-safety of
-the render cache's disk persistence.
+the render cache's disk persistence. The study-level serial reference is
+the same driver at ``_MAX_BATCH = 1``: one row per engine pass.
 """
 import json
 import os
@@ -12,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.population.study as study_mod
 from repro import RenderCache, run_study
 from repro.platform import AudioStack
 from repro.platform.jitter import sample_path, sample_repertoire
@@ -86,10 +88,17 @@ STUDY = dict(user_count=6, iterations=3, vectors=("dc", "fft", "hybrid"),
              seed=13)
 
 
+def _serial_study(**kw):
+    """The driver with one row per engine pass — the serial reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(study_mod, "_MAX_BATCH", 1)
+        return run_study(cache=RenderCache(), workers=0, **kw)
+
+
 class TestGroupingNeverChangesTheDataset:
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_study(cache=RenderCache(), workers=0, batched=False, **STUDY)
+        return _serial_study(**STUDY)
 
     @pytest.mark.parametrize("workers", [0, 1, 2])
     def test_batched_equals_serial_at_any_worker_count(self, serial, workers):
@@ -105,10 +114,9 @@ class TestGroupingNeverChangesTheDataset:
     def test_dataset_json_bytes_identical(self, serial, tmp_path):
         """Not just ==: the serialized artifact is byte-for-byte stable."""
         blobs = set()
-        for workers, batched in ((0, True), (2, True), (0, False)):
-            dataset = run_study(cache=RenderCache(), workers=workers,
-                                batched=batched, **STUDY)
-            path = tmp_path / f"w{workers}_b{batched}.json"
+        for workers in (0, 2):
+            dataset = run_study(cache=RenderCache(), workers=workers, **STUDY)
+            path = tmp_path / f"w{workers}.json"
             dataset.save(str(path))
             blobs.add(path.read_bytes())
         serial_path = tmp_path / "serial.json"
@@ -119,7 +127,6 @@ class TestGroupingNeverChangesTheDataset:
     def test_sub_batch_split_is_invisible(self, serial, monkeypatch):
         """Forcing tiny sub-batches (_MAX_BATCH=2) must not change bytes —
         splitting a group can only change amortization, never rows."""
-        import repro.population.study as study_mod
         monkeypatch.setattr(study_mod, "_MAX_BATCH", 2)
         tiny = run_study(cache=RenderCache(), workers=0, **STUDY)
         assert tiny == serial
@@ -128,7 +135,7 @@ class TestGroupingNeverChangesTheDataset:
         """All 11 vectors — audio and comparator — through the driver:
         grouping by (vector, stack) must not change a single byte."""
         kw = dict(user_count=12, iterations=3, vectors=FULL_BATTERY, seed=29)
-        serial = run_study(cache=RenderCache(), workers=0, batched=False, **kw)
+        serial = _serial_study(**kw)
         batched = run_study(cache=RenderCache(), workers=0, **kw)
         assert batched == serial
 

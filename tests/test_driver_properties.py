@@ -1,0 +1,56 @@
+"""Randomised differential test of the two study drivers.
+
+``run_study`` and ``run_study_sharded`` run on one driver core, so a
+sharded run must reproduce the monolithic one under any partition of the
+population and any batch split: its shards reassemble to the monolithic
+dataset, and its merged analysis report is byte-identical to the
+monolithic analysis. Hypothesis draws the study, the partition and
+``_MAX_BATCH``; ``HYPOTHESIS_PROFILE=deep`` searches longer (profiles are
+registered in the root ``conftest.py``).
+"""
+import tempfile
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import repro.population.study as study_mod
+from repro import run_study, run_study_sharded
+from repro.analysis import build_analysis_report, dumps_analysis_report
+from repro.vectors import FULL_BATTERY
+
+
+@st.composite
+def sharded_studies(draw):
+    """``(study kwargs, ranges, max_batch)``: a small study, a random
+    partition of its population into ranges (in random order), and the
+    batch cap to render it at."""
+    user_count = draw(st.integers(1, 12))
+    # one coin per interior boundary: cut the population there or not
+    cuts = draw(st.lists(st.booleans(), min_size=user_count - 1,
+                         max_size=user_count - 1))
+    bounds = [0, *(i + 1 for i, cut in enumerate(cuts) if cut), user_count]
+    ranges = draw(st.permutations(list(zip(bounds, bounds[1:]))))
+    battery_order = draw(st.permutations(FULL_BATTERY))
+    study = dict(
+        user_count=user_count,
+        iterations=draw(st.integers(1, 3)),
+        vectors=tuple(battery_order[:draw(st.integers(1, 4))]),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return study, ranges, draw(st.sampled_from([1, 2, 256]))
+
+
+@given(sharded_studies())
+def test_sharded_run_reproduces_monolithic(case):
+    study, ranges, max_batch = case
+    with pytest.MonkeyPatch.context() as mp, \
+            tempfile.TemporaryDirectory() as out_dir:
+        mp.setattr(study_mod, "_MAX_BATCH", max_batch)
+        monolithic = run_study(workers=0, **study)
+        sharded = run_study_sharded(shard_size=None, out_dir=out_dir,
+                                    ranges=ranges, workers=0, **study)
+        assert sharded.to_dataset() == monolithic
+        with open(sharded.merged_report_path, encoding="utf-8") as fh:
+            merged = fh.read()
+    assert merged == dumps_analysis_report(build_analysis_report(monolithic))

@@ -5,8 +5,8 @@ The fused whole-buffer path exists purely as cost control: it must be
 backend, and batch composition — same eFP digests, same StudyDataset
 bytes — or it may not run at all (segmentation declines and the quantum
 loop takes over). These tests pin that invariant, the segmentation
-decision rules, the JIT tier's distinct cache identity, the study
-runner's pool clamp, and the render cache's stale-version pruning.
+decision rules, the study runner's pool clamp, and the render cache's
+stale-version pruning.
 """
 import json
 
@@ -22,7 +22,6 @@ from repro.vectors import AUDIO_VECTORS, get_vector
 from repro.webaudio import ENGINE_VERSION, OfflineAudioContext
 from repro.webaudio.config import EngineConfig
 from repro.webaudio.fft import FFT_BACKENDS
-from repro.webaudio.jit import numba_available
 from repro.webaudio.segments import plan_segments
 
 BACKENDS = sorted(FFT_BACKENDS)
@@ -97,7 +96,7 @@ class TestStudyDatasetAcrossRenderPaths:
     def test_dataset_json_bytes_identical(self, tmp_path, monkeypatch):
         """The serialized study artifact cannot depend on the render path."""
         blobs = set()
-        for path in ("quantum", "fused", "auto"):
+        for path in ("quantum", "fused"):
             _force_path(monkeypatch, path)
             dataset = run_study(cache=RenderCache(), workers=0, **STUDY)
             out = tmp_path / f"{path}.json"
@@ -129,7 +128,7 @@ class TestSegmentation:
         stateful = [s.nodes[0] for s in plan.segments if s.stateful]
         assert stateful == [comp, analyser]
 
-    def test_auto_picks_fused_for_fusible_graph(self):
+    def test_default_picks_fused_for_fusible_graph(self):
         ctx, *_ = self._chain()
         ctx.start_rendering()
         assert ctx.render_path_used == "fused"
@@ -139,6 +138,11 @@ class TestSegmentation:
         ctx.config = EngineConfig(render_path="quantum")
         ctx.start_rendering()
         assert ctx.render_path_used == "quantum"
+
+    @pytest.mark.parametrize("path", ["warp", "auto"])
+    def test_invalid_render_path_rejected(self, path):
+        with pytest.raises(ValueError, match="render_path"):
+            EngineConfig(render_path=path)
 
     def test_automation_falls_back_to_quantum(self):
         ctx, osc, comp, analyser, gain = self._chain()
@@ -175,7 +179,7 @@ class TestSegmentation:
     def test_fallback_is_bit_identical(self):
         """Non-fusible graphs render the same bytes whatever the knob says."""
         outs = []
-        for path in ("auto", "fused", "quantum"):
+        for path in ("fused", "quantum"):
             ctx = OfflineAudioContext(1, 5000, 44100,
                                       config=EngineConfig(render_path=path))
             o1, o2 = ctx.create_oscillator(), ctx.create_oscillator()
@@ -187,44 +191,6 @@ class TestSegmentation:
             outs.append(ctx.start_rendering_batch())
             assert ctx.render_path_used == "quantum"
         np.testing.assert_array_equal(outs[0], outs[1])
-        np.testing.assert_array_equal(outs[0], outs[2])
-
-
-class TestJITTier:
-    def test_jit_tier_is_a_distinct_cache_identity(self):
-        numpy_key = AudioStack("blink", "ucrt", "radix2", "blink").cache_key()
-        jit_key = AudioStack("blink", "ucrt", "radix2", "blink",
-                             render_tier="jit").cache_key()
-        assert jit_key != numpy_key
-        assert jit_key.startswith(numpy_key)  # historical keys stay valid
-        assert jit_key.endswith("|jit")
-
-    def test_invalid_render_backend_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(render_backend="cuda")
-        with pytest.raises(ValueError):
-            EngineConfig(render_path="warp")
-
-    @pytest.mark.skipif(numba_available(),
-                        reason="numba present: fallback branch unreachable")
-    def test_numpy_fallback_is_deterministic_and_bit_identical(self):
-        """Without numba, the jit tier silently runs the NumPy kernels:
-        same digests every time, equal to the numpy tier's."""
-        vector = get_vector("hybrid")
-        jit_stack = AudioStack("blink", "ucrt", "radix2", "blink",
-                               render_tier="jit")
-        numpy_stack = AudioStack("blink", "ucrt", "radix2", "blink")
-        first = vector.render(jit_stack, None)
-        assert first == vector.render(jit_stack, None)
-        assert first == vector.render(numpy_stack, None)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_jit_tier_renders_deterministically(self):
-        """With numba, the jit tier is a real, self-consistent identity."""
-        vector = get_vector("hybrid")
-        stack = AudioStack("blink", "ucrt", "radix2", "blink",
-                           render_tier="jit")
-        assert vector.render(stack, None) == vector.render(stack, None)
 
 
 class TestPoolClamp:

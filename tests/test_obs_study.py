@@ -11,9 +11,9 @@ import pytest
 from repro import RenderCache, run_study
 from repro.obs import NullRecorder, Recorder
 
-# 4 users x 2 iterations x 3 vectors = 24 grid items: with the cache
-# disabled that is exactly the pool threshold, so workers=2 really
-# exercises the ProcessPoolExecutor merge path on this 1-CPU box.
+# 4 users x 2 iterations x 3 vectors = 24 grid items in 6 (vector, stack)
+# batch groups: above the pool threshold of 4 groups, so workers=2 really
+# exercises the ProcessPoolExecutor merge path.
 POOLED = dict(user_count=4, iterations=2, vectors=("dc", "fft", "hybrid"),
               seed=5)
 

@@ -11,6 +11,7 @@ from repro import run_study, run_study_sharded
 from repro.population import ShardIntegrityError, shard_ranges
 from repro.population.dataset import StudyDataset
 from repro.population.sampler import sample_population, sample_population_slice
+from repro.obs.report import STUDY_PHASES, validate_report
 from repro.population.shards import (check_shard_study, load_manifest,
                                      load_shard)
 from repro.resilience import load_checkpoint, study_fingerprint
@@ -123,6 +124,26 @@ class TestShardedBitIdentity:
                                   **STUDY)
         assert all(s.resumed for s in again.shards)
         assert open(again.merged_report_path).read() == before
+
+
+class TestShardedRunReport:
+    """The run report comes from the writer both drivers share."""
+
+    def test_three_shard_report_validates(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        events_path = tmp_path / "events.jsonl"
+        result = run_study_sharded(9, 3, str(tmp_path / "shards"), workers=0,
+                                   report_path=str(report_path),
+                                   event_log_path=str(events_path), **STUDY)
+        assert len(result.shards) == 3
+        payload = json.loads(report_path.read_text())
+        assert validate_report(payload, str(tmp_path)) == []
+        assert [p["name"] for p in payload["phases"]] == list(STUDY_PHASES)
+        assert payload["workload"]["shards"] == 3
+        assert payload["workload"]["grid_items"] == 9 * 5 * 3
+        utilization = payload["pool"]["utilization"]
+        assert isinstance(utilization, float) and 0 < utilization <= 1
+        assert payload["events"]["path"] == str(events_path)
 
 
 class TestShardIntegrity:

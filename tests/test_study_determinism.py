@@ -1,9 +1,12 @@
 """The seeded-reproducibility contract (EXPERIMENTS.md): same seed ->
 bit-identical dataset; different seed -> different stack assignments.
+Plus the front door both study drivers share: the same bad argument is
+rejected the same way, before anything is sampled or written.
 """
+import numpy as np
 import pytest
 
-from repro import RenderCache, StudyDataset, run_study
+from repro import RenderCache, StudyDataset, run_study, run_study_sharded
 from repro.population.sampler import sample_population
 
 FAST = dict(user_count=50, iterations=6, vectors=("dc", "fft"), workers=0)
@@ -81,3 +84,43 @@ def test_invalid_iterations_rejected_up_front(iterations):
 def test_empty_vectors_rejected_up_front():
     with pytest.raises(ValueError, match="vectors"):
         run_study(user_count=5, vectors=(), workers=0)
+
+
+#: (argument, bad value): each must fail up front, in both drivers, with
+#: a ValueError naming the argument
+BAD_ARGUMENTS = [
+    ("user_count", 2.5), ("user_count", True),
+    ("iterations", True), ("iterations", 2.5), ("iterations", "3"),
+    ("workers", 1.5), ("workers", False),
+    ("checkpoint_every", True), ("checkpoint_every", 2.0),
+    ("seed", -1), ("seed", None), ("seed", 1.5),
+    ("vectors", "dc"), ("vectors", 3),
+]
+
+
+@pytest.mark.parametrize("sharded", [False, True],
+                         ids=["run_study", "run_study_sharded"])
+@pytest.mark.parametrize("field, value", BAD_ARGUMENTS,
+                         ids=[f"{f}={v!r}" for f, v in BAD_ARGUMENTS])
+def test_front_door_rejects_bad_argument_naming_it(sharded, field, value,
+                                                   tmp_path):
+    kw = dict(user_count=3, iterations=2, vectors=("dc",), seed=7, workers=0)
+    kw[field] = value
+    out_dir = tmp_path / "shards"
+    with pytest.raises(ValueError, match=field):
+        if sharded:
+            run_study_sharded(shard_size=2, out_dir=str(out_dir), **kw)
+        else:
+            run_study(**kw)
+    assert not out_dir.exists()
+
+
+def test_front_door_accepts_any_index_integer():
+    """NumPy integers pass (``operator.index``) and come out as ``int``."""
+    plain = run_study(3, iterations=2, vectors=("dc",), seed=7, workers=0)
+    numpy = run_study(np.int64(3), iterations=np.int32(2), vectors=["dc"],
+                      seed=np.uint16(7), workers=np.int8(0),
+                      checkpoint_every=np.int64(4))
+    assert numpy == plain
+    assert type(numpy.user_count) is int and type(numpy.iterations) is int
+    assert type(numpy.seed) is int
