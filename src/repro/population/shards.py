@@ -479,14 +479,17 @@ def run_study_sharded(user_count: int, shard_size: int | None,
     O(shard_size + distinct classes): no full-population dataset ever
     exists in this process.
     """
+    # resolve the shard geometry before the front door opens the event
+    # log: a rejected call must leave no file (and no quarantine) behind
+    population = _integer("user_count", user_count, 1)
+    ranges = (shard_ranges(population, shard_size) if ranges is None
+              else _validate_ranges(ranges, population))
     with _study_run(user_count, iterations, vectors, seed, cache=cache,
                     workers=workers, recorder=recorder,
                     report_path=report_path, event_log_path=event_log_path,
                     checkpoint_every=checkpoint_every,
                     retry_policy=retry_policy, retry_budget=retry_budget,
                     progress=progress) as run:
-        ranges = (shard_ranges(run.user_count, shard_size) if ranges is None
-                  else _validate_ranges(ranges, run.user_count))
         recorder = run.recorder
         result = ShardedStudy(out_dir=out_dir, user_count=run.user_count,
                               iterations=run.iterations, vectors=run.vectors,

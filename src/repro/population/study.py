@@ -348,7 +348,8 @@ def _study_run(user_count, iterations, vectors, seed, *, cache, workers,
                recorder, report_path, event_log_path, checkpoint_every,
                retry_policy, retry_budget, progress):
     """The front door both drivers share, and the one place their
-    argument rules live.
+    common argument rules live (the sharded driver checks its own shard
+    geometry before entering, so that too fails before any side effect).
 
     Validates and normalizes the arguments (integers as ``int``,
     ``vectors`` as a tuple) and resolves the worker count; defaults the

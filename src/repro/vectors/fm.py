@@ -2,10 +2,12 @@
 
 A sine chirp built from AudioParam automation (set + linear ramp across
 the whole buffer), compressed, then read through the analyser. The
-automation events make this the one graph the fused planner always
-declines (fused kernels assume block-position-independent params), so
-the vector permanently exercises the quantum-loop reference path — its
-batched bit-identity tests guard exactly that fallback.
+automated frequency changes from block to block, so the oscillator's
+fused kernel walks the quantum loop's 128-frame blocks on one row,
+through the same block kernel the quantum loop runs, and broadcasts —
+the compressor and analyser after it run once per batch. This is the
+battery's one automated graph, so its fused == quantum tests guard the
+automated-oscillator kernel.
 """
 from __future__ import annotations
 

@@ -11,16 +11,18 @@ that row alone with ``batch_size == 1`` (pinned by tests).
 
 Two execution strategies produce that buffer (``config.render_path``):
 
-- **fused** — the default for fusible graphs: ``plan_segments`` checks
-  the graph is an automation-free linear chain of known nodes, then each
-  node renders the *entire* buffer in one ``process_buffer`` call. The
-  fused path is bit-identical to the quantum loop by construction
-  (elementwise stages are blocking-invariant; block-granular state keeps
-  its block structure inside the kernels) and by test, so no
+- **fused** — the default: ``plan_segments`` checks the graph is
+  acyclic and every node has a whole-buffer kernel (fan-in, fan-out and
+  ``AudioParam`` automation are all fine), then each node renders the
+  *entire* buffer in one ``process_buffer`` call. The fused path is
+  bit-identical to the quantum loop by construction (elementwise stages
+  are blocking-invariant; block-granular state — the compressor's
+  envelope, an automated oscillator's per-block params — keeps its
+  block structure inside the kernels) and by test, so no
   ``ENGINE_VERSION`` bump and no cache invalidation.
 - **quantum** — the 128-frame block loop, kept verbatim as the reference
-  semantics and the fallback for graphs the fused path declines
-  (automation, fan-in/fan-out, unknown node types).
+  semantics and the fallback for graphs the fused path declines (a
+  node type with no whole-buffer kernel).
 
 ``render_path_used`` records which strategy actually ran.
 """
@@ -142,9 +144,19 @@ class OfflineAudioContext:
         walked once, each kernel sees the full (B, channels, length)
         signal, and the profiled variant attributes time per node (same
         labels as the quantum loop) plus per segment (``segment:`` labels).
+
+        One block is left to the quantum kernels: a final block of ONE
+        frame. NumPy sums a (k, 1) array along k pairwise, but the same
+        frame inside a (k, n > 1) array in order, so the oscillator's
+        harmonic series and a downmix of 8 or more channels round
+        differently in that block alone. The fused pass stops one frame
+        short of such a buffer, and the last frame renders through
+        ``process_block`` exactly as in the quantum loop.
         """
         batch = self.batch_size
-        length = self.length
+        quantum = RENDER_QUANTUM_FRAMES
+        tail = 1 if self.length > quantum and self.length % quantum == 1 else 0
+        length = self.length - tail
         buffer_out: dict[AudioNode, np.ndarray] = {}
         profiler = current_node_profiler()
         if profiler is None:
@@ -171,10 +183,17 @@ class OfflineAudioContext:
                     profiler.add(labels[node], time.perf_counter() - start)
                 profiler.add(f"segment:{segment.label}",
                              time.perf_counter() - segment_start)
+        out = buffer_out[self.destination]
+        if tail:
+            block_out: dict[AudioNode, np.ndarray] = {}
+            for node in plan.order:
+                ins = [mix_sources([block_out[s] for s in port], batch, tail)
+                       for port in node._inputs]
+                block_out[node] = node.process_block(ins, length, tail)
+            out = np.concatenate([out, block_out[self.destination]], axis=-1)
         # materialize (broadcast views stay read-only otherwise); values are
         # the exact floats the quantum loop writes into its output array
-        return np.ascontiguousarray(buffer_out[self.destination],
-                                    dtype=np.float64)
+        return np.ascontiguousarray(out, dtype=np.float64)
 
     def _render_quantum(self) -> np.ndarray:
         """The 128-frame-quantum block loop — the reference semantics."""

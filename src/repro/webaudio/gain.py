@@ -19,9 +19,11 @@ class GainNode(AudioNode):
         return inputs[0] * g  # (n,) broadcasts over (B, channels, n)
 
     def process_buffer(self, inputs, length):
-        # automation-free, so the gain curve is the same constant array the
-        # quantum loop sees per block — one whole-buffer multiply; a
-        # row-uniform input stays row-uniform (multiply one row, broadcast)
+        # AudioParam.values evaluates each frame from its own absolute
+        # time, so the whole-buffer curve holds the per-block floats
+        # element for element, automation or not — one whole-buffer
+        # multiply; a row-uniform input stays row-uniform (multiply one
+        # row, broadcast)
         g = self.gain.values(0, length, self.context.sample_rate)
         x = inputs[0]
         if batch_uniform(x):

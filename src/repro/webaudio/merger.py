@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .node import AudioNode
-from .node import mix_to_channels
+from .node import AudioNode, batch_uniform, mix_to_channels
 
 
 class ChannelMergerNode(AudioNode):
@@ -25,5 +24,15 @@ class ChannelMergerNode(AudioNode):
 
     def process_buffer(self, inputs, length):
         # channel routing is stateless and elementwise in the frame axis:
-        # the whole-buffer pass is the block pass with n == length
-        return self.process_block(inputs, 0, length)
+        # the whole-buffer pass is the block pass with n == length. When
+        # every port is row-uniform (a batch broadcast), route the one
+        # distinct row and broadcast — rows never interact, so row 0's
+        # floats are every row's, and the nodes downstream see a
+        # broadcast they can also compute once
+        batch = self.context.batch_size
+        if not all(batch_uniform(block) for block in inputs):
+            return self.process_block(inputs, 0, length)
+        out = np.zeros((1, self.number_of_inputs, length), dtype=np.float64)
+        for port, block in enumerate(inputs):
+            out[:, port] = mix_to_channels(block[:1], 1)[:, 0]
+        return np.broadcast_to(out, (batch,) + out.shape[1:])

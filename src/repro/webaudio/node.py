@@ -60,11 +60,11 @@ class AudioNode:
         Same contract as ``process_block`` with ``frame0 == 0`` and
         ``n == length``, but implementations must reproduce the quantum
         loop's floating-point results bit for bit — nodes with
-        block-granular state (oscillator phase wrap, compressor envelope)
-        keep that state's block structure internally while hoisting every
-        elementwise stage to one whole-buffer pass. Only defined for
-        ``fusible`` node types on automation-free graphs (the
-        segmentation pass checks both before dispatching here).
+        block-granular state (oscillator phase wrap and automated params,
+        compressor envelope) keep that state's block structure internally
+        while hoisting every elementwise stage to one whole-buffer pass.
+        Only defined for ``fusible`` node types (the segmentation pass
+        checks before dispatching here).
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no whole-buffer kernel")

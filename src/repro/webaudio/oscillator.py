@@ -101,7 +101,10 @@ class OscillatorNode(AudioNode):
         """Evaluate the band-limited series on ``phases`` through the math
         backend. Elementwise per frame with a fixed per-frame reduction
         tree, so the result is blocking-invariant: the fused whole-buffer
-        call produces exactly the floats the per-block calls produce."""
+        call produces exactly the floats the per-block calls produce.
+        The one exception is a single frame, whose harmonic sum NumPy
+        reduces pairwise; the fused render leaves a final one-frame
+        block to ``process_block`` (``OfflineAudioContext._render_fused``)."""
         if self.type == "custom":
             orders, sin_amps, cos_amps = self._custom_series(nyquist,
                                                              fundamental)
@@ -133,10 +136,10 @@ class OscillatorNode(AudioNode):
             return k, (8.0 / np.pi ** 2) * sign / (k * k)
         raise ValueError(f"unknown oscillator type {self.type!r}")
 
-    def process_block(self, inputs, frame0, n):
-        batch = self.context.batch_size
-        if self._start_frame is None:
-            return np.zeros((batch, 1, n), dtype=np.float64)
+    def _block_signal(self, frame0: int, n: int) -> np.ndarray:
+        """One quantum block of the signal, on one row: the block's param
+        values, the carried-phase update and the harmonic choice from the
+        block's first frequency. Advances ``self._phase``."""
         fs = self.context.sample_rate
         math = self.context.config.math
 
@@ -151,7 +154,13 @@ class OscillatorNode(AudioNode):
         self._phase = (self._phase + float(np.sum(inc))) % (2.0 * np.pi)
 
         # (harmonics, frames) evaluated in one shot through the math backend
-        signal = self._synthesize(math, phases, fs / 2.0, float(freq[0]))
+        return self._synthesize(math, phases, fs / 2.0, float(freq[0]))
+
+    def process_block(self, inputs, frame0, n):
+        batch = self.context.batch_size
+        if self._start_frame is None:
+            return np.zeros((batch, 1, n), dtype=np.float64)
+        signal = self._block_signal(frame0, n)
 
         frames = frame0 + np.arange(n)
         active = frames >= self._start_frame
@@ -161,8 +170,8 @@ class OscillatorNode(AudioNode):
         # signal is row-uniform: compute it once, hand out a read-only view
         return np.broadcast_to(np.where(active, signal, 0.0), (batch, 1, n))
 
-    def process_buffer(self, inputs, length):
-        """Fused path: synthesize the entire buffer in one pass.
+    def _template_signal(self, length: int) -> np.ndarray:
+        """The automation-free whole-buffer signal, on one row.
 
         Automation-free params are block-position independent, so one
         128-frame increment template reproduces every quantum block (the
@@ -172,9 +181,6 @@ class OscillatorNode(AudioNode):
         every phase value — and therefore every sin evaluation — is the
         same float the quantum loop produces.
         """
-        batch = self.context.batch_size
-        if self._start_frame is None:
-            return np.zeros((batch, 1, length), dtype=np.float64)
         fs = self.context.sample_rate
         math = self.context.config.math
         quantum = RENDER_QUANTUM_FRAMES
@@ -202,7 +208,28 @@ class OscillatorNode(AudioNode):
         phases = ((starts[:, None] + block_cumsum[None, :]) - inc[None, :])
         phases = phases.reshape(-1)[:length]
 
-        signal = self._synthesize(math, phases, fs / 2.0, float(freq[0]))
+        return self._synthesize(math, phases, fs / 2.0, float(freq[0]))
+
+    def process_buffer(self, inputs, length):
+        """Fused path: synthesize the entire buffer on one row, broadcast.
+
+        Automation-free params take the 128-frame template
+        (``_template_signal``). Automated ``frequency`` / ``detune``
+        values change from block to block — and with them the harmonic
+        count, chosen from each block's first frequency — so the signal
+        walks the quantum loop's blocks through ``_block_signal``, the
+        very kernel ``process_block`` runs.
+        """
+        batch = self.context.batch_size
+        if self._start_frame is None:
+            return np.zeros((batch, 1, length), dtype=np.float64)
+        if self.frequency._events or self.detune._events:
+            quantum = RENDER_QUANTUM_FRAMES
+            signal = np.concatenate([
+                self._block_signal(frame0, min(quantum, length - frame0))
+                for frame0 in range(0, length, quantum)])
+        else:
+            signal = self._template_signal(length)
 
         frames = np.arange(length)
         active = frames >= self._start_frame

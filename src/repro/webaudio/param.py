@@ -46,9 +46,11 @@ class AudioParam:
 
     # -- evaluation ---------------------------------------------------------
     def values(self, frame0: int, n: int, sample_rate: float) -> np.ndarray:
-        """Vectorized values for frames [frame0, frame0+n)."""
+        """Vectorized values for frames [frame0, frame0+n), clamped to
+        ``[min_value, max_value]`` whether or not events exist."""
         if not self._events:
-            return np.full(n, self.value, dtype=np.float64)
+            value = min(max(self.value, self.min_value), self.max_value)
+            return np.full(n, value, dtype=np.float64)
 
         t = (frame0 + np.arange(n, dtype=np.float64)) / sample_rate
         out = np.full(n, self.value, dtype=np.float64)

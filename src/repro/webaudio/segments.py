@@ -3,11 +3,12 @@
 The quantum loop pays its Python interpreter overhead ~40 times per
 render (once per 128-frame block): topological dispatch, input mixing,
 and a flurry of small NumPy calls per node. For the graphs the
-fingerprinting vectors actually build — automation-free linear chains
-like Oscillator→Compressor→Analyser→Gain→Destination — none of that
-per-block structure is load-bearing: every node is either elementwise in
-the frame axis or carries block-granular state it can manage internally
-(the oscillator's phase wrap, the compressor's envelope).
+fingerprinting vectors actually build — Oscillator→Compressor→Analyser→
+Gain→Destination chains, the three-oscillator merger fan-in, the
+frequency-ramp chirp — none of that per-block structure is
+load-bearing: every node is either elementwise in the frame axis or
+carries block-granular state it manages internally (the oscillator's
+phase wrap and per-block automation walk, the compressor's envelope).
 
 ``plan_segments`` partitions the topologically ordered graph into
 *segments*: maximal runs of directly chained stateless nodes, with the
@@ -18,25 +19,20 @@ block — and attributes profiler time both per node (same labels as the
 quantum loop, so hot-node reports stay comparable) and per segment
 (``segment:`` labels, so reports show where fusion concentrates time).
 
-Eligibility is deliberately conservative — the plan is refused (returns
-``None``, quantum-loop fallback) when any of these hold:
-
-- a node type has no whole-buffer kernel (``fusible`` is False);
-- any ``AudioParam`` on any node carries automation events (fused
-  kernels assume block-position-independent params);
-- any node has fan-in or fan-out > 1 (multi-source mixing and shared
-  outputs render correctly block-by-block; the fused path only claims
-  the linear-chain case its bit-identity tests pin).
-
-The fallback is silent and recorded on the context
-(``render_path_used``), so callers and tests can observe the decision.
+Any acyclic graph of fusible nodes plans fused: fan-in and fan-out mix
+through the same ``mix_sources`` arithmetic as the quantum loop, and
+``AudioParam`` automation is evaluated at the quantum loop's per-block
+granularity where it matters. The plan is refused (returns ``None``,
+quantum-loop fallback) only for a cycle, or for a node type with no
+whole-buffer kernel (``fusible`` is False). The fallback is silent and
+recorded on the context (``render_path_used``), so callers and tests
+can observe the decision.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .graph import node_label, topological_order
-from .param import AudioParam
 
 
 @dataclass(frozen=True)
@@ -67,11 +63,6 @@ def _is_stateful(node) -> bool:
     return isinstance(node, (AnalyserNode, DynamicsCompressorNode))
 
 
-def _automation_free(node) -> bool:
-    return all(not param._events for param in vars(node).values()
-               if isinstance(param, AudioParam))
-
-
 def plan_segments(nodes, destination) -> FusedPlan | None:
     """Build the fused execution plan, or None if the graph is not fusible."""
     try:
@@ -79,18 +70,8 @@ def plan_segments(nodes, destination) -> FusedPlan | None:
     except ValueError:
         return None  # cyclic graphs fail identically in the quantum loop
 
-    fan_out: dict = {}
-    for node in nodes:
-        for port in node._inputs:
-            for source in port:
-                fan_out[source] = fan_out.get(source, 0) + 1
-    for node in order:
-        if not node.fusible:
-            return None
-        if not _automation_free(node):
-            return None
-        if len(node.sources()) > 1 or fan_out.get(node, 0) > 1:
-            return None
+    if not all(node.fusible for node in order):
+        return None
 
     segments: list[Segment] = []
     current: list = []

@@ -19,9 +19,11 @@ from repro.platform import AudioStack
 from repro.platform.jitter import sample_path, sample_repertoire
 from repro.population.cache import _stale_version
 from repro.vectors import AUDIO_VECTORS, get_vector
-from repro.webaudio import ENGINE_VERSION, OfflineAudioContext
+from repro.vectors.base import RENDER_LENGTH
+from repro.webaudio import ENGINE_VERSION, RENDER_PATHS, OfflineAudioContext
 from repro.webaudio.config import EngineConfig
 from repro.webaudio.fft import FFT_BACKENDS
+from repro.webaudio.node import AudioNode
 from repro.webaudio.segments import plan_segments
 
 BACKENDS = sorted(FFT_BACKENDS)
@@ -144,52 +146,113 @@ class TestSegmentation:
         with pytest.raises(ValueError, match="render_path"):
             EngineConfig(render_path=path)
 
-    def test_automation_falls_back_to_quantum(self):
-        ctx, osc, comp, analyser, gain = self._chain()
-        gain.gain.set_value_at_time(0.5, 0.05)
-        assert plan_segments(ctx._nodes, ctx.destination) is None
-        ctx.config = EngineConfig(render_path="fused")  # forced, still declines
-        ctx.start_rendering()
-        assert ctx.render_path_used == "quantum"
+    def test_automation_plans_fused(self):
+        """AudioParam automation no longer refuses the plan: the automated
+        oscillator walks the quantum loop's blocks inside its kernel, and
+        the gain curve is evaluated frame by frame either way."""
+        def build(ctx):
+            osc = ctx.create_oscillator()
+            osc.type = "square"
+            comp = ctx.create_dynamics_compressor()
+            analyser = ctx.create_analyser()
+            gain = ctx.create_gain()
+            osc.frequency.set_value_at_time(300.0, 0.0)
+            osc.frequency.exponential_ramp_to_value_at_time(3000.0, 0.1)
+            osc.detune.linear_ramp_to_value_at_time(-700.0, 0.08)
+            gain.gain.set_target_at_time(0.25, 0.02, 0.01)
+            osc.connect(comp).connect(analyser).connect(gain) \
+                .connect(ctx.destination)
+            osc.start(0.0)
+        _assert_fused_equals_quantum(build)
 
-    def test_fan_out_falls_back_to_quantum(self):
-        ctx = OfflineAudioContext(1, 5000, 44100)
-        osc = ctx.create_oscillator()
-        g1, g2 = ctx.create_gain(), ctx.create_gain()
-        osc.connect(g1).connect(ctx.destination)
-        osc.connect(g2).connect(ctx.destination)
-        osc.start(0.0)
-        assert plan_segments(ctx._nodes, ctx.destination) is None
-        ctx.start_rendering()
-        assert ctx.render_path_used == "quantum"
+    def test_fan_out_plans_fused(self):
+        def build(ctx):
+            osc = ctx.create_oscillator()
+            g1, g2 = ctx.create_gain(), ctx.create_gain()
+            g2.gain.value = -0.25
+            osc.connect(g1).connect(ctx.destination)
+            osc.connect(g2).connect(ctx.destination)
+            osc.start(0.0)
+        _assert_fused_equals_quantum(build)
 
-    def test_fan_in_falls_back_to_quantum(self):
-        ctx = OfflineAudioContext(1, 5000, 44100)
-        o1, o2 = ctx.create_oscillator(), ctx.create_oscillator()
-        gain = ctx.create_gain()
-        o1.connect(gain)
-        o2.connect(gain)
-        gain.connect(ctx.destination)
-        o1.start(0.0)
-        o2.start(0.0)
-        assert plan_segments(ctx._nodes, ctx.destination) is None
-        ctx.start_rendering()
-        assert ctx.render_path_used == "quantum"
+    def test_fan_in_plans_fused(self):
+        def build(ctx):
+            o1, o2 = ctx.create_oscillator(), ctx.create_oscillator()
+            o2.type = "triangle"
+            o2.frequency.value = 1500.0
+            gain = ctx.create_gain()
+            merger = ctx.create_channel_merger(2)
+            o1.connect(gain)
+            o2.connect(gain)
+            o1.connect(merger, input=1)
+            gain.connect(merger)
+            merger.connect(ctx.create_dynamics_compressor()) \
+                .connect(ctx.destination)
+            o1.start(0.0)
+            o2.start(0.01)
+        _assert_fused_equals_quantum(build)
 
     def test_fallback_is_bit_identical(self):
-        """Non-fusible graphs render the same bytes whatever the knob says."""
+        """A node type with no whole-buffer kernel refuses the plan, and
+        the quantum loop renders the same bytes whatever the knob says."""
         outs = []
-        for path in ("fused", "quantum"):
-            ctx = OfflineAudioContext(1, 5000, 44100,
+        for path in RENDER_PATHS:
+            ctx = OfflineAudioContext(1, 5000, 44100, batch_size=3,
                                       config=EngineConfig(render_path=path))
-            o1, o2 = ctx.create_oscillator(), ctx.create_oscillator()
-            o2.frequency.value = 880.0
-            o1.connect(ctx.destination)
-            o2.connect(ctx.destination)
-            o1.start(0.0)
-            o2.start(0.0)
+            osc = ctx.create_oscillator()
+            osc.connect(_BlockOnlyHalver(ctx)).connect(ctx.destination)
+            osc.start(0.0)
+            assert plan_segments(ctx._nodes, ctx.destination) is None
             outs.append(ctx.start_rendering_batch())
             assert ctx.render_path_used == "quantum"
+        np.testing.assert_array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("name", AUDIO_VECTORS)
+    def test_every_audio_vector_plans_fused(self, name):
+        """A vector whose graph drops to the B-row quantum loop pays for
+        every batch row through the compressor; pin that none does."""
+        ctx = OfflineAudioContext(1, RENDER_LENGTH, 44100)
+        get_vector(name)._build(ctx)
+        assert plan_segments(ctx._nodes, ctx.destination) is not None
+
+
+class _BlockOnlyHalver(AudioNode):
+    """A node type with only a quantum kernel (``fusible`` stays False)."""
+
+    def process_block(self, inputs, frame0, n):
+        return inputs[0] * 0.5
+
+
+def _assert_fused_equals_quantum(build, batch=3):
+    """``build(ctx)`` plans fused, and the fused render is byte-equal to
+    the quantum loop's, each path reporting that it ran."""
+    outs = []
+    for path in RENDER_PATHS:
+        ctx = OfflineAudioContext(1, 5000, 44100, batch_size=batch,
+                                  config=EngineConfig(render_path=path))
+        build(ctx)
+        assert plan_segments(ctx._nodes, ctx.destination) is not None
+        outs.append(ctx.start_rendering_batch())
+        assert ctx.render_path_used == path
+    np.testing.assert_array_equal(outs[0], outs[1])
+
+
+class TestParamClamp:
+    @pytest.mark.parametrize("path", RENDER_PATHS)
+    def test_out_of_range_value_clamps_without_events(self, path):
+        """A later no-op event must not change the frames before it: the
+        value is clamped to [min_value, max_value] with or without one."""
+        outs = []
+        for extra_event in (False, True):
+            ctx = OfflineAudioContext(1, 5000, 44100,
+                                      config=EngineConfig(render_path=path))
+            osc = ctx.create_oscillator()
+            osc.frequency.value = 30000.0  # above Nyquist at 44.1 kHz
+            if extra_event:
+                osc.frequency.set_value_at_time(30000.0, 1.0)
+            osc.connect(ctx.destination)
+            osc.start(0.0)
+            outs.append(ctx.start_rendering_batch())
         np.testing.assert_array_equal(outs[0], outs[1])
 
 

@@ -83,6 +83,29 @@ class TestShardGeometry:
             run_study_sharded(10, None, str(tmp_path), workers=0,
                               ranges=[(0, 11)], **STUDY)
 
+    @pytest.mark.parametrize("geometry", [dict(shard_size=0),
+                                          dict(shard_size=None,
+                                               ranges=[(0, 20)])])
+    def test_rejected_geometry_leaves_no_side_effects(self, geometry,
+                                                      tmp_path):
+        """Bad shard geometry is rejected before the event log opens: no
+        new log file, and an existing log's torn tail is left untouched
+        (not quarantined to a ``.corrupt`` sidecar)."""
+        fresh = tmp_path / "fresh.jsonl"
+        with pytest.raises(ValueError):
+            run_study_sharded(10, out_dir=str(tmp_path / "out"), workers=0,
+                              event_log_path=str(fresh), **geometry, **STUDY)
+        assert not fresh.exists()
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(b'{"kind": "study.start"}\n{"kind": "sha')
+        before = torn.read_bytes()
+        with pytest.raises(ValueError):
+            run_study_sharded(10, out_dir=str(tmp_path / "out"), workers=0,
+                              event_log_path=str(torn), **geometry, **STUDY)
+        assert torn.read_bytes() == before
+        assert not (tmp_path / "torn.jsonl.corrupt").exists()
+        assert not (tmp_path / "out").exists()
+
     def test_front_door_validation_mirrors_run_study(self, tmp_path):
         with pytest.raises(ValueError, match="user_count"):
             run_study_sharded(0, 5, str(tmp_path), workers=0, **STUDY)
