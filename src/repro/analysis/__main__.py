@@ -46,7 +46,16 @@ def _print_timings(recorder: Recorder) -> None:
         print(f"  counter {name:<21} {value:g}", file=sys.stderr)
 
 
-def _emit(args, report: dict, text: str, render) -> int:
+def _emit(args, report: dict, validate, render) -> int:
+    """Self-check a built report against its own schema, then write it."""
+    problems = validate(report)
+    if problems:
+        print("error: built report failed its own schema check:",
+              file=sys.stderr)
+        for problem in problems:
+            print(f"  - {problem}", file=sys.stderr)
+        return 2
+    text = dumps_analysis_report(report)
     if args.out:
         atomic_write_text(args.out, text)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -60,8 +69,8 @@ def _emit(args, report: dict, text: str, render) -> int:
 def _run_shard_mode(args, recorder) -> int:
     from ..population.shards import (ShardIntegrityError,
                                      dataset_from_records, load_shard)
-    from .shards import (build_shard_report, dumps_shard_or_merged,
-                         render_shard_report, validate_shard_report)
+    from .shards import (build_shard_report, render_shard_report,
+                         validate_shard_report)
     if len(args.paths) != 1:
         print("error: --shard takes exactly one shard manifest path",
               file=sys.stderr)
@@ -79,19 +88,11 @@ def _run_shard_mode(args, recorder) -> int:
         return 2
     with recorder.span("collate"):
         report = build_shard_report(dataset, manifest)
-    problems = validate_shard_report(report)
-    if problems:
-        print("error: built shard report failed its own schema check:",
-              file=sys.stderr)
-        for problem in problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 2
-    return _emit(args, report, dumps_shard_or_merged(report),
-                 render_shard_report)
+    return _emit(args, report, validate_shard_report, render_shard_report)
 
 
 def _run_merge_mode(args, recorder) -> int:
-    from .shards import dumps_shard_or_merged, merge_shard_reports
+    from .shards import merge_shard_reports
     reports = []
     for path in args.paths:
         try:
@@ -109,14 +110,7 @@ def _run_merge_mode(args, recorder) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    problems = validate_analysis_report(merged)
-    if problems:
-        print("error: merged report failed the analysis schema check:",
-              file=sys.stderr)
-        for problem in problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 2
-    return _emit(args, merged, dumps_shard_or_merged(merged),
+    return _emit(args, merged, validate_analysis_report,
                  render_analysis_report)
 
 
@@ -190,21 +184,14 @@ def _run_dataset_mode(args, parser, recorder) -> int:
     if args.tables:
         return _run_tables_mode(args, dataset, recorder)
     report = build_analysis_report(dataset, recorder=recorder)
-    problems = validate_analysis_report(report)
-    if problems:
-        print("error: built report failed its own schema check:",
-              file=sys.stderr)
-        for problem in problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 2
-    return _emit(args, report, dumps_analysis_report(report),
+    return _emit(args, report, validate_analysis_report,
                  render_analysis_report)
 
 
 def _run_tables_mode(args, dataset, recorder) -> int:
     from ..vectors.registry import UnknownVectorError
-    from .tables import (build_tables_report, dumps_tables_report,
-                         render_tables_report, validate_tables_report)
+    from .tables import (build_tables_report, render_tables_report,
+                         validate_tables_report)
     try:
         report = build_tables_report(dataset, recorder=recorder)
     except UnknownVectorError as exc:
@@ -212,15 +199,7 @@ def _run_tables_mode(args, dataset, recorder) -> int:
         # user-facing input problem, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    problems = validate_tables_report(report)
-    if problems:
-        print("error: built tables report failed its own schema check:",
-              file=sys.stderr)
-        for problem in problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 2
-    return _emit(args, report, dumps_tables_report(report),
-                 render_tables_report)
+    return _emit(args, report, validate_tables_report, render_tables_report)
 
 
 if __name__ == "__main__":  # pragma: no cover — exercised via CLI tests

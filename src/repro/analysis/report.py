@@ -5,7 +5,11 @@ fingerprint-graph shape, raw diversity (per observation and per first
 observation), collated diversity, and the stability collapse — plus the
 cross-vector "Combined" section. ``python -m repro.analysis`` writes it;
 ``python -m repro.obs.report <path> --check`` schema-checks it (the obs
-CLI dispatches on ``kind``); CI gates on both.
+CLI dispatches on ``kind``); CI gates on both. Validation is the
+``repro.schema`` shape below plus the invariants the shape cannot say:
+vector keys match ``dataset.vectors``, anonymity sets partition the
+population (``distribution_problems``, shared with the tables report),
+and every user collapses to one collated id.
 
 Determinism contract: the report is a pure function of the dataset.
 Serialized with ``sort_keys`` and fixed float rounding, the same dataset
@@ -18,12 +22,10 @@ from __future__ import annotations
 import json
 
 from ..obs import NULL_RECORDER
+from ..schema import (COUNT, NUMBER, POSITIVE, STRING, STUDY, UNIT, each)
+from ..schema import problems as schema_problems
 from .collation import collate
 from .entropy import combined_metrics, vector_metrics
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 ANALYSIS_KIND = "repro.analysis.report"
 ANALYSIS_FORMAT = 1
@@ -61,139 +63,93 @@ def dumps_analysis_report(report: dict) -> str:
 
 # -- validation (the CI schema check) ----------------------------------------
 
-def _check_distribution(problems: list[str], where: str, dist) -> None:
-    if not isinstance(dist, dict):
-        problems.append(f"{where} must be an object")
-        return
-    for key in ("count", "distinct", "unique_ids"):
-        value = dist.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            problems.append(f"{where}.{key} must be a non-negative integer")
-    for key in ("entropy_bits", "normalized_entropy", "unique_fraction"):
-        if not _is_number(dist.get(key)):
-            problems.append(f"{where}.{key} must be numeric")
-    if _is_number(dist.get("normalized_entropy")) \
-            and not 0.0 <= dist["normalized_entropy"] <= 1.0 + 1e-9:
-        problems.append(f"{where}.normalized_entropy out of [0, 1]")
-    sets = dist.get("anonymity_sets")
-    if not isinstance(sets, dict) or not isinstance(sets.get("sizes"), dict):
-        problems.append(f"{where}.anonymity_sets.sizes must be an object")
-        return
-    users = 0
-    groups = 0
-    for size, n in sets["sizes"].items():
-        if not (isinstance(size, str) and size.isdigit()
-                and isinstance(n, int) and n > 0):
-            problems.append(
-                f"{where}.anonymity_sets.sizes has a malformed entry "
-                f"({size!r}: {n!r})")
-            return
-        users += int(size) * n
-        groups += n
-    if isinstance(dist.get("count"), int) and users != dist["count"]:
-        problems.append(
-            f"{where}.anonymity_sets sizes cover {users} users, "
-            f"count says {dist['count']}")
-    if isinstance(dist.get("distinct"), int) and groups != dist["distinct"]:
-        problems.append(
-            f"{where}.anonymity_sets has {groups} sets, distinct says "
-            f"{dist['distinct']}")
+#: one ``entropy.distribution`` block
+DISTRIBUTION = {
+    "count": COUNT, "distinct": COUNT, "unique_ids": COUNT,
+    "entropy_bits": NUMBER, "normalized_entropy": UNIT,
+    "unique_fraction": NUMBER,
+    "anonymity_sets": {"max": COUNT, "sizes": each(POSITIVE)},
+}
+
+_SCHEMA = {
+    "kind": ANALYSIS_KIND,
+    "format": ANALYSIS_FORMAT,
+    "dataset": STUDY,
+    "vectors": each({
+        "graph": {"efps": COUNT, "edges": COUNT, "components": COUNT},
+        "raw": {"observations": DISTRIBUTION,
+                "first_observation": DISTRIBUTION},
+        "collated": {"per_user": DISTRIBUTION},
+        "stability": {
+            **dict.fromkeys(("users", "raw_stable_users", "raw_fickle_users",
+                             "raw_max_distinct_efps",
+                             "fickle_users_collapsed",
+                             "collated_stable_users",
+                             "collated_max_ids_per_user"), COUNT),
+            "raw_mean_distinct_efps": NUMBER,
+            "collated_stable_fraction": UNIT,
+        },
+    }),
+    "combined": {"vectors": [STRING], "raw_first_observation": DISTRIBUTION,
+                 "collated": DISTRIBUTION},
+}
+
+
+def distribution_problems(where: str, dist: dict) -> list[str]:
+    """The cross-field checks of one shape-checked distribution block:
+    its anonymity sets partition ``count`` users into ``distinct`` ids."""
+    sizes = dist["anonymity_sets"]["sizes"]
+    # a set is never larger than the population (also bounds int())
+    limit = len(str(dist["count"]))
+    if not all(size.isdecimal() and len(size) <= limit for size in sizes):
+        return [f"{where}.anonymity_sets.sizes keys must be set sizes"]
+    problems = []
+    users = sum(int(size) * n for size, n in sizes.items())
+    if users != dist["count"]:
+        problems.append(f"{where}.anonymity_sets sizes cover {users} users, "
+                        f"count says {dist['count']}")
+    if sum(sizes.values()) != dist["distinct"]:
+        problems.append(f"{where}.anonymity_sets has {sum(sizes.values())} "
+                        f"sets, distinct says {dist['distinct']}")
+    return problems
 
 
 def validate_analysis_report(payload) -> list[str]:
     """Return the list of schema/integrity problems (empty == valid)."""
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return ["analysis report is not a JSON object"]
-    if payload.get("kind") != ANALYSIS_KIND:
-        problems.append(
-            f"kind must be {ANALYSIS_KIND!r}, got {payload.get('kind')!r}")
-    if payload.get("format") != ANALYSIS_FORMAT:
-        problems.append(
-            f"format must be {ANALYSIS_FORMAT}, got {payload.get('format')!r}")
-
-    dataset = payload.get("dataset")
-    if not isinstance(dataset, dict):
-        problems.append("dataset must be an object")
-        dataset = {}
-    for key in ("seed", "user_count", "iterations"):
-        if not _is_number(dataset.get(key)):
-            problems.append(f"dataset.{key} must be numeric")
-    declared = dataset.get("vectors")
-    if not isinstance(declared, list) or not declared:
-        problems.append("dataset.vectors must be a non-empty array")
-        declared = []
-
-    vectors = payload.get("vectors")
-    if not isinstance(vectors, dict) or not vectors:
-        problems.append("vectors must be a non-empty object")
-        vectors = {}
-    if declared and vectors and sorted(vectors) != sorted(declared):
+    problems = schema_problems(payload, _SCHEMA)
+    if problems:
+        return problems
+    declared = payload["dataset"]["vectors"]
+    vectors = payload["vectors"]
+    if not declared:
+        problems.append("dataset.vectors must be non-empty")
+    elif sorted(vectors) != sorted(declared):
         problems.append("vectors keys do not match dataset.vectors")
-
     for name, section in vectors.items():
         where = f"vectors[{name!r}]"
-        if not isinstance(section, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        graph = section.get("graph")
-        if not isinstance(graph, dict) or not all(
-                isinstance(graph.get(k), int) and graph.get(k) >= 0
-                for k in ("efps", "edges", "components")):
-            problems.append(
-                f"{where}.graph must carry integer efps/edges/components")
-        raw = section.get("raw", {})
-        if not isinstance(raw, dict):
-            problems.append(f"{where}.raw must be an object")
-        else:
-            _check_distribution(problems, f"{where}.raw.observations",
-                                raw.get("observations"))
-            _check_distribution(problems, f"{where}.raw.first_observation",
-                                raw.get("first_observation"))
-        collated = section.get("collated", {})
-        if not isinstance(collated, dict):
-            problems.append(f"{where}.collated must be an object")
-        else:
-            _check_distribution(problems, f"{where}.collated.per_user",
-                                collated.get("per_user"))
-        stab = section.get("stability")
-        if not isinstance(stab, dict):
-            problems.append(f"{where}.stability must be an object")
-            continue
-        for key in ("users", "raw_stable_users", "raw_fickle_users",
-                    "fickle_users_collapsed", "collated_stable_users",
-                    "collated_max_ids_per_user"):
-            value = stab.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                problems.append(f"{where}.stability.{key} must be a "
-                                "non-negative integer")
-        if all(isinstance(stab.get(k), int) for k in
-               ("users", "raw_stable_users", "raw_fickle_users")) \
-                and stab["raw_stable_users"] + stab["raw_fickle_users"] \
-                != stab["users"]:
+        for part, key in (("raw", "observations"), ("raw", "first_observation"),
+                          ("collated", "per_user")):
+            problems += distribution_problems(f"{where}.{part}.{key}",
+                                              section[part][key])
+        stab = section["stability"]
+        if stab["raw_stable_users"] + stab["raw_fickle_users"] != stab["users"]:
             problems.append(f"{where}.stability raw stable+fickle != users")
         # the collation invariant the paper's scheme guarantees: every
         # user — fickle or not — collapses to exactly one collated id
-        if isinstance(stab.get("users"), int):
-            if stab.get("collated_stable_users") != stab["users"]:
-                problems.append(
-                    f"{where}.stability: collated ids are not stable for "
-                    "every user (collation invariant violated)")
-            if stab.get("fickle_users_collapsed") != stab.get("raw_fickle_users"):
-                problems.append(
-                    f"{where}.stability: not every fickle user collapsed "
-                    "to one collated id")
+        if stab["collated_stable_users"] != stab["users"]:
+            problems.append(
+                f"{where}.stability: collated ids are not stable for "
+                "every user (collation invariant violated)")
+        if stab["fickle_users_collapsed"] != stab["raw_fickle_users"]:
+            problems.append(
+                f"{where}.stability: not every fickle user collapsed "
+                "to one collated id")
 
-    combined = payload.get("combined")
-    if not isinstance(combined, dict):
-        problems.append("combined must be an object")
-    else:
-        if declared and combined.get("vectors") != declared:
-            problems.append("combined.vectors does not match dataset.vectors")
-        _check_distribution(problems, "combined.raw_first_observation",
-                            combined.get("raw_first_observation"))
-        _check_distribution(problems, "combined.collated",
-                            combined.get("collated"))
+    combined = payload["combined"]
+    if declared and combined["vectors"] != declared:
+        problems.append("combined.vectors does not match dataset.vectors")
+    for key in ("raw_first_observation", "collated"):
+        problems += distribution_problems(f"combined.{key}", combined[key])
     return problems
 
 

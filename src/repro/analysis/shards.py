@@ -42,22 +42,18 @@ partition produces the same bytes as analysing the monolithic dataset.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 import numpy as np
 
+from ..schema import ARRAY, COUNT, POSITIVE, STRING, STUDY, each
+from ..schema import problems as schema_problems
 from .collation import UnionFind, series_edges
 from .entropy import _round, distribution
-from .report import ANALYSIS_FORMAT, ANALYSIS_KIND
+from .report import ANALYSIS_FORMAT, ANALYSIS_KIND, dumps_analysis_report
 
 SHARD_REPORT_KIND = "repro.analysis.shard_report"
 SHARD_REPORT_FORMAT = 1
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= 0
 
 
 # -- building one shard's report ----------------------------------------------
@@ -135,140 +131,90 @@ def build_shard_report(dataset, manifest: dict) -> dict:
     }
 
 
-def dumps_shard_or_merged(report: dict) -> str:
-    """The canonical byte encoding for shard reports *and* merged
-    analysis reports — the same formula ``dumps_analysis_report`` uses,
-    so a merged report is diffable byte-for-byte against the monolithic
-    CLI's output."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+#: the canonical byte encoding for shard reports *and* merged analysis
+#: reports — literally ``dumps_analysis_report``, so a merged report is
+#: diffable byte-for-byte against the monolithic CLI's output
+dumps_shard_or_merged = dumps_analysis_report
 
 
 # -- validation ---------------------------------------------------------------
 
+_SCHEMA = {
+    "kind": SHARD_REPORT_KIND,
+    "format": SHARD_REPORT_FORMAT,
+    "study": STUDY,
+    "shard": {"start": COUNT, "stop": COUNT, "users": COUNT},
+    "engine_version": STRING,
+    "vectors": each({
+        "labels": [STRING],
+        "observations": [COUNT],
+        "first": [COUNT],
+        "edges": [[COUNT]],
+        "stability": dict.fromkeys(
+            ("users", "raw_fickle_users", "raw_distinct_sum",
+             "raw_max_distinct_efps", "fickle_users_collapsed",
+             "collated_stable_users", "collated_max_ids_per_user"), COUNT),
+    }),
+    # [[label index per vector], positive count] pairs: checked below
+    "combined": {"tuples": [ARRAY]},
+}
+
+
 def validate_shard_report(payload) -> list[str]:
     """Return the list of schema/integrity problems (empty == valid)."""
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return ["shard report is not a JSON object"]
-    if payload.get("kind") != SHARD_REPORT_KIND:
-        problems.append(f"kind must be {SHARD_REPORT_KIND!r}, "
-                        f"got {payload.get('kind')!r}")
-    if payload.get("format") != SHARD_REPORT_FORMAT:
-        problems.append(f"format must be {SHARD_REPORT_FORMAT}, "
-                        f"got {payload.get('format')!r}")
-
-    study = payload.get("study")
-    if not isinstance(study, dict):
-        problems.append("study must be an object")
-        study = {}
-    for key in ("seed", "user_count", "iterations"):
-        value = study.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"study.{key} must be an integer")
-    declared = study.get("vectors")
-    if not isinstance(declared, list) or not declared \
-            or not all(isinstance(v, str) for v in declared):
-        problems.append("study.vectors must be a non-empty array of strings")
-        declared = []
-
-    shard = payload.get("shard")
-    if not isinstance(shard, dict):
-        problems.append("shard must be an object")
-        shard = {}
-    users = None
-    if all(_is_count(shard.get(k)) for k in ("start", "stop", "users")) \
-            and shard["start"] < shard["stop"] \
-            and shard["users"] == shard["stop"] - shard["start"]:
-        users = shard["users"]
-        if isinstance(study.get("user_count"), int) \
-                and shard["stop"] > study["user_count"]:
-            problems.append("shard range exceeds study.user_count")
-    else:
-        problems.append("shard must carry integer start/stop/users with "
-                        "stop > start and users == stop - start")
-
-    iterations = study.get("iterations")
-    vectors = payload.get("vectors")
-    if not isinstance(vectors, dict):
-        problems.append("vectors must be an object")
-        vectors = {}
-    if declared and sorted(vectors) != sorted(declared):
-        problems.append("vectors keys do not match study.vectors")
+    problems = schema_problems(payload, _SCHEMA)
+    if problems:
+        return problems
+    study, shard = payload["study"], payload["shard"]
+    declared, vectors = study["vectors"], payload["vectors"]
+    users = shard["users"]
+    if not (shard["start"] < shard["stop"]
+            and users == shard["stop"] - shard["start"]):
+        problems.append("shard must have stop > start and "
+                        "users == stop - start")
+    if shard["stop"] > study["user_count"]:
+        problems.append("shard range exceeds study.user_count")
+    if not declared:
+        problems.append("study.vectors must be non-empty")
+    if sorted(vectors) != sorted(declared):
+        return problems + ["vectors keys do not match study.vectors"]
 
     for name, sec in vectors.items():
         where = f"vectors[{name!r}]"
-        if not isinstance(sec, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        labels = sec.get("labels")
-        if not isinstance(labels, list) \
-                or not all(isinstance(l, str) for l in labels):
-            problems.append(f"{where}.labels must be an array of strings")
-            continue
-        if len(set(labels)) != len(labels):
+        n = len(sec["labels"])
+        if len(set(sec["labels"])) != n:
             problems.append(f"{where}.labels contains duplicates")
-        n = len(labels)
-        for key in ("observations", "first"):
-            counts = sec.get(key)
-            if not isinstance(counts, list) or len(counts) != n \
-                    or not all(_is_count(c) for c in counts):
-                problems.append(f"{where}.{key} must be {n} non-negative "
-                                "integers (one per label)")
-                counts = None
-            elif users is not None:
-                total = sum(counts)
-                if key == "first" and total != users:
-                    problems.append(
-                        f"{where}.first sums to {total}, expected one "
-                        f"first observation per user ({users})")
-                if key == "observations" and isinstance(iterations, int) \
-                        and total != users * iterations:
-                    problems.append(
-                        f"{where}.observations sums to {total}, expected "
-                        f"users x iterations ({users * iterations})")
-        edges = sec.get("edges")
-        if not isinstance(edges, list) or not all(
-                isinstance(e, list) and len(e) == 2
-                and all(_is_count(i) and i < n for i in e) and e[0] != e[1]
-                for e in edges):
+        for key, expect, meaning in (
+                ("first", users, "one first observation per user"),
+                ("observations", users * study["iterations"],
+                 "users x iterations")):
+            if len(sec[key]) != n:
+                problems.append(f"{where}.{key} must hold {n} counts "
+                                "(one per label)")
+            elif sum(sec[key]) != expect:
+                problems.append(f"{where}.{key} sums to {sum(sec[key])}, "
+                                f"expected {meaning} ({expect})")
+        if not all(len(e) == 2 and e[0] != e[1] and max(e) < n
+                   for e in sec["edges"]):
             problems.append(f"{where}.edges must be pairs of distinct "
                             "label indices")
-        stab = sec.get("stability")
-        if not isinstance(stab, dict):
-            problems.append(f"{where}.stability must be an object")
-            continue
-        for key in ("users", "raw_fickle_users", "raw_distinct_sum",
-                    "raw_max_distinct_efps", "fickle_users_collapsed",
-                    "collated_stable_users", "collated_max_ids_per_user"):
-            if not _is_count(stab.get(key)):
-                problems.append(f"{where}.stability.{key} must be a "
-                                "non-negative integer")
-        if users is not None and _is_count(stab.get("users")) \
-                and stab["users"] != users:
-            problems.append(f"{where}.stability.users is {stab['users']}, "
-                            f"shard covers {users}")
+        if sec["stability"]["users"] != users:
+            problems.append(f"{where}.stability.users is "
+                            f"{sec['stability']['users']}, shard covers "
+                            f"{users}")
 
-    combined = payload.get("combined")
-    if not isinstance(combined, dict) \
-            or not isinstance(combined.get("tuples"), list):
-        problems.append("combined.tuples must be an array")
-        return problems
-    widths = [len(vectors[name]["labels"])
-              if isinstance(vectors.get(name), dict)
-              and isinstance(vectors[name].get("labels"), list) else 0
-              for name in declared]
+    widths = [len(vectors[name]["labels"]) for name in declared]
     total = 0
     seen_keys = set()
-    for i, entry in enumerate(combined["tuples"]):
-        if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], list)
+    for i, entry in enumerate(payload["combined"]["tuples"]):
+        if not (len(entry) == 2 and isinstance(entry[0], list)
                 and len(entry[0]) == len(declared)
-                and all(_is_count(v) for v in entry[0])
-                and isinstance(entry[1], int) and entry[1] > 0):
+                and all(COUNT.test(v) for v in entry[0])
+                and POSITIVE.test(entry[1])):
             problems.append(f"combined.tuples[{i}] must be "
                             "[[index per vector], positive count]")
             continue
-        if declared and not all(v < w for v, w in zip(entry[0], widths)):
+        if not all(v < w for v, w in zip(entry[0], widths)):
             problems.append(f"combined.tuples[{i}] indexes past a "
                             "vector's label table")
         key = tuple(entry[0])
@@ -276,7 +222,7 @@ def validate_shard_report(payload) -> list[str]:
             problems.append(f"combined.tuples[{i}] duplicates key {key}")
         seen_keys.add(key)
         total += entry[1]
-    if users is not None and total != users:
+    if total != users:
         problems.append(f"combined.tuples counts sum to {total}, "
                         f"expected one tuple per user ({users})")
     return problems

@@ -24,14 +24,16 @@ produces byte-identical table reports.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from ..obs import NULL_RECORDER
+from ..schema import (COUNT, NUMBER, POSITIVE, STRING, STUDY, Check, each,
+                      maybe)
+from ..schema import problems as schema_problems
 from ..vectors.registry import get_vector
 from .collation import UnionFind, collate, combined_user_ids, series_edges
 from .entropy import FLOAT_DECIMALS, distribution, shannon_entropy
+from .report import DISTRIBUTION, distribution_problems, dumps_analysis_report
 
 __all__ = [
     "TABLES_KIND", "TABLES_FORMAT", "MATCH_SPLITS", "classify_vectors",
@@ -48,10 +50,6 @@ MATCH_SPLITS = (1, 2, 3, 5)
 
 def _round(value: float) -> float:
     return round(float(value), FLOAT_DECIMALS)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def classify_vectors(names) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -222,146 +220,110 @@ def build_tables_report(dataset, collations=None,
         }
 
 
-def dumps_tables_report(report: dict) -> str:
-    """The canonical byte encoding (what the CLI writes and CI diffs)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+#: the canonical byte encoding (what the CLI writes and CI diffs) — the
+#: one every repro.analysis document shares
+dumps_tables_report = dumps_analysis_report
 
 
 # -- validation (the CI schema check) ----------------------------------------
 
+_BATTERY = {"vectors": each(DISTRIBUTION), "combined": maybe(DISTRIBUTION)}
+
+_SCHEMA = {
+    "kind": TABLES_KIND,
+    "format": TABLES_FORMAT,
+    "dataset": STUDY,
+    "audio_vectors": [STRING],
+    "comparator_vectors": [STRING],
+    "table2_audio": _BATTERY,
+    "table3_comparators": _BATTERY,
+    "combined_all": maybe(DISTRIBUTION),
+    "additive_value": maybe({"pairs": [{
+        "base": STRING, "base_entropy_bits": NUMBER,
+        "with_audio_entropy_bits": NUMBER, "delta_bits": NUMBER,
+        "delta_pct": maybe(NUMBER)}]}),
+    "match_scores": maybe({
+        "splits": [POSITIVE],
+        "scores": each(each(Check(
+            lambda v: NUMBER.test(v) and 0.0 <= v <= 1.0, "in [0, 1]")))}),
+    "table4_mathjs": maybe({"dc": DISTRIBUTION, "mathjs": DISTRIBUTION}),
+    "table5_platforms": maybe([{
+        "platform": STRING, "users": COUNT, "dc_distinct": COUNT,
+        "mathjs_distinct": COUNT}]),
+}
+
+
 def validate_tables_report(payload) -> list[str]:
     """Return the list of schema/integrity problems (empty == valid)."""
-    from .report import _check_distribution
-
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return ["tables report is not a JSON object"]
-    if payload.get("kind") != TABLES_KIND:
-        problems.append(
-            f"kind must be {TABLES_KIND!r}, got {payload.get('kind')!r}")
-    if payload.get("format") != TABLES_FORMAT:
-        problems.append(
-            f"format must be {TABLES_FORMAT}, got {payload.get('format')!r}")
-
-    dataset = payload.get("dataset")
-    if not isinstance(dataset, dict):
-        problems.append("dataset must be an object")
-        dataset = {}
-    for key in ("seed", "user_count", "iterations"):
-        if not _is_number(dataset.get(key)):
-            problems.append(f"dataset.{key} must be numeric")
-
-    audio = payload.get("audio_vectors")
-    comparator = payload.get("comparator_vectors")
-    if not isinstance(audio, list) or not audio:
-        problems.append("audio_vectors must be a non-empty array")
-        audio = []
-    if not isinstance(comparator, list):
-        problems.append("comparator_vectors must be an array")
-        comparator = []
+    problems = schema_problems(payload, _SCHEMA)
+    if problems:
+        return problems
+    audio = payload["audio_vectors"]
+    comparator = payload["comparator_vectors"]
+    if not audio:
+        problems.append("audio_vectors must be non-empty")
     if set(audio) & set(comparator):
         problems.append("audio_vectors and comparator_vectors overlap")
-    declared = dataset.get("vectors")
-    if isinstance(declared, list) \
-            and sorted(declared) != sorted(audio + comparator):
+    if sorted(payload["dataset"]["vectors"]) != sorted(audio + comparator):
         problems.append("audio+comparator vectors do not cover "
                         "dataset.vectors")
 
+    dists = []
     for section_key, names in (("table2_audio", audio),
                                ("table3_comparators", comparator)):
-        section = payload.get(section_key)
-        if not isinstance(section, dict):
-            problems.append(f"{section_key} must be an object")
-            continue
-        vectors = section.get("vectors")
-        if not isinstance(vectors, dict) or sorted(vectors) != sorted(names):
+        vectors = payload[section_key]["vectors"]
+        combined = payload[section_key]["combined"]
+        if sorted(vectors) != sorted(names):
             problems.append(
                 f"{section_key}.vectors keys must match the declared names")
-            vectors = {}
+        dists += [(f"{section_key}.vectors[{name!r}]", dist)
+                  for name, dist in vectors.items()]
+        if combined is None:
+            if names:
+                problems.append(f"{section_key}.combined missing")
+            continue
+        dists.append((f"{section_key}.combined", combined))
+        # combining vectors can only refine the partition
         for name, dist in vectors.items():
-            _check_distribution(problems, f"{section_key}.vectors[{name!r}]",
-                                dist)
-        combined = section.get("combined")
-        if names and combined is None:
-            problems.append(f"{section_key}.combined missing")
-        elif combined is not None:
-            _check_distribution(problems, f"{section_key}.combined", combined)
-            # combining vectors can only refine the partition
-            for name, dist in vectors.items():
-                if isinstance(dist, dict) \
-                        and _is_number(dist.get("entropy_bits")) \
-                        and _is_number(combined.get("entropy_bits")) \
-                        and combined["entropy_bits"] \
-                        < dist["entropy_bits"] - 1e-9:
-                    problems.append(
-                        f"{section_key}.combined entropy below component "
-                        f"{name!r} (refinement invariant violated)")
+            if combined["entropy_bits"] < dist["entropy_bits"] - 1e-9:
+                problems.append(
+                    f"{section_key}.combined entropy below component "
+                    f"{name!r} (refinement invariant violated)")
+    if payload["combined_all"] is not None:
+        dists.append(("combined_all", payload["combined_all"]))
+    table4 = payload["table4_mathjs"]
+    if table4 is not None:
+        dists += [("table4_mathjs.dc", table4["dc"]),
+                  ("table4_mathjs.mathjs", table4["mathjs"])]
+    for where, dist in dists:
+        problems += distribution_problems(where, dist)
 
-    combined_all = payload.get("combined_all")
-    if combined_all is not None:
-        _check_distribution(problems, "combined_all", combined_all)
-
-    additive = payload.get("additive_value")
+    additive = payload["additive_value"]
     if additive is not None:
-        pairs = additive.get("pairs") if isinstance(additive, dict) else None
-        if not isinstance(pairs, list) or not pairs:
-            problems.append("additive_value.pairs must be a non-empty array")
-            pairs = []
-        for entry in pairs:
-            if not isinstance(entry, dict) \
-                    or not isinstance(entry.get("base"), str) \
-                    or not _is_number(entry.get("base_entropy_bits")) \
-                    or not _is_number(entry.get("with_audio_entropy_bits")):
-                problems.append("additive_value.pairs entry malformed")
-                continue
+        if not additive["pairs"]:
+            problems.append("additive_value.pairs must be non-empty")
+        for entry in additive["pairs"]:
             if entry["with_audio_entropy_bits"] \
                     < entry["base_entropy_bits"] - 1e-9:
                 problems.append(
                     f"additive_value[{entry['base']!r}]: pairing with audio "
                     "lowered entropy (monotonicity violated)")
 
-    scores = payload.get("match_scores")
+    scores = payload["match_scores"]
     if scores is not None:
-        table = scores.get("scores") if isinstance(scores, dict) else None
-        if not isinstance(table, dict) or not table:
-            problems.append("match_scores.scores must be a non-empty object")
-            table = {}
-        for name, per_split in table.items():
-            if not isinstance(per_split, dict):
-                problems.append(f"match_scores.scores[{name!r}] must be "
-                                "an object")
-                continue
-            for split, value in per_split.items():
-                if not _is_number(value) or not 0.0 <= value <= 1.0:
-                    problems.append(
-                        f"match_scores.scores[{name!r}][{split}] out of "
-                        "[0, 1]")
+        if not scores["scores"]:
+            problems.append("match_scores.scores must be non-empty")
+        splits = {str(s) for s in scores["splits"]}
+        for name, per_split in scores["scores"].items():
+            if set(per_split) != splits:
+                problems.append(f"match_scores.scores[{name!r}] keys must "
+                                "be exactly match_scores.splits")
 
-    table4 = payload.get("table4_mathjs")
-    if table4 is not None:
-        if not isinstance(table4, dict):
-            problems.append("table4_mathjs must be an object")
-        else:
-            _check_distribution(problems, "table4_mathjs.dc",
-                                table4.get("dc"))
-            _check_distribution(problems, "table4_mathjs.mathjs",
-                                table4.get("mathjs"))
-
-    table5 = payload.get("table5_platforms")
+    table5 = payload["table5_platforms"]
     if table5 is not None:
-        if not isinstance(table5, list) or not table5:
-            problems.append("table5_platforms must be a non-empty array")
-            table5 = []
+        if not table5:
+            problems.append("table5_platforms must be non-empty")
         for row in table5:
-            if not isinstance(row, dict) \
-                    or not isinstance(row.get("platform"), str) \
-                    or not all(isinstance(row.get(k), int)
-                               and not isinstance(row.get(k), bool)
-                               and row.get(k) >= 0
-                               for k in ("users", "dc_distinct",
-                                         "mathjs_distinct")):
-                problems.append("table5_platforms row malformed")
-                continue
             for key in ("dc_distinct", "mathjs_distinct"):
                 if row[key] > row["users"]:
                     problems.append(

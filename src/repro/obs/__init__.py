@@ -1,7 +1,8 @@
 """repro.obs — zero-dependency observability for the render pipeline.
 
 Three layers, all stdlib-only so every other package may import this one
-(and nothing here imports any other repro package):
+(and nothing here imports any other repro package; ``report`` uses the
+dependency-free ``repro.schema`` walker):
 
   recorder   span tracer (context-manager API, monotonic clocks, nesting),
              counters, and mergeable exponential histograms, behind a

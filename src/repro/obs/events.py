@@ -219,7 +219,8 @@ def read_events(path: str) -> tuple[list[dict], list[str]]:
                             f"{event.get('schema')!r} "
                             f"(expected {EVENT_SCHEMA})")
             continue
-        if event.get("kind") not in EVENT_KINDS:
+        if not isinstance(event.get("kind"), str) \
+                or event["kind"] not in EVENT_KINDS:
             problems.append(f"event at line {i + 1} has unknown kind "
                             f"{event.get('kind')!r}")
             continue

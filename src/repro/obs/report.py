@@ -8,18 +8,26 @@ writes one; CI schema-checks it with ``--check`` and uploads it as an
 artifact; ``python -m repro.obs.report <path>`` renders it as tables.
 
 The CLI dispatches on the document's ``kind``: run reports
-(``repro.obs.report``) are handled here, analysis reports
-(``repro.analysis.report``, written by ``python -m repro.analysis``) are
-validated/rendered through ``repro.analysis.report`` — so one ``--check``
-entry point gates every report artefact CI produces.
+(``repro.obs.report``) are handled here; analysis, tables and shard
+reports (written by ``python -m repro.analysis``) are validated and
+rendered by their ``repro.analysis`` modules — so one ``--check`` entry
+point gates every report artefact CI produces. Every validator is a
+``repro.schema`` shape plus that document's cross-field invariants, so
+``--check`` exits 2 naming the field on any malformed document, never
+with a traceback.
 """
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import os
 import sys
 
+from ..schema import (ARRAY, BOOL, COUNT, NUMBER, OBJECT, STRING, each,
+                      maybe)
+from ..schema import problems as schema_problems
 from .recorder import Histogram
 
 REPORT_KIND = "repro.obs.report"
@@ -85,8 +93,49 @@ def build_report(recorder, workload: dict, cache_stats: dict | None = None,
 
 # -- validation (the CI schema check) ----------------------------------------
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_RETRY_FIELDS = ("attempts", "retries", "timeouts", "crashes",
+                 "worker_errors", "corrupt_returns", "bisections")
+_CHECKPOINT_FIELDS = ("writes", "torn_writes", "resumed_classes",
+                      "corrupt_recoveries")
+
+#: the histogram bucket keys ``Histogram.to_dict`` can emit
+_BUCKET_KEYS = frozenset(str(i) for i in range(Histogram.MAX_BUCKET + 1))
+
+_SCHEMA = {
+    "kind": REPORT_KIND,
+    "format": REPORT_FORMAT,
+    "workload": OBJECT,
+    "phases": [{"name": STRING, "duration_s": NUMBER}],
+    "spans": ARRAY,
+    "counters": each(NUMBER),
+    "histograms": each({"count": COUNT, "sum": NUMBER, "min": maybe(NUMBER),
+                        "max": maybe(NUMBER), "buckets": each(COUNT)}),
+    "cache": maybe({"hits": NUMBER, "misses": NUMBER}),
+    "node_profile": each(each({"seconds": NUMBER, "calls": COUNT})),
+    "pool": maybe(OBJECT),
+    "retry": maybe({**dict.fromkeys(_RETRY_FIELDS, NUMBER),
+                    "quarantined": [STRING],
+                    "budget": {"limit": NUMBER, "spent": NUMBER}}),
+    "degraded": maybe({"pool_rebuilds": NUMBER, "inline_fallback": BOOL}),
+    "checkpoint": maybe({"enabled": BOOL,
+                         **dict.fromkeys(_CHECKPOINT_FIELDS, NUMBER)}),
+    "events": maybe({"path": maybe(STRING), "count": COUNT,
+                     "kinds": each(COUNT)}),
+}
+
+#: the resilience contract: the supervised executor writes its summary
+#: both as counters and as the retry/degraded/checkpoint sections, and
+#: the two views must agree — (section, field, counter)
+_RESTATED = (
+    *(("retry", field, f"retry.{field}") for field in
+      ("attempts", "retries", "timeouts", "crashes", "corrupt_returns",
+       "bisections")),
+    ("degraded", "pool_rebuilds", "degraded.pool_rebuilds"),
+    ("checkpoint", "writes", "checkpoint.writes"),
+    ("checkpoint", "torn_writes", "checkpoint.torn_writes"),
+    ("checkpoint", "resumed_classes", "checkpoint.resumed_classes"),
+    ("checkpoint", "corrupt_recoveries", "checkpoint.corrupt"),
+)
 
 
 def validate_report(payload, base_dir: str | None = None) -> list[str]:
@@ -97,184 +146,78 @@ def validate_report(payload, base_dir: str | None = None) -> list[str]:
     Without it, relative sidecar paths resolve against the working
     directory.
     """
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return ["report is not a JSON object"]
-    if payload.get("kind") != REPORT_KIND:
-        problems.append(f"kind must be {REPORT_KIND!r}, got {payload.get('kind')!r}")
-    if payload.get("format") != REPORT_FORMAT:
-        problems.append(f"format must be {REPORT_FORMAT}, got {payload.get('format')!r}")
-    for key in ("workload", "counters", "histograms", "node_profile"):
-        if not isinstance(payload.get(key), dict):
-            problems.append(f"{key} must be an object")
+    problems = schema_problems(payload, _SCHEMA)
+    if problems:
+        return problems
+    names = {phase["name"] for phase in payload["phases"]}
+    missing = [p for p in STUDY_PHASES if p not in names]
+    if missing:
+        problems.append(f"phases missing {missing} (need all of {list(STUDY_PHASES)})")
 
-    phases = payload.get("phases")
-    if not isinstance(phases, list) or not phases:
-        problems.append("phases must be a non-empty array")
-    else:
-        names = set()
-        for i, phase in enumerate(phases):
-            if not isinstance(phase, dict) or not isinstance(phase.get("name"), str) \
-                    or not _is_number(phase.get("duration_s")):
-                problems.append(f"phases[{i}] must have a string name and numeric duration_s")
-                continue
-            names.add(phase["name"])
-        missing = [p for p in STUDY_PHASES if p not in names]
-        if missing:
-            problems.append(f"phases missing {missing} (need all of {list(STUDY_PHASES)})")
+    histograms = payload["histograms"]
+    for name, hist in histograms.items():
+        if not _BUCKET_KEYS.issuperset(hist["buckets"]):
+            problems.append(f"histogram {name!r} has a bucket key outside "
+                            f"0..{Histogram.MAX_BUCKET}")
+        elif sum(hist["buckets"].values()) != hist["count"]:
+            problems.append(f"histogram {name!r} bucket counts do not sum to count")
 
-    spans = payload.get("spans")
-    if not isinstance(spans, list):
-        problems.append("spans must be an array")
-
-    if isinstance(payload.get("counters"), dict):
-        for name, value in payload["counters"].items():
-            if not _is_number(value):
-                problems.append(f"counter {name!r} is not numeric")
-
-    if isinstance(payload.get("histograms"), dict):
-        for name, hist in payload["histograms"].items():
-            if not isinstance(hist, dict) or not {"count", "sum", "buckets"} <= hist.keys():
-                problems.append(f"histogram {name!r} missing count/sum/buckets")
-            elif isinstance(hist["buckets"], dict):
-                if sum(hist["buckets"].values()) != hist["count"]:
-                    problems.append(f"histogram {name!r} bucket counts do not sum to count")
-            else:
-                problems.append(f"histogram {name!r} buckets must be an object")
-
-    cache = payload.get("cache")
-    if cache is not None:
-        if not isinstance(cache, dict) or not {"hits", "misses"} <= cache.keys():
-            problems.append("cache must be null or an object with hits/misses")
-
-    # resilience contract: the supervised executor writes its summary both
-    # as counters and as the retry/degraded/checkpoint sections — the two
-    # views must agree, and recovery activity implies the sections exist
-    counters = payload.get("counters")
-    counters = counters if isinstance(counters, dict) else {}
-
-    retry = payload.get("retry")
-    if retry is None:
-        if counters.get("retry.attempts"):
-            problems.append("retry.* counters present but retry section missing")
-    elif not isinstance(retry, dict):
-        problems.append("retry must be null or an object")
-    else:
-        for field in ("attempts", "retries", "timeouts", "crashes",
-                      "worker_errors", "corrupt_returns", "bisections"):
-            if not _is_number(retry.get(field)):
-                problems.append(f"retry.{field} must be numeric")
-        quarantined = retry.get("quarantined")
-        if not isinstance(quarantined, list) \
-                or not all(isinstance(k, str) for k in quarantined):
-            problems.append("retry.quarantined must be an array of class keys")
-        elif len(quarantined) != counters.get("retry.quarantined", 0):
-            problems.append("retry.quarantined length does not match "
-                            "counter retry.quarantined")
-        budget = retry.get("budget")
-        if not isinstance(budget, dict) or not _is_number(budget.get("limit")) \
-                or not _is_number(budget.get("spent")):
-            problems.append("retry.budget must have numeric limit/spent")
-        for field, counter in (("attempts", "retry.attempts"),
-                               ("retries", "retry.retries"),
-                               ("timeouts", "retry.timeouts"),
-                               ("crashes", "retry.crashes"),
-                               ("corrupt_returns", "retry.corrupt_returns"),
-                               ("bisections", "retry.bisections")):
-            if _is_number(retry.get(field)) \
-                    and retry[field] != counters.get(counter, 0):
-                problems.append(f"retry.{field} does not match counter {counter}")
-
-    degraded = payload.get("degraded")
-    if degraded is not None:
-        if not isinstance(degraded, dict) \
-                or not _is_number(degraded.get("pool_rebuilds")) \
-                or not isinstance(degraded.get("inline_fallback"), bool):
-            problems.append("degraded must have numeric pool_rebuilds and "
-                            "boolean inline_fallback")
-        elif degraded["pool_rebuilds"] != counters.get("degraded.pool_rebuilds", 0):
-            problems.append("degraded.pool_rebuilds does not match counter "
-                            "degraded.pool_rebuilds")
-
-    checkpoint = payload.get("checkpoint")
-    if checkpoint is not None:
-        if not isinstance(checkpoint, dict) \
-                or not isinstance(checkpoint.get("enabled"), bool):
-            problems.append("checkpoint must have a boolean enabled flag")
-        else:
-            for field, counter in (("writes", "checkpoint.writes"),
-                                   ("torn_writes", "checkpoint.torn_writes"),
-                                   ("resumed_classes", "checkpoint.resumed_classes"),
-                                   ("corrupt_recoveries", "checkpoint.corrupt")):
-                if not _is_number(checkpoint.get(field)):
-                    problems.append(f"checkpoint.{field} must be numeric")
-                elif checkpoint[field] != counters.get(counter, 0):
-                    problems.append(
-                        f"checkpoint.{field} does not match counter {counter}")
-
-    # events contract: the report's event summary and the JSONL sidecar
-    # it points at must agree — a sidecar holding fewer events than the
-    # report recorded means the log was truncated after the fact
-    events = payload.get("events")
-    if events is not None:
-        if not isinstance(events, dict) or not _is_number(events.get("count")) \
-                or not isinstance(events.get("kinds"), dict):
-            problems.append("events must be null or an object with numeric "
-                            "count and a kinds tally")
-        else:
-            if sum(events["kinds"].values()) != events["count"]:
-                problems.append("events.kinds tally does not sum to "
-                                "events.count")
-            path = events.get("path")
-            if isinstance(path, str):
-                resolved = path if os.path.isabs(path) \
-                    else os.path.join(base_dir or ".", path)
-                # deferred import: reports without sidecars never pay it
-                from .events import read_events
-                try:
-                    sidecar, side_problems = read_events(resolved)
-                except FileNotFoundError:
-                    sidecar, side_problems = None, []
-                    problems.append(f"events sidecar missing at {resolved}")
-                if sidecar is not None:
-                    for problem in side_problems:
-                        problems.append(f"events sidecar: {problem}")
-                    if len(sidecar) < events["count"]:
-                        problems.append(
-                            f"events sidecar truncated: holds "
-                            f"{len(sidecar)} of {events['count']} events")
+    counters = payload["counters"]
+    for section, field, counter in _RESTATED:
+        if payload[section] is not None \
+                and payload[section][field] != counters.get(counter, 0):
+            problems.append(f"{section}.{field} does not match counter {counter}")
+    retry = payload["retry"]
+    if retry is None and counters.get("retry.attempts"):
+        problems.append("retry.* counters present but retry section missing")
+    if retry is not None \
+            and len(retry["quarantined"]) != counters.get("retry.quarantined", 0):
+        problems.append("retry.quarantined length does not match "
+                        "counter retry.quarantined")
 
     # batched-render contract: any run that counted batches must also have
     # recorded the batch-size histogram, and its observations must account
     # for every batch (the per-batch latency attribution rides on it)
-    if isinstance(payload.get("counters"), dict) \
-            and isinstance(payload.get("histograms"), dict):
-        batches = payload["counters"].get("render.batches")
-        if batches:
-            batch_hist = payload["histograms"].get("render.batch_size")
-            if not isinstance(batch_hist, dict):
-                problems.append(
-                    "render.batches counted but render.batch_size histogram missing")
-            elif batch_hist.get("count") != batches:
-                problems.append(
-                    "render.batch_size histogram count does not equal render.batches")
-            renders = payload["counters"].get("render.renders")
-            if isinstance(batch_hist, dict) and _is_number(batch_hist.get("sum")) \
-                    and _is_number(renders) and batch_hist["sum"] != renders:
-                problems.append(
-                    "render.batch_size histogram sum does not equal render.renders")
+    batches = counters.get("render.batches")
+    if batches:
+        batch_hist = histograms.get("render.batch_size")
+        renders = counters.get("render.renders")
+        if batch_hist is None:
+            problems.append(
+                "render.batches counted but render.batch_size histogram missing")
+        elif batch_hist["count"] != batches:
+            problems.append(
+                "render.batch_size histogram count does not equal render.batches")
+        if batch_hist is not None and renders is not None \
+                and batch_hist["sum"] != renders:
+            problems.append(
+                "render.batch_size histogram sum does not equal render.renders")
 
-    if isinstance(payload.get("node_profile"), dict):
-        for stack, nodes in payload["node_profile"].items():
-            if not isinstance(nodes, dict):
-                problems.append(f"node_profile[{stack!r}] must be an object")
-                continue
-            for label, entry in nodes.items():
-                if not isinstance(entry, dict) or not _is_number(entry.get("seconds")) \
-                        or not isinstance(entry.get("calls"), int):
+    # events contract: the report's event summary and the JSONL sidecar
+    # it points at must agree — a sidecar holding fewer events than the
+    # report recorded means the log was truncated after the fact
+    events = payload["events"]
+    if events is not None:
+        if sum(events["kinds"].values()) != events["count"]:
+            problems.append("events.kinds tally does not sum to events.count")
+        path = events["path"]
+        if path is not None:
+            resolved = path if os.path.isabs(path) \
+                else os.path.join(base_dir or ".", path)
+            # deferred import: reports without sidecars never pay it
+            from .events import read_events
+            try:
+                sidecar, side_problems = read_events(resolved)
+            except (OSError, ValueError):  # absent, a directory, a NUL byte
+                sidecar, side_problems = None, []
+                problems.append(f"events sidecar missing at {resolved}")
+            if sidecar is not None:
+                for problem in side_problems:
+                    problems.append(f"events sidecar: {problem}")
+                if len(sidecar) < events["count"]:
                     problems.append(
-                        f"node_profile[{stack!r}][{label!r}] must have numeric "
-                        "seconds and integer calls")
+                        f"events sidecar truncated: holds "
+                        f"{len(sidecar)} of {events['count']} events")
     return problems
 
 
@@ -393,6 +336,19 @@ def render_report(payload: dict) -> str:
 
 # -- CLI ----------------------------------------------------------------------
 
+#: kind -> (module, validator, renderer) for the documents repro.analysis
+#: writes; everything else is checked as a run report
+_ANALYSIS_KINDS = {
+    "repro.analysis.report": ("..analysis.report", "validate_analysis_report",
+                              "render_analysis_report"),
+    "repro.analysis.tables": ("..analysis.tables", "validate_tables_report",
+                              "render_tables_report"),
+    "repro.analysis.shard_report": ("..analysis.shards",
+                                    "validate_shard_report",
+                                    "render_shard_report"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
@@ -409,64 +365,21 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"error: no report at {args.path}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, an oversized integer
         print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
         return 2
 
-    if isinstance(payload, dict) \
-            and payload.get("kind") == "repro.analysis.report":
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if isinstance(kind, str) and kind in _ANALYSIS_KINDS:
         # deferred import: obs stays analysis-free unless a report needs it
-        from ..analysis.report import (render_analysis_report,
-                                       validate_analysis_report)
-        problems = validate_analysis_report(payload)
-        if problems:
-            print(f"error: {args.path} failed schema check:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 2
-        if not args.check:
-            try:
-                print(render_analysis_report(payload))
-            except BrokenPipeError:  # e.g. piped into `head`
-                sys.stderr.close()
-        return 0
-
-    if isinstance(payload, dict) \
-            and payload.get("kind") == "repro.analysis.tables":
-        from ..analysis.tables import (render_tables_report,
-                                       validate_tables_report)
-        problems = validate_tables_report(payload)
-        if problems:
-            print(f"error: {args.path} failed schema check:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 2
-        if not args.check:
-            try:
-                print(render_tables_report(payload))
-            except BrokenPipeError:  # e.g. piped into `head`
-                sys.stderr.close()
-        return 0
-
-    if isinstance(payload, dict) \
-            and payload.get("kind") == "repro.analysis.shard_report":
-        from ..analysis.shards import (render_shard_report,
-                                       validate_shard_report)
-        problems = validate_shard_report(payload)
-        if problems:
-            print(f"error: {args.path} failed schema check:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 2
-        if not args.check:
-            try:
-                print(render_shard_report(payload))
-            except BrokenPipeError:  # e.g. piped into `head`
-                sys.stderr.close()
-        return 0
-
-    problems = validate_report(payload,
-                               base_dir=os.path.dirname(os.path.abspath(args.path)))
+        module, validate, render = _ANALYSIS_KINDS[kind]
+        module = importlib.import_module(module, __package__)
+        validate, render = getattr(module, validate), getattr(module, render)
+    else:  # a run report, or a document no validator claims
+        base_dir = os.path.dirname(os.path.abspath(args.path))
+        validate = functools.partial(validate_report, base_dir=base_dir)
+        render = render_report
+    problems = validate(payload)
     if problems:
         print(f"error: {args.path} failed schema check:", file=sys.stderr)
         for problem in problems:
@@ -474,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if not args.check:
         try:
-            print(render_report(payload))
+            print(render(payload))
         except BrokenPipeError:  # e.g. piped into `head`
             sys.stderr.close()
     return 0

@@ -129,7 +129,7 @@ def validate_trace(payload) -> list[str]:
             problems.append(f"traceEvents[{i}] is not an object")
             continue
         ph = entry.get("ph")
-        if ph not in TRACE_PHASES:
+        if not isinstance(ph, str) or ph not in TRACE_PHASES:
             problems.append(f"traceEvents[{i}] has unsupported ph {ph!r}")
             continue
         if not isinstance(entry.get("name"), str):
@@ -146,7 +146,8 @@ def validate_trace(payload) -> list[str]:
             if not isinstance(dur, (int, float)) or isinstance(dur, bool) \
                     or dur < 0:
                 problems.append(f"traceEvents[{i}] needs non-negative dur")
-        if ph == "i" and entry.get("name") not in EVENT_KINDS:
+        if ph == "i" and isinstance(entry.get("name"), str) \
+                and entry["name"] not in EVENT_KINDS:
             problems.append(
                 f"traceEvents[{i}] instant kind {entry.get('name')!r} "
                 f"is not a known event kind")

@@ -7,7 +7,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..io import atomic_write_chunks
+from ..schema import STRING, STUDY, Check, each
+from ..schema import problems as schema_problems
 
+#: one user's eFP series — a single leaf check, since a paper-scale
+#: dataset holds tens of thousands of them
+_EFPS = Check(lambda v: isinstance(v, list)
+              and all(isinstance(efp, str) for efp in v),
+              "an array of strings")
+
+_SCHEMA = {
+    "meta": STUDY,
+    "users": [{"id": STRING, "os": STRING}],
+    "series": each(each(_EFPS)),
+}
 
 @dataclass
 class StudyDataset:
@@ -81,39 +94,19 @@ class StudyDataset:
         inconsistent payload must fail *here*, naming the offending
         field, instead of producing silently wrong metrics downstream.
         """
-        if not isinstance(payload, dict):
-            raise ValueError("dataset payload must be a JSON object")
-        for key in ("meta", "users", "series"):
-            if key not in payload:
-                raise ValueError(f"dataset payload missing {key!r}")
+        problems = schema_problems(payload, _SCHEMA)
+        if problems:
+            raise ValueError(problems[0])
         meta, users, series = payload["meta"], payload["users"], payload["series"]
-        if not isinstance(meta, dict):
-            raise ValueError("meta must be an object")
-        for key in ("seed", "user_count", "iterations", "vectors"):
-            if key not in meta:
-                raise ValueError(f"meta missing {key!r}")
-        if not isinstance(users, list):
-            raise ValueError("users must be an array")
-        if not isinstance(series, dict):
-            raise ValueError("series must be an object")
-
-        iterations = meta["iterations"]
-        if not isinstance(iterations, int) or isinstance(iterations, bool) \
-                or iterations <= 0:
-            raise ValueError(
-                f"meta.iterations must be a positive integer, got {iterations!r}")
+        iterations, vectors = meta["iterations"], meta["vectors"]
         if meta["user_count"] != len(users):
             raise ValueError(
                 f"meta.user_count is {meta['user_count']} but users has "
                 f"{len(users)} entries")
-
-        vectors = meta["vectors"]
-        if not isinstance(vectors, list) or not vectors \
-                or not all(isinstance(v, str) for v in vectors):
-            raise ValueError("meta.vectors must be a non-empty array of strings")
-        declared = set(vectors)
+        if not vectors:
+            raise ValueError("meta.vectors must be non-empty")
         for vector in series:
-            if vector not in declared:
+            if vector not in vectors:
                 raise ValueError(
                     f"series contains vector {vector!r} absent from meta.vectors")
         for vector in vectors:
@@ -121,28 +114,17 @@ class StudyDataset:
                 raise ValueError(f"meta.vectors names {vector!r} but series has "
                                  "no entry for it")
 
-        ids = []
-        for i, user in enumerate(users):
-            if not isinstance(user, dict) or not isinstance(user.get("id"), str):
-                raise ValueError(f"users[{i}] must be an object with a string 'id'")
-            ids.append(user["id"])
-        if len(set(ids)) != len(ids):
+        ids = {user["id"] for user in users}
+        if len(ids) != len(users):
             raise ValueError("users contains duplicate ids")
-        id_set = set(ids)
         for vector, per_user in series.items():
-            if not isinstance(per_user, dict):
-                raise ValueError(f"series[{vector!r}] must be an object")
-            if set(per_user) != id_set:
-                extra = sorted(set(per_user) - id_set)
-                missing = sorted(id_set - set(per_user))
+            if per_user.keys() != ids:
+                extra = sorted(per_user.keys() - ids)
+                missing = sorted(ids - per_user.keys())
                 raise ValueError(
                     f"series[{vector!r}] users do not match the users list "
                     f"(unknown: {extra[:3]}, missing: {missing[:3]})")
             for uid, efps in per_user.items():
-                if not isinstance(efps, list) \
-                        or not all(isinstance(e, str) for e in efps):
-                    raise ValueError(
-                        f"series[{vector!r}][{uid!r}] must be an array of strings")
                 if len(efps) != iterations:
                     raise ValueError(
                         f"series[{vector!r}][{uid!r}] has {len(efps)} "

@@ -50,6 +50,8 @@ from dataclasses import dataclass, field
 
 from ..io import atomic_write_chunks, atomic_write_json, atomic_write_text
 from ..resilience import study_fingerprint
+from ..schema import COUNT, STRING, STUDY
+from ..schema import problems as schema_problems
 from ..webaudio import ENGINE_VERSION
 from .cache import RenderCache
 from .dataset import StudyDataset
@@ -59,6 +61,16 @@ from .study import (_CHECKPOINT_EVERY, _Tally, _assemble, _integer, _phase,
 
 SHARD_KIND = "repro.study.shard"
 SHARD_FORMAT = 1
+
+_MANIFEST = {
+    "kind": SHARD_KIND,
+    "format": SHARD_FORMAT,
+    "study": STUDY,
+    "engine_version": STRING,
+    "shard": {"start": COUNT, "stop": COUNT, "users": COUNT},
+    "data": {"file": STRING, "bytes": COUNT, "sha256": STRING,
+             "records": COUNT},
+}
 
 
 class ShardIntegrityError(ValueError):
@@ -78,8 +90,9 @@ def shard_ranges(user_count: int, shard_size: int) -> list[tuple[int, int]]:
 
 
 def _validate_ranges(ranges, user_count: int) -> list[tuple[int, int]]:
-    """Validate explicit shard ranges: integer bounds inside the
-    population, non-empty, non-overlapping. Returns them sorted by
+    """Validate explicit shard ranges: integer bounds (anything
+    ``operator.index`` accepts, never a bool) inside the population,
+    non-empty, non-overlapping. Returns them as ``int`` pairs sorted by
     start. (Full-partition coverage is a *merge-time* requirement —
     rendering a subset of shards is how distributed runs divide work.)"""
     if not ranges:
@@ -91,12 +104,11 @@ def _validate_ranges(ranges, user_count: int) -> list[tuple[int, int]]:
         except (TypeError, ValueError):
             raise ValueError(f"shard range {r!r} is not a (start, stop) "
                              "pair") from None
-        if not all(isinstance(v, int) and not isinstance(v, bool)
-                   for v in (start, stop)):
-            raise ValueError(f"shard range {r!r} must hold integers")
+        start, stop = (_integer(f"shard range {r!r} bound", v, 0)
+                       for v in (start, stop))
         if start >= stop:
             raise ValueError(f"shard range ({start}, {stop}) is empty")
-        if start < 0 or stop > user_count:
+        if stop > user_count:
             raise ValueError(f"shard range ({start}, {stop}) falls outside "
                              f"the population [0, {user_count})")
         cleaned.append((start, stop))
@@ -206,13 +218,13 @@ def load_manifest(manifest_path: str):
             payload = json.load(fh)
     except FileNotFoundError:
         return None
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON / UTF-8
         paths = _paths_for_manifest(manifest_path)
         _quarantine_shard(paths)
         raise ShardIntegrityError(
             f"shard manifest {manifest_path} is unreadable "
             f"({exc.__class__.__name__}); shard quarantined") from None
-    problems = _manifest_problems(payload)
+    problems = schema_problems(payload, _MANIFEST)
     if problems:
         paths = _paths_for_manifest(manifest_path)
         _quarantine_shard(paths)
@@ -220,32 +232,6 @@ def load_manifest(manifest_path: str):
             f"shard manifest {manifest_path} is malformed "
             f"({'; '.join(problems)}); shard quarantined")
     return payload
-
-
-def _manifest_problems(payload) -> list[str]:
-    problems = []
-    if not isinstance(payload, dict):
-        return ["not a JSON object"]
-    if payload.get("kind") != SHARD_KIND:
-        problems.append(f"kind is {payload.get('kind')!r}")
-    if payload.get("format") != SHARD_FORMAT:
-        problems.append(f"format is {payload.get('format')!r}")
-    if not isinstance(payload.get("study"), dict):
-        problems.append("study fingerprint missing")
-    shard = payload.get("shard")
-    if not isinstance(shard, dict) or not all(
-            isinstance(shard.get(k), int) and not isinstance(shard.get(k), bool)
-            for k in ("start", "stop", "users")):
-        problems.append("shard range missing or malformed")
-    data = payload.get("data")
-    if not isinstance(data, dict) or not isinstance(data.get("file"), str) \
-            or not isinstance(data.get("sha256"), str) \
-            or not all(isinstance(data.get(k), int) for k in
-                       ("bytes", "records")):
-        problems.append("data section missing or malformed")
-    if not isinstance(payload.get("engine_version"), str):
-        problems.append("engine_version missing")
-    return problems
 
 
 def _paths_for_manifest(manifest_path: str) -> ShardPaths:

@@ -83,6 +83,23 @@ class TestShardGeometry:
             run_study_sharded(10, None, str(tmp_path), workers=0,
                               ranges=[(0, 11)], **STUDY)
 
+    def test_numpy_integer_ranges_write_the_same_manifests(self, tmp_path):
+        import numpy as np
+        ranges = [(0, 4), (4, 10)]
+        plain = run_study_sharded(10, None, str(tmp_path / "int"), workers=0,
+                                  ranges=ranges, analyze=False, **STUDY)
+        numpy = run_study_sharded(
+            np.int64(10), None, str(tmp_path / "np"), workers=0,
+            ranges=[tuple(np.int64(v) for v in r) for r in ranges],
+            analyze=False, **STUDY)
+        for a, b in zip(plain.manifest_paths(), numpy.manifest_paths()):
+            assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_bool_range_bounds_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="shard range"):
+            run_study_sharded(10, None, str(tmp_path), workers=0,
+                              ranges=[(False, True)], **STUDY)
+
     @pytest.mark.parametrize("geometry", [dict(shard_size=0),
                                           dict(shard_size=None,
                                                ranges=[(0, 20)])])

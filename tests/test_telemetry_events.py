@@ -131,6 +131,15 @@ class TestEventLogFile:
         assert any("unknown kind" in p for p in problems)
         assert any("schema" in p for p in problems)
 
+    def test_unhashable_kind_is_a_problem(self, tmp_path):
+        path = str(tmp_path / "events.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"schema": EVENT_SCHEMA,
+                                 "kind": ["study.start"]}) + "\n")
+        events, problems = read_events(path)
+        assert events == []
+        assert any("unknown kind" in p for p in problems)
+
 
 class TestStudyEventStream:
     def test_study_emits_lifecycle_and_sidecar_matches_report(self, tmp_path):

@@ -82,6 +82,13 @@ class TestBuildTrace:
         assert any("unsupported ph" in p for p in problems)
         assert any("non-negative ts" in p for p in problems)
         assert any("not a known event kind" in p for p in problems)
+        # unhashable ph / instant name: named problems, never a TypeError
+        unhashable_ph = {"traceEvents": [{"ph": ["X"], "name": "a", "pid": 1}]}
+        assert any("unsupported ph" in p for p in validate_trace(unhashable_ph))
+        unhashable_name = {"traceEvents": [
+            {"ph": "i", "name": ["a"], "pid": 1, "ts": 0}]}
+        assert any("missing string name" in p
+                   for p in validate_trace(unhashable_name))
 
 
 class TestTraceCLI:
