@@ -8,8 +8,8 @@ mark. Three stages:
   identity    the same study (2093 users) rendered monolithically and
               sharded; the merged shard analysis must be byte-identical
               (sha256) to the monolithic analysis report, and the
-              sharded path's sustained renders/s must stay within
-              tolerance of the monolithic fused-render baseline.
+              sharded path's sustained grid items/s must stay within
+              tolerance of the monolithic run's.
   scaling     sharded runs at increasing user counts (default 25k and
               100k) with a fixed shard size; peak RSS must grow
               sub-linearly in user count (the gate: RSS growth at most
@@ -24,8 +24,9 @@ mark. Three stages:
 one vector, so it finishes in about a minute) and gates its peak RSS
 against the 100k run's: a 10x population for at most 2x the memory.
 
-Acceptance gates are asserted, so regressions fail loudly; the
-scale-invariant ratios feed the ``repro.obs.regress`` sentinel.
+Acceptance gates are asserted, so regressions fail loudly. Throughput
+counts grid items (users x iterations x vectors), most of them served
+from the render cache, not engine renders.
 
 Usage: PYTHONPATH=src python benchmarks/bench_shard_scale.py
          [--scales N N ...] [--identity-users N] [--smoke-1m]
@@ -88,13 +89,13 @@ def _child(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - start
 
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    renders = args.users * args.iterations * len(vectors)
+    grid_items = args.users * args.iterations * len(vectors)
     print(json.dumps({
         "mode": args.child, "users": args.users, "shards": shards,
         "iterations": args.iterations, "vectors": list(vectors),
         "wall_s": round(wall, 4), "ru_maxrss_kb": rss_kb,
-        "renders": renders,
-        "renders_per_s": round(renders / wall, 2) if wall > 0 else None,
+        "grid_items": grid_items,
+        "grid_items_per_s": round(grid_items / wall, 2) if wall > 0 else None,
         "analysis_sha256": digest,
     }))
     return 0
@@ -170,11 +171,11 @@ def main() -> int:
             f"{args.identity_users} users: {sharded['analysis_sha256']} != "
             f"{mono['analysis_sha256']}")
         throughput_ratio = round(
-            sharded["renders_per_s"] / mono["renders_per_s"], 4)
+            sharded["grid_items_per_s"] / mono["grid_items_per_s"], 4)
         assert throughput_ratio >= MIN_THROUGHPUT_VS_MONOLITHIC, (
-            f"sharded sustained throughput ({sharded['renders_per_s']} "
-            f"renders/s) fell below {MIN_THROUGHPUT_VS_MONOLITHIC:.0%} of the "
-            f"monolithic fused baseline ({mono['renders_per_s']} renders/s)")
+            f"sharded sustained throughput ({sharded['grid_items_per_s']} "
+            f"grid items/s) fell below {MIN_THROUGHPUT_VS_MONOLITHIC:.0%} of "
+            f"the monolithic run's ({mono['grid_items_per_s']} grid items/s)")
         print(f"identity ok: {args.identity_users} users, sharded == "
               f"monolithic analysis ({mono['analysis_sha256'][:12]}…), "
               f"throughput ratio {throughput_ratio}")
@@ -189,7 +190,8 @@ def main() -> int:
                            out_dir=os.path.join(tmp, f"scale_{users}"))
             scale_runs.append(run)
             print(f"scale {users}: rss {run['ru_maxrss_kb'] / 1024:.1f} MB, "
-                  f"{run['renders_per_s']} renders/s, {run['shards']} shards")
+                  f"{run['grid_items_per_s']} grid items/s, "
+                  f"{run['shards']} shards")
         lo, hi = scale_runs[0], scale_runs[-1]
         user_growth = hi["users"] / lo["users"]
         rss_growth = round(hi["ru_maxrss_kb"] / lo["ru_maxrss_kb"], 4)
@@ -228,7 +230,7 @@ def main() -> int:
             smoke_1m = {**smoke, "rss_vs_largest_scale": ratio_vs_100k}
             print(f"1M smoke: rss {smoke['ru_maxrss_kb'] / 1024:.1f} MB "
                   f"({ratio_vs_100k}x the {hi['users']}-user run), "
-                  f"{smoke['renders_per_s']} renders/s, "
+                  f"{smoke['grid_items_per_s']} grid items/s, "
                   f"{smoke['shards']} shards")
 
     result = {
@@ -254,7 +256,7 @@ def main() -> int:
         "smoke_1m": smoke_1m,
         "gates": {
             "bit_identical": bit_identical,
-            "renders_per_s": hi["renders_per_s"],
+            "grid_items_per_s": hi["grid_items_per_s"],
             "sharded_vs_monolithic_throughput": throughput_ratio,
             "user_growth": round(user_growth, 4),
             "rss_growth": rss_growth,

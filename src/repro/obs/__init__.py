@@ -1,8 +1,8 @@
 """repro.obs — zero-dependency observability for the render pipeline.
 
 Three layers, all stdlib-only so every other package may import this one
-(and nothing here imports any other repro package; ``report`` uses the
-dependency-free ``repro.schema`` walker):
+(and nothing here imports any other repro package; ``report`` and
+``events`` use the dependency-free ``repro.schema`` walker):
 
   recorder   span tracer (context-manager API, monotonic clocks, nesting),
              counters, and mergeable exponential histograms, behind a
@@ -20,9 +20,6 @@ dependency-free ``repro.schema`` walker):
              the ``python -m repro.obs.report`` CLI.
   trace      Chrome trace-event export of the span tree + event log
              (``python -m repro.obs.trace``), loadable in Perfetto.
-  regress    the bench-regression sentinel comparing fresh benchmark runs
-             against the committed BENCH_*.json baselines
-             (``python -m repro.obs.regress``).
 
 Metrics cross the ProcessPoolExecutor boundary as plain dicts: each pool
 worker returns a serializable per-render metrics snapshot next to its eFP

@@ -52,6 +52,9 @@ import json
 import os
 import time
 
+from ..schema import COUNT, NON_NEGATIVE, NUMBER, optional
+from ..schema import problems as schema_problems
+
 EVENT_SCHEMA = 1
 
 #: the closed registry of event kinds (schema-versioned: extending it is
@@ -85,6 +88,12 @@ EVENT_KINDS = frozenset({
 #: reserved top-level record fields a payload may not shadow
 RESERVED_FIELDS = frozenset({"schema", "seq", "kind", "t_wall_s",
                              "t_mono_s", "pid"})
+
+#: the envelope fields ``read_events`` checks once ``schema`` and ``kind``
+#: are known: what trace export orders, lanes and places events by
+#: (``seq`` is absent only on a record emitted outside a recorder)
+_ENVELOPE = {"seq": optional(COUNT), "pid": COUNT,
+             "t_mono_s": NON_NEGATIVE, "t_wall_s": NUMBER}
 
 #: fields stripped by ``normalize_events``: process identity, clocks, and
 #: measured durations — everything that legitimately varies between two
@@ -188,8 +197,8 @@ def read_events(path: str) -> tuple[list[dict], list[str]]:
     file that was being appended when the process died) is *tolerated* —
     the events before it are returned — but reported as a problem so
     validators can decide whether torn is acceptable. Any other
-    unparseable line, an unknown ``kind``, or a foreign ``schema`` is a
-    hard problem.
+    unparseable line, an unknown ``kind``, a foreign ``schema``, or an
+    envelope field of the wrong type is a hard problem.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -223,6 +232,11 @@ def read_events(path: str) -> tuple[list[dict], list[str]]:
                 or event["kind"] not in EVENT_KINDS:
             problems.append(f"event at line {i + 1} has unknown kind "
                             f"{event.get('kind')!r}")
+            continue
+        envelope = schema_problems(event, _ENVELOPE)
+        if envelope:
+            problems.extend(f"event at line {i + 1}: {problem}"
+                            for problem in envelope)
             continue
         events.append(event)
     return events, problems

@@ -25,8 +25,8 @@ import json
 import os
 import sys
 
-from ..schema import (ARRAY, BOOL, COUNT, NUMBER, OBJECT, STRING, each,
-                      maybe)
+from ..schema import (BOOL, COUNT, NON_NEGATIVE, NUMBER, OBJECT, STRING,
+                      each, maybe, optional)
 from ..schema import problems as schema_problems
 from .recorder import Histogram
 
@@ -101,12 +101,16 @@ _CHECKPOINT_FIELDS = ("writes", "torn_writes", "resumed_classes",
 #: the histogram bucket keys ``Histogram.to_dict`` can emit
 _BUCKET_KEYS = frozenset(str(i) for i in range(Histogram.MAX_BUCKET + 1))
 
-_SCHEMA = {
+#: the run report's shape; ``python -m repro.obs.trace`` checks a report
+#: against it too before exporting its spans
+REPORT_SCHEMA = {
     "kind": REPORT_KIND,
     "format": REPORT_FORMAT,
     "workload": OBJECT,
     "phases": [{"name": STRING, "duration_s": NUMBER}],
-    "spans": ARRAY,
+    "spans": [{"id": COUNT, "parent": maybe(COUNT), "name": STRING,
+               "start_s": NON_NEGATIVE, "duration_s": NON_NEGATIVE,
+               "attrs": optional(OBJECT)}],
     "counters": each(NUMBER),
     "histograms": each({"count": COUNT, "sum": NUMBER, "min": maybe(NUMBER),
                         "max": maybe(NUMBER), "buckets": each(COUNT)}),
@@ -120,7 +124,7 @@ _SCHEMA = {
     "checkpoint": maybe({"enabled": BOOL,
                          **dict.fromkeys(_CHECKPOINT_FIELDS, NUMBER)}),
     "events": maybe({"path": maybe(STRING), "count": COUNT,
-                     "kinds": each(COUNT)}),
+                     "kinds": each(COUNT), "pid": COUNT}),
 }
 
 #: the resilience contract: the supervised executor writes its summary
@@ -146,7 +150,7 @@ def validate_report(payload, base_dir: str | None = None) -> list[str]:
     Without it, relative sidecar paths resolve against the working
     directory.
     """
-    problems = schema_problems(payload, _SCHEMA)
+    problems = schema_problems(payload, REPORT_SCHEMA)
     if problems:
         return problems
     names = {phase["name"] for phase in payload["phases"]}

@@ -19,6 +19,10 @@ from above, the preceding emit bounds it from below), and later events
 of that pid keep their true relative spacing. The anchor pid comes from
 the report's ``events`` section when exporting a report, else from the
 first event in the log (``study.start`` is always parent-side).
+
+A report is checked against the run-report schema before export, and an
+event log through ``read_events``, so malformed input exits 2 naming
+the field; only a torn final log line is tolerated.
 """
 from __future__ import annotations
 
@@ -27,7 +31,9 @@ import json
 import os
 import sys
 
+from ..schema import problems as schema_problems
 from .events import EVENT_KINDS, read_events
+from .report import REPORT_KIND, REPORT_SCHEMA
 
 TRACE_PHASES = {"X", "i", "M"}
 
@@ -156,30 +162,51 @@ def validate_trace(payload) -> list[str]:
 
 # -- input dispatch ------------------------------------------------------------
 
-def _load_input(path: str):
-    """Classify ``path`` as ('trace'|'report'|'events', payload).
+def _read_log(path: str) -> list[dict]:
+    """The events of an event log: a torn final line is tolerated, any
+    other problem raises ValueError naming it."""
+    events, problems = read_events(path)
+    hard = [p for p in problems if not p.startswith("torn tail")]
+    if hard:
+        raise ValueError(f"{path}: " + "; ".join(hard))
+    return events
 
-    Reports and traces are JSON documents; an event log is JSONL (its
-    first line parses as one event object, the whole file does not parse
-    as one document)."""
+
+def _load_trace(path: str) -> dict:
+    """The trace ``path`` holds or exports to: a trace document as is, a
+    run report's spans plus its sidecar's events, or an event log's
+    events (a JSONL log does not parse as one JSON document). Raises
+    ValueError naming what is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
         payload = None
-    if isinstance(payload, dict):
-        if "traceEvents" in payload:
-            return "trace", payload
-        if payload.get("kind") == "repro.obs.report":
-            return "report", payload
+    if not isinstance(payload, dict):
+        return build_trace(events=_read_log(path))
+    if "traceEvents" in payload:
+        return payload
+    if payload.get("kind") != REPORT_KIND:
         raise ValueError(f"{path} is JSON but neither a trace document nor "
-                         f"a repro.obs.report")
-    events, problems = read_events(path)
-    hard = [p for p in problems if not p.startswith("torn tail")]
-    if hard:
-        raise ValueError(f"{path}: " + "; ".join(hard))
-    return "events", events
+                         f"a {REPORT_KIND}")
+    problems = schema_problems(payload, REPORT_SCHEMA)
+    if problems:
+        raise ValueError(f"{path} failed the run-report schema check:\n"
+                         + "\n".join(f"  - {p}" for p in problems))
+    section = payload["events"] or {"pid": None, "path": None}
+    events: list[dict] = []
+    if section["path"] is not None:
+        # an absolute sidecar path survives the join unchanged
+        sidecar = os.path.join(os.path.dirname(os.path.abspath(path)),
+                               section["path"])
+        try:
+            events = _read_log(sidecar)
+        except FileNotFoundError:
+            print(f"warning: events sidecar missing at {sidecar}; "
+                  f"exporting spans only", file=sys.stderr)
+    return build_trace(spans=payload["spans"], events=events,
+                       anchor_pid=section["pid"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -197,35 +224,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        shape, payload = _load_input(args.path)
+        trace = _load_trace(args.path)
     except FileNotFoundError:
         print(f"error: no input at {args.path}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a directory, bad bytes, bad fields
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if shape == "trace":
-        trace = payload
-    elif shape == "events":
-        trace = build_trace(events=payload)
-    else:  # report: spans from the document, events from its sidecar if any
-        events: list[dict] = []
-        anchor_pid = None
-        section = payload.get("events")
-        if isinstance(section, dict):
-            anchor_pid = section.get("pid")
-            sidecar = section.get("path")
-            if isinstance(sidecar, str):
-                resolved = sidecar if os.path.isabs(sidecar) else os.path.join(
-                    os.path.dirname(os.path.abspath(args.path)), sidecar)
-                try:
-                    events, _problems = read_events(resolved)
-                except FileNotFoundError:
-                    print(f"warning: events sidecar missing at {resolved}; "
-                          f"exporting spans only", file=sys.stderr)
-        trace = build_trace(spans=payload.get("spans"), events=events,
-                            anchor_pid=anchor_pid)
 
     problems = validate_trace(trace)
     if problems:

@@ -7,8 +7,8 @@ strings, so the cache is tiny even at paper scale: the 2093x30x7 study
 needs only a few hundred entries.
 
 In-memory it is an LRU (OrderedDict move-to-end); optionally it persists
-to a JSON file under ``benchmarks/.cache/`` so repeated benchmark runs
-skip even the first render of each class.
+to a JSON file (``disk_path``) so repeated runs skip even the first
+render of each class.
 """
 from __future__ import annotations
 

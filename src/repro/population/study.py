@@ -22,7 +22,7 @@ three phases:
 
 With the cache disabled every grid item is rendered (the honest
 baseline); at ``_MAX_BATCH = 1`` every row is its own engine pass (the
-serial reference the batching tests and ``bench_render_perf.py`` use).
+serial reference the batching tests use).
 
 ``run_study`` and ``repro.population.shards.run_study_sharded`` share
 one core — the front door ``_study_run``, the per-range step
@@ -70,10 +70,9 @@ from .sampler import sample_population
 
 _STUDY_STREAM = 0x57D  # per-user jitter streams, disjoint from the sampler's
 
-#: Pool engagement threshold, measured by benchmarks/bench_render_perf.py
-#: (see the "pool" section of BENCH_render.json — the worker sweep records
-#: where process-pool overhead actually pays off on this workload): below
-#: this many batch groups, fork + pickle overhead loses to inline rendering.
+#: Pool engagement threshold: below this many batch groups, fork + pickle
+#: overhead loses to inline rendering. The value comes from a worker sweep
+#: on a one-CPU host and is no longer re-measured.
 _POOL_GROUP_THRESHOLD = 4
 
 #: Batch rows per engine pass. Caps the working set of a batched render
@@ -334,7 +333,8 @@ def _resolve_workers(workers: int | None) -> tuple[int, int | None, int]:
     elif workers > max(cpu, 2):
         # Oversubscribing a small machine cannot win: more processes than
         # cores adds context-switch and serialization overhead (the
-        # committed worker sweep measures exactly this). Explicit requests
+        # one-CPU worker sweep behind _POOL_GROUP_THRESHOLD showed it, and
+        # is no longer re-measured). Explicit requests
         # are trimmed to the core count — but never below 2, so an
         # explicit >= 2 request keeps pool semantics (supervision, crash
         # isolation) even on a 1-core box. Results are worker-count

@@ -8,6 +8,8 @@ Run reports, analysis / tables / shard reports, shard manifests and saved
   ``[s]``       a homogeneous array
   ``each(s)``   a map: an object whose every value matches ``s``
   ``maybe(s)``  ``null`` or ``s``
+  ``optional(s)``  as an object's value: the key may be absent; if
+                present, its value matches ``s``
   a constant    ``kind`` / ``format``: equal in type *and* value, so
                 ``true`` never passes for ``1``
 
@@ -49,6 +51,16 @@ class maybe:  # noqa: N801
         self.schema = schema
 
 
+class optional:  # noqa: N801
+    """An object key that writers may leave out; present, it matches
+    ``schema``."""
+
+    __slots__ = ("schema",)
+
+    def __init__(self, schema):
+        self.schema = schema
+
+
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -60,6 +72,7 @@ def _integer(value) -> bool:
 COUNT = Check(lambda v: _integer(v) and v >= 0, "a non-negative integer")
 POSITIVE = Check(lambda v: _integer(v) and v > 0, "a positive integer")
 NUMBER = Check(_number, "numeric")
+NON_NEGATIVE = Check(lambda v: _number(v) and v >= 0, "a non-negative number")
 STRING = Check(lambda v: isinstance(v, str), "a string")
 BOOL = Check(lambda v: isinstance(v, bool), "a boolean")
 OBJECT = Check(lambda v: isinstance(v, dict), "an object")
@@ -88,6 +101,8 @@ def _walk(value, schema, path: str, out: list[str]) -> None:
     elif isinstance(schema, maybe):
         if value is not None:
             _walk(value, schema.schema, path, out)
+    elif isinstance(schema, optional):
+        _walk(value, schema.schema, path, out)
     elif isinstance(schema, (dict, each)):
         if not isinstance(value, dict):
             out.append(f"{where} must be an object")
@@ -99,7 +114,7 @@ def _walk(value, schema, path: str, out: list[str]) -> None:
                 at = f"{path}.{key}" if path else key
                 if key in value:
                     _walk(value[key], sub, at, out)
-                else:
+                elif not isinstance(sub, optional):
                     out.append(f"{at} missing")
     elif isinstance(schema, list):
         if not isinstance(value, list):

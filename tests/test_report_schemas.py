@@ -5,8 +5,9 @@ tables report, shard report, saved dataset, shard manifest — is built
 once. Hypothesis then draws a path into it and a replacement: any JSON
 value, deletion, or +1 on a number. Whatever the damage, the validator
 returns a list of strings and never raises, and a document it accepts
-renders without raising. ``HYPOTHESIS_PROFILE=deep`` searches longer
-(profiles are registered in the root ``conftest.py``).
+renders without raising — a run report both as tables and as a Chrome
+trace built from it and its events sidecar. ``HYPOTHESIS_PROFILE=deep``
+searches longer (profiles are registered in the root ``conftest.py``).
 """
 import atexit
 import copy
@@ -27,6 +28,8 @@ from repro.analysis import (build_analysis_report, build_tables_report,
                             validate_shard_report, validate_tables_report)
 from repro.obs.report import main as report_main
 from repro.obs.report import render_report, validate_report
+from repro.obs.trace import main as trace_main
+from repro.obs.trace import validate_trace
 from repro.population.shards import ShardIntegrityError, load_manifest
 from repro.vectors.registry import UnknownVectorError
 
@@ -86,10 +89,23 @@ def _manifest_problems(doc) -> list[str]:
     return []
 
 
+def _render_run(doc) -> None:
+    """Both renderings of an accepted run report: its tables, and the
+    Chrome trace exported from it and its events sidecar."""
+    render_report(doc)
+    path = os.path.join(documents()["root"], "damaged-report.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out = path + ".trace.json"
+    assert trace_main([path, "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert validate_trace(json.load(fh)) == []
+
+
 #: kind -> (validator, renderer or None)
 CHECKS = {
     "run": (lambda doc: validate_report(doc, documents()["root"]),
-            render_report),
+            _render_run),
     "analysis": (validate_analysis_report, render_analysis_report),
     "tables": (validate_tables_report, render_tables_report),
     "shard": (validate_shard_report, render_shard_report),
@@ -109,13 +125,12 @@ DAMAGE = st.one_of(JSON.map(lambda value: ("set", value)),
 
 
 def _paths(node, prefix=()):
-    """Every path into ``node`` (the run report's timing spans skipped)."""
+    """Every path into ``node``."""
     items = node.items() if isinstance(node, dict) \
         else enumerate(node) if isinstance(node, list) else ()
     for key, child in items:
         yield prefix + (key,)
-        if prefix + (key,) != ("spans",):
-            yield from _paths(child, prefix + (key,))
+        yield from _paths(child, prefix + (key,))
 
 
 def _mutations(kind):
@@ -157,6 +172,7 @@ def test_every_document_is_valid_undamaged():
 
 @given(mutation=_mutations("run"))
 @example(mutation=(("events", "kinds", "cache.miss"), ("set", "many")))
+@example(mutation=(("spans", 1, "start_s"), ("set", -1)))
 @example(mutation=(("histograms", "render.batch_size", "max"), ("delete",)))
 def test_run_report(mutation):
     _check("run", mutation)
@@ -240,3 +256,51 @@ def test_check_exits_2_on_undecodable_json(tmp_path, capsys, raw):
     path.write_bytes(raw)
     assert report_main([str(path), "--check"]) == 2
     assert "is not valid JSON" in capsys.readouterr().err
+
+
+# -- fixed cases: run reports and sidecars that used to crash trace export ---
+
+@pytest.mark.parametrize("path, damage, named", [
+    (("spans", 0, "start_s"), ("delete",), "spans[0].start_s missing"),
+    (("spans", 0), ("set", 1), "spans[0] must be an object"),
+    (("spans", 0, "attrs"), ("set", [1]), "spans[0].attrs must be an object"),
+    (("spans", 0, "duration_s"), ("set", "x"),
+     "spans[0].duration_s must be a non-negative number"),
+    (("events", "pid"), ("set", "x"),
+     "events.pid must be a non-negative integer"),
+    (("spans",), ("set", 5), "spans must be an array"),
+], ids=["no-start_s", "span-not-object", "attrs-list", "duration-string",
+        "events-pid-string", "spans-number"])
+def test_damaged_run_report_is_refused_by_check_and_export(
+        tmp_path, capsys, path, damage, named):
+    doc = _damaged(documents()["run"], path, damage)
+    code, err = _check_cli(tmp_path, capsys, doc)
+    assert code == 2
+    assert named in err
+    assert trace_main([str(tmp_path / "doc.json"), "--check"]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_mono_s", "x"), ("pid", [1]), ("seq", "a"), ("t_mono_s", -1)])
+def test_damaged_sidecar_line_is_refused_by_check_and_export(
+        tmp_path, capsys, field, value):
+    run = copy.deepcopy(documents()["run"])
+    with open(run["events"]["path"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    event = json.loads(lines[0])
+    event[field] = value
+    lines[0] = json.dumps(event)
+    sidecar = tmp_path / "events.jsonl"
+    sidecar.write_text("\n".join(lines) + "\n")
+    run["events"]["path"] = str(sidecar)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(run))
+    named = f"event at line 1: {field} must be"
+    assert report_main([str(report), "--check"]) == 2
+    assert named in capsys.readouterr().err
+    for exported in (report, sidecar):
+        assert trace_main([str(exported), "--check"]) == 2
+        assert named in capsys.readouterr().err

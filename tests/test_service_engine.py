@@ -240,6 +240,43 @@ class TestBackpressure:
         assert isinstance(late, IngestShed)
         assert late.reason == SHED_STOPPING
 
+    def test_lookup_answers_while_overload_sheds(self, tmp_path, visits,
+                                                  monkeypatch):
+        """Overload against a stalled consumer: every refused ingest is a
+        typed shed, and a lookup of an already-applied user answers
+        ``found`` while the stalled ingests are still waiting — reads
+        never queue behind the writer."""
+        stall = {"s": 0.0}
+        monkeypatch.setattr("repro.resilience.faults.slow_consumer",
+                            lambda: stall["s"])
+        service = FingerprintService(
+            str(tmp_path / "svc"), STUDY["vectors"],
+            config=ServiceConfig(queue_limit=2, batch_max=1))
+
+        async def go():
+            await service.start()
+            await service.ingest(visits[0])   # applied before the stall
+            stall["s"] = 0.5
+            offered = time.monotonic()
+            tasks = [asyncio.create_task(service.ingest(v))
+                     for v in visits[1:9]]
+            await asyncio.sleep(0)            # each ingest queued or shed
+            answer = await service.lookup(visits[0].user)
+            answered_after = time.monotonic() - offered
+            waiting = sum(not task.done() for task in tasks)
+            stall["s"] = 0.0                  # later batches drain at once
+            results = await asyncio.gather(*tasks)
+            await service.stop()
+            return answer, answered_after, waiting, results
+        answer, answered_after, waiting, results = asyncio.run(go())
+        assert answer.found
+        assert waiting >= 1 and answered_after < 0.5  # the stall had not ended
+        refused = [r for r in results if not isinstance(r, IngestAccepted)]
+        assert refused, "8 ingests into a 2-slot stalled queue shed nothing"
+        assert all(isinstance(r, IngestShed)
+                   and r.reason in (SHED_QUEUE_FULL, SHED_DEADLINE)
+                   for r in refused)
+
     def test_slow_consumer_fault_plan_drives_backpressure(self, tmp_path,
                                                           visits,
                                                           monkeypatch):
