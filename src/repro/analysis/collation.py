@@ -20,8 +20,11 @@ analysis measures.
 
 Implementation notes (scales past the paper's 2093 x 30 x 7 grid):
 
-- eFPs are integer-interned once (``StudyDataset.intern``), so the
-  whole computation runs on an ``(users, iterations)`` int64 grid.
+- The whole computation runs on an ``(users, iterations)`` int64 grid
+  of interned eFP ids (``StudyDataset.intern``). A dataset the study
+  driver built already holds that grid; ``intern`` walks eFP strings
+  only for a dataset built from string series (loaded from JSON or
+  reassembled from shards), once per vector.
 - Per-series edges are built vectorized as a star from each row's first
   eFP to every other eFP in the row — connectivity-equivalent to the
   full per-series clique at O(iterations) instead of O(iterations²)

@@ -3,8 +3,9 @@
 Keys are ``vector|stack.cache_key()|jitter_path`` — the complete identity
 of a render's numeric output (ENGINE_VERSION rides inside the stack key,
 so any DSP change invalidates everything at once). Values are eFP digest
-strings, so the cache is tiny even at paper scale: the 2093x30x7 study
-needs only a few hundred entries.
+strings, so the cache is tiny even at paper scale: at seed 2021 the
+2093x30 study needs 2,226 entries for the 7 audio vectors and 3,404 for
+the full 11-vector battery.
 
 In-memory it is an LRU (OrderedDict move-to-end); optionally it persists
 to a JSON file (``disk_path``) so repeated runs skip even the first

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,15 +21,59 @@ _SCHEMA = {
     "series": each(each(_EFPS)),
 }
 
-@dataclass
+
 class StudyDataset:
-    seed: int
-    user_count: int
-    iterations: int
-    vectors: tuple[str, ...]
-    users: list[dict] = field(default_factory=list)
-    #: series[vector][user_id] = [eFP per iteration]
-    series: dict[str, dict[str, list[str]]] = field(default_factory=dict)
+    """A study's users and their eFP series, held in one of two forms.
+
+    ``series[vector][user_id]`` is the list of eFP strings per iteration
+    (how datasets load from JSON and reassemble from shards);
+    ``interned[vector]`` is ``(codes, labels)``, an ``(n_users,
+    iterations)`` int64 grid of eFP ids plus the eFP string behind each
+    id (how the study driver builds them). A dataset keeps the form it
+    was built with and derives the other on first use, so analysis of a
+    driver-built dataset never walks strings and only callers that
+    serialize pay for the string series. Both forms describe the same
+    data: ``to_dict``, ``save`` and ``==`` do not depend on which one a
+    dataset was built with.
+    """
+
+    def __init__(self, seed: int, user_count: int, iterations: int,
+                 vectors: tuple[str, ...], users: list[dict] | None = None,
+                 series: dict[str, dict[str, list[str]]] | None = None,
+                 interned: dict[str, tuple[np.ndarray, list[str]]]
+                 | None = None):
+        self.seed = seed
+        self.user_count = user_count
+        self.iterations = iterations
+        self.vectors = vectors
+        self.users = users if users is not None else []
+        if interned is None:
+            self._series = series if series is not None else {}
+            self._interned = {}
+        elif series is None:
+            self._series = None
+            self._interned = dict(interned)
+            for codes, _ in self._interned.values():
+                codes.setflags(write=False)
+        else:
+            raise ValueError("pass series or interned, not both")
+
+    def __repr__(self) -> str:
+        return (f"StudyDataset(seed={self.seed!r}, "
+                f"user_count={self.user_count!r}, "
+                f"iterations={self.iterations!r}, vectors={self.vectors!r})")
+
+    @property
+    def series(self) -> dict[str, dict[str, list[str]]]:
+        """``series[vector][user_id] = [eFP per iteration]``."""
+        if self._series is None:
+            user_ids = self.user_ids()
+            self._series = {
+                vector: dict(zip(user_ids,
+                                 np.array(labels, dtype=object)[codes]
+                                 .tolist()))
+                for vector, (codes, labels) in self._interned.items()}
+        return self._series
 
     # -- analysis helpers ---------------------------------------------------
     def distinct_counts(self, vector: str) -> dict[str, int]:
@@ -54,24 +97,30 @@ class StudyDataset:
     def intern(self, vector: str) -> tuple[np.ndarray, list[str], list[str]]:
         """Integer-intern one vector's series for vectorized analysis.
 
-        Returns ``(codes, labels, user_ids)``: ``codes`` is an
+        Returns ``(codes, labels, user_ids)``: ``codes`` is a read-only
         ``(n_users, iterations)`` int64 grid of interned eFP ids,
         ``labels[i]`` is the eFP string behind id ``i`` (ids assigned in
         first-appearance order scanning users canonically), and
         ``user_ids`` names the rows. The collation layer operates on
-        this grid only — string eFPs are touched exactly once here.
+        this grid only. A driver-built dataset already holds it; a
+        dataset built from string series walks them once per vector, on
+        first use.
         """
-        table: dict[str, int] = {}
         user_ids = self.user_ids()
-        codes = np.empty((len(user_ids), self.iterations), dtype=np.int64)
-        series = self.series[vector]
-        for row, uid in enumerate(user_ids):
-            for col, efp in enumerate(series[uid]):
-                code = table.get(efp)
-                if code is None:
-                    code = table[efp] = len(table)
-                codes[row, col] = code
-        return codes, list(table), user_ids
+        if vector not in self._interned:
+            table: dict[str, int] = {}
+            codes = np.empty((len(user_ids), self.iterations), dtype=np.int64)
+            series = self.series[vector]
+            for row, uid in enumerate(user_ids):
+                for col, efp in enumerate(series[uid]):
+                    code = table.get(efp)
+                    if code is None:
+                        code = table[efp] = len(table)
+                    codes[row, col] = code
+            codes.setflags(write=False)
+            self._interned[vector] = (codes, list(table))
+        codes, labels = self._interned[vector]
+        return codes, list(labels), user_ids
 
     # -- (de)serialization --------------------------------------------------
     def to_dict(self) -> dict:

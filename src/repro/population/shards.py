@@ -519,20 +519,19 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                                    stop=stop) as shard_span:
                     devices = sample_population_slice(run.user_count,
                                                       run.seed, start, stop)
-                    item_keys, classes = _plan(run, devices,
-                                               first_index=start)
-                    grid_items += sum(len(k) for k in item_keys.values())
-                    seen_classes.update(classes)
+                    grids, classes = _plan(run, devices, first_index=start)
+                    grid_items += sum(grid.size for grid in grids.values())
+                    seen_classes.update(key for key, _ in classes)
                     shard.classes = len(classes)
-                    rendered, misses = _render_range(
-                        run, tally, item_keys, classes, shard.paths.checkpoint,
+                    efps, _, misses = _render_range(
+                        run, tally, grids, classes, shard.paths.checkpoint,
                         dict(study, shard=[start, stop]))
                     rendered_classes += misses
                     if run.measuring:
                         shard_span.set(users=stop - start,
                                        distinct_classes=len(classes),
                                        rendered=misses)
-                    dataset = _assemble(run, devices, item_keys, rendered)
+                    dataset = _assemble(run, devices, grids, efps)
                     manifest = write_shard(shard.paths, study, index, start,
                                            stop, dataset)
                     with suppress(OSError):  # the manifest supersedes it
@@ -546,7 +545,7 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                                classes=len(classes))
                 # free this shard's grid before the next shard (or the
                 # merge) builds its own: peak memory stays one shard's worth
-                del devices, item_keys, classes, rendered, dataset
+                del devices, grids, classes, efps, dataset
 
         with _phase(recorder, "assemble"):
             is_partition = ranges[0][0] == 0 \

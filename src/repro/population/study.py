@@ -6,9 +6,12 @@ collapses to its distinct equivalence classes. ``run_study`` works in
 three phases:
 
   1. PLAN     — sample the population and deterministically pre-draw every
-                iteration's jitter path (cheap, no DSP): the item grid
-                plus the set of distinct class keys.
-  2. RENDER   — resume from the checkpoint, probe the cache once per class,
+                iteration's jitter path (cheap, no DSP): per vector, a
+                (users, iterations) grid of integer class ids, plus one
+                class table holding each class's (vector, stack, path)
+                and cache key.
+  2. RENDER   — resolve every class to its eFP: resume from the
+                checkpoint, probe the cache once per class,
                 and render the misses grouped by (vector, stack), up to
                 ``_MAX_BATCH`` rows per engine pass (each row bit-identical
                 to rendering it alone, pinned by tests). Groups run under a
@@ -18,7 +21,10 @@ three phases:
                 budget that ends in a structured ``StudyExecutionError``.
                 With ``checkpoint_path`` set, renders are crash-safely
                 checkpointed, so a killed run resumes byte-identically.
-  3. ASSEMBLE — build the per-user series by lookup only.
+  3. ASSEMBLE — per vector, map class ids to eFP codes and index the grid
+                with that map: array work, no per-item lookup. The
+                dataset keeps the codes; string series are derived only
+                for callers that serialize.
 
 With the cache disabled every grid item is rendered (the honest
 baseline); at ``_MAX_BATCH = 1`` every row is its own engine pass (the
@@ -220,22 +226,35 @@ def _absorb_batch_metrics(recorder, metrics: dict) -> None:
 
 
 def _plan(run: _StudyRun, devices: list[Device], first_index: int = 0):
-    """Pre-draw all jitter paths; return per-item keys and the class table.
+    """Pre-draw all jitter paths; return the class-id grids and the class
+    table.
 
-    Analyser-free vectors draw nothing from the rng, so adding/removing
-    them never shifts another vector's jitter stream. ``first_index`` is
-    the global population index of ``devices[0]`` — per-user jitter
-    streams are seeded by global index, so planning a shard of the
-    population draws exactly the paths the monolithic plan would.
+    ``grids[vector]`` is a ``(users, iterations)`` int32 array of class
+    ids and ``classes[id]`` is ``(key, (vector, stack, path))``. Ids
+    follow first-seen order (user by user, each user's vectors in run
+    order), so within one vector ascending id order is first-appearance
+    order in its grid; a class's cache key is built once, when it is
+    first seen. Analyser-free vectors draw nothing from the rng, so
+    adding/removing them never shifts another vector's jitter stream,
+    and each of their rows is one class broadcast over every iteration.
+    ``first_index`` is the global population index of ``devices[0]`` —
+    per-user jitter streams are seeded by global index, so planning a
+    shard of the population draws exactly the paths the monolithic plan
+    would.
     """
-    item_keys: dict[tuple[str, str], list[str]] = {}   # (vector, user_id) -> keys
-    classes: dict[str, tuple[str, object, str]] = {}
+    iterations = run.iterations
+    grids = {name: np.empty((len(devices), iterations), dtype=np.int32)
+             for name in run.vectors}
+    classes: list[tuple[str, tuple[str, AudioStack, str]]] = []
+    # (vector, stack key) -> path -> class id
+    by_stack: dict[tuple[str, str], dict[str, int]] = {}
+    battery = [(name, get_vector(name)) for name in run.vectors]
     for offset, device in enumerate(devices):
         rng = np.random.default_rng(np.random.SeedSequence(
             [run.seed, _STUDY_STREAM, first_index + offset]))
-        repertoire = sample_repertoire(rng, device.load)
-        for vector_name in run.vectors:
-            vector = get_vector(vector_name)
+        load = device.load
+        repertoire = sample_repertoire(rng, load)
+        for vector_name, vector in battery:
             # each vector fingerprints its own per-device stack (the audio
             # stack for audio vectors; UA/canvas/fonts/math identities for
             # the comparators) — the class key and the render input both
@@ -243,18 +262,19 @@ def _plan(run: _StudyRun, devices: list[Device], first_index: int = 0):
             # (vector, stack, path) across every fingerprint surface
             stack = vector.stack_of(device)
             stack_key = stack.cache_key()
-            keys = []
-            for _ in range(run.iterations):
-                if vector.uses_analyser:
-                    path = sample_path(rng, device.load, repertoire)
-                else:
-                    path = vector.canonical_path(None)
-                key = RenderCache.make_key(vector_name, stack_key, path)
-                keys.append(key)
-                if key not in classes:
-                    classes[key] = (vector_name, stack, path)
-            item_keys[(vector_name, device.user_id)] = keys
-    return item_keys, classes
+            ids = by_stack.setdefault((vector_name, stack_key), {})
+            paths = ([sample_path(rng, load, repertoire)
+                      for _ in range(iterations)]
+                     if vector.uses_analyser
+                     else [vector.canonical_path(None)])
+            for path in dict.fromkeys(paths):  # distinct, first-seen order
+                if path not in ids:
+                    ids[path] = len(classes)
+                    classes.append((RenderCache.make_key(
+                        vector_name, stack_key, path),
+                        (vector_name, stack, path)))
+            grids[vector_name][offset] = [ids[path] for path in paths]
+    return grids, classes
 
 
 # -- the driver core ---------------------------------------------------------
@@ -419,18 +439,21 @@ def _phase(recorder, name: str, **attrs):
     recorder.event("phase.end", phase=name)
 
 
-def _render_range(run: _StudyRun, tally: _Tally, item_keys, classes,
-                  checkpoint_path, fingerprint) -> tuple[dict[str, str], int]:
+def _render_range(run: _StudyRun, tally: _Tally, grids, classes,
+                  checkpoint_path, fingerprint) -> tuple[list[str], int, int]:
     """The per-range step both drivers share: resume, then probe, then
     render one planned range of the population.
 
     Misses render as supervised batch groups, checkpointed every
     ``run.checkpoint_every`` completed jobs when ``checkpoint_path`` is
     set, and go into the cache. With the cache disabled the probe
-    degrades to the honest baseline: one real render per grid item,
-    charged through the miss-counter API so benchmark speedups isolate
-    the cache. Returns ``(rendered, misses)``: class key -> eFP (resumed
-    classes included) and the number of classes sent to the renderer.
+    degrades to the honest baseline: one real render per grid item, in
+    grid order (user by user, each user's vectors in run order), charged
+    through the miss-counter API so benchmark speedups isolate the
+    cache. Returns ``(efps, rendered, misses)``: one eFP per class id
+    (from the checkpoint, the probe or the renderer), the number of
+    classes rendered or resumed, and the number of renders sent to the
+    renderer.
     """
     recorder, cache = run.recorder, run.cache
     resumed: dict[str, str] = {}
@@ -443,21 +466,30 @@ def _render_range(run: _StudyRun, tally: _Tally, item_keys, classes,
         # only classes this plan wants can be resumed; an ENGINE_VERSION
         # bump changes every stack key, so a stale checkpoint resumes
         # nothing (and everything re-renders)
-        resumed = {key: efp for key, efp in loaded.items() if key in classes}
+        planned = {key for key, _ in classes}
+        resumed = {key: efp for key, efp in loaded.items() if key in planned}
         if resumed:
             tally.checkpoint["resumed_classes"] = len(resumed)
             recorder.count("checkpoint.resumed_classes", len(resumed))
             recorder.event("checkpoint.resume", classes=len(resumed))
 
+    found: dict[str, str] = {}  # probe hits: class key -> eFP
     if cache.disabled:
-        keyed = [(key, classes[key])
-                 for keys in item_keys.values() for key in keys
-                 if key not in resumed]
+        items = np.stack([grids[name] for name in run.vectors], axis=1)
+        keyed = [classes[cid] for cid in items.ravel().tolist()
+                 if classes[cid][0] not in resumed]
         cache.record_miss(len(keyed))
     else:
         with recorder.span("probe"):
-            keyed = [(key, classes[key]) for key in classes
-                     if key not in resumed and cache.get(key) is None]
+            keyed = []
+            for key, spec in classes:
+                if key in resumed:
+                    continue
+                efp = cache.get(key)
+                if efp is None:
+                    keyed.append((key, spec))
+                else:
+                    found[key] = efp
 
     workers, requested = run.workers, run.requested_workers
     jobs = _group_jobs(keyed, run.measuring)
@@ -530,20 +562,32 @@ def _render_range(run: _StudyRun, tally: _Tally, item_keys, classes,
     tally.pooled = tally.pooled or pooled
     if run.measuring:
         recorder.count("pool.jobs", len(jobs))
-    return rendered, len(keyed)
+    found.update(rendered)
+    return [found[key] for key, _ in classes], len(rendered), len(keyed)
 
 
-def _assemble(run: _StudyRun, devices: list[Device], item_keys,
-              rendered: dict[str, str]) -> StudyDataset:
-    """One range's dataset: its users' series, by lookup only — in the
-    cache, or in the range's own renders when the cache is disabled."""
-    lookup = rendered.__getitem__ if run.cache.disabled else run.cache.get
-    series: dict[str, dict[str, list[str]]] = {v: {} for v in run.vectors}
-    for (vector_name, user_id), keys in item_keys.items():
-        series[vector_name][user_id] = [lookup(key) for key in keys]
+def _assemble(run: _StudyRun, devices: list[Device], grids,
+              efps: list[str]) -> StudyDataset:
+    """One range's dataset, by array indexing: per vector, class ids map
+    to eFP codes in first-appearance order (several classes may share an
+    eFP), and the class-id grid indexes that map. The cache is never
+    read; the grid's hits are charged in one call, as the per-item
+    lookups they stand for would have been."""
+    interned = {}
+    codes_of = np.empty(len(efps), dtype=np.int64)  # class id -> eFP code
+    for name in run.vectors:
+        grid = grids[name]
+        table: dict[str, int] = {}
+        # ascending class id is first-appearance order within one vector
+        for cid in np.unique(grid).tolist():
+            codes_of[cid] = table.setdefault(efps[cid], len(table))
+        interned[name] = (codes_of[grid], list(table))
+    if not run.cache.disabled:
+        run.cache.record_hit(sum(grid.size for grid in grids.values()))
     return StudyDataset(seed=run.seed, user_count=len(devices),
                         iterations=run.iterations, vectors=run.vectors,
-                        users=[d.describe() for d in devices], series=series)
+                        users=[d.describe() for d in devices],
+                        interned=interned)
 
 
 def _merge_resilience(summaries: list[dict], checkpoint_info: dict) -> dict:
@@ -679,8 +723,8 @@ def run_study(user_count: int, iterations: int = 30,
                     iterations=run.iterations,
                     vectors=list(run.vectors)) as plan_span:
             devices = sample_population(run.user_count, run.seed)
-            item_keys, classes = _plan(run, devices)
-            grid_items = sum(len(keys) for keys in item_keys.values())
+            grids, classes = _plan(run, devices)
+            grid_items = sum(grid.size for grid in grids.values())
             if run.measuring:
                 plan_span.set(grid_items=grid_items,
                               distinct_classes=len(classes))
@@ -688,12 +732,12 @@ def run_study(user_count: int, iterations: int = 30,
         fingerprint = study_fingerprint(run.seed, run.user_count,
                                         run.iterations, run.vectors)
         with _phase(recorder, "render") as render_span:
-            rendered, _ = _render_range(run, tally, item_keys, classes,
-                                        checkpoint_path, fingerprint)
+            efps, rendered, _ = _render_range(run, tally, grids, classes,
+                                              checkpoint_path, fingerprint)
         with _phase(recorder, "assemble"):
-            dataset = _assemble(run, devices, item_keys, rendered)
+            dataset = _assemble(run, devices, grids, efps)
         recorder.event("study.end", grid_items=grid_items,
-                       distinct_classes=len(classes), rendered=len(rendered))
+                       distinct_classes=len(classes), rendered=rendered)
         _write_report(run, tally, render_span.duration_s,
                       grid_items=grid_items, distinct_classes=len(classes))
         return dataset

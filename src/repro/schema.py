@@ -62,7 +62,17 @@ class optional:  # noqa: N801
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float, never a bool; an int must fit a float, because
+    validators and renderers do float arithmetic on numbers."""
+    if isinstance(value, float):
+        return True
+    if not _integer(value):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _integer(value) -> bool:

@@ -2,8 +2,10 @@
 
 Every audio vector is a *pure function* ``render(stack, jitter_path) ->
 eFP`` (an md5 hex digest, the paper's elementary fingerprint). Purity is
-load-bearing: it is what lets the study runner collapse 440k renders into
-a few hundred equivalence classes.
+load-bearing: it is what lets the study runner collapse the 2093 x 30
+grid into its equivalence classes — at seed 2021, 439,530 grid items
+into 2,226 classes for the 7 audio vectors, and 690,690 into 3,404 for
+all 11.
 
 Comparator vectors (canvas, fonts, useragent, mathjs) ride the same
 machinery: each declares the per-device stack it fingerprints via

@@ -4,8 +4,13 @@
    workers=2 reports the same aggregate counters (and a bit-identical
    dataset) as the same run inline;
 2. the null-recorder fast path — with observability disabled, run_study
-   makes a constant number of recorder calls per run and zero per render.
+   makes a constant number of recorder calls per run and zero per render;
+3. what a cold run and then a warm run over one cache report: the
+   ``study.end`` event, ``cache.stats()`` and the run report's cache
+   section.
 """
+import json
+
 import pytest
 
 from repro import RenderCache, run_study
@@ -136,3 +141,61 @@ class TestNullFastPath:
         plain = run_study(user_count=5, iterations=3, vectors=("dc", "fft"),
                           seed=3, workers=0)
         assert spy_dataset == plain
+
+
+class TestColdThenWarm:
+    """A cold run renders every class; a warm run over the same cache
+    renders none. 6 users x 4 iterations x 3 vectors = 72 grid items in
+    14 classes. Every grid item is charged as a cache hit at assembly, on
+    top of the probe's one lookup per class."""
+
+    STUDY = dict(user_count=6, iterations=4, vectors=("dc", "fft", "canvas"),
+                 seed=11, workers=0)
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("cold-warm")
+        cache = RenderCache()
+        results = {}
+        for label in ("cold", "warm"):
+            report_path = tmp / f"{label}.json"
+            events_path = tmp / f"{label}.jsonl"
+            run_study(cache=cache, report_path=str(report_path),
+                      event_log_path=str(events_path), **self.STUDY)
+            events = [json.loads(line)
+                      for line in events_path.read_text().splitlines()]
+            results[label] = {
+                "end": next(e for e in events if e["kind"] == "study.end"),
+                "misses": [e["n"] for e in events
+                           if e["kind"] == "cache.miss"],
+                "stats": cache.stats(),
+                "report_cache": json.loads(report_path.read_text())["cache"],
+            }
+        return results
+
+    @staticmethod
+    def _stats(hits, misses):
+        return {"hits": hits, "misses": misses,
+                "hit_rate": hits / (hits + misses), "entries": 14,
+                "capacity": 100_000, "disabled": False, "evictions": 0,
+                "disk_loads": 0, "corrupt_entries": 0, "stale_prunes": 0}
+
+    @pytest.mark.parametrize("label, rendered", [("cold", 14), ("warm", 0)])
+    def test_study_end_counts_rendered_classes(self, runs, label, rendered):
+        end = runs[label]["end"]
+        assert (end["grid_items"], end["distinct_classes"],
+                end["rendered"]) == (72, 14, rendered)
+
+    def test_cold_stats(self, runs):
+        assert runs["cold"]["stats"] == self._stats(hits=72, misses=14)
+        assert runs["cold"]["misses"] == [1] * 14
+
+    def test_warm_stats(self, runs):
+        # stats accumulate over the shared cache: the cold run's 72 hits,
+        # then the warm probe's 14 and the warm assembly's 72
+        assert runs["warm"]["stats"] == self._stats(hits=158, misses=14)
+        assert runs["warm"]["misses"] == []
+
+    @pytest.mark.parametrize("label", ["cold", "warm"])
+    def test_report_cache_section_is_the_stats(self, runs, label):
+        assert runs[label]["report_cache"] == runs[label]["stats"]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import RenderCache, run_study
+from repro import RenderCache, StudyDataset, run_study
 from repro.platform import AudioStack
 from repro.vectors import get_vector
 
@@ -136,6 +136,20 @@ class TestBitIdentity:
         cached = run_study(cache=RenderCache(), **kwargs)
         uncached = run_study(cache=RenderCache(disabled=True), **kwargs)
         assert cached == uncached
+
+    def test_cache_smaller_than_the_class_count(self, tmp_path):
+        """A cache that evicts during the run cannot change the dataset:
+        the study assembles from its own eFPs and never reads the cache
+        back (here 8 entries serve 48 classes)."""
+        kwargs = dict(user_count=40, iterations=6, vectors=("dc", "fft"),
+                      seed=3, workers=0)
+        cache = RenderCache(capacity=8)
+        small = run_study(cache=cache, **kwargs)
+        assert cache.evictions > 0
+        assert small == run_study(cache=RenderCache(), **kwargs)
+        path = str(tmp_path / "small.json")
+        small.save(path)
+        assert StudyDataset.load(path) == small
 
 
 class TestDisk:

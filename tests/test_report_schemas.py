@@ -113,8 +113,12 @@ CHECKS = {
     "manifest": (_manifest_problems, None),
 }
 
+#: integers too large for a float (float() raises OverflowError)
+HUGE_INTEGERS = (st.integers(min_value=2**1024, max_value=2**1100)
+                 | st.integers(min_value=-2**1100, max_value=-2**1024))
+
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers()
+    st.none() | st.booleans() | st.integers() | HUGE_INTEGERS
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=4), children, max_size=3),
@@ -188,6 +192,8 @@ def test_analysis_report(mutation):
 
 @given(mutation=_mutations("tables"))
 @example(mutation=(("audio_vectors",), ("set", [["dc"]])))
+@example(mutation=(("table2_audio", "vectors", "dc", "entropy_bits"),
+                   ("set", 10**400)))
 @example(mutation=(("match_scores", "splits", 0), ("increment",)))
 @example(mutation=(("table2_audio", "combined"), ("delete",)))
 def test_tables_report(mutation):
@@ -225,6 +231,15 @@ def test_check_names_non_string_dataset_vectors(tmp_path, capsys):
     code, err = _check_cli(tmp_path, capsys, doc)
     assert code == 2
     assert "dataset.vectors[0] must be a string" in err
+    assert "Traceback" not in err
+
+
+def test_check_names_integer_too_large_for_a_float(tmp_path, capsys):
+    doc = copy.deepcopy(documents()["tables"])
+    doc["table2_audio"]["vectors"]["dc"]["entropy_bits"] = 10**400
+    code, err = _check_cli(tmp_path, capsys, doc)
+    assert code == 2
+    assert "table2_audio.vectors['dc'].entropy_bits must be numeric" in err
     assert "Traceback" not in err
 
 
