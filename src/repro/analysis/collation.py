@@ -28,7 +28,10 @@ Implementation notes (scales past the paper's 2093 x 30 x 7 grid):
 - Per-series edges are built vectorized as a star from each row's first
   eFP to every other eFP in the row — connectivity-equivalent to the
   full per-series clique at O(iterations) instead of O(iterations²)
-  edges — then deduplicated grid-wide with one ``np.unique``.
+  edges — then deduplicated grid-wide with one ``np.unique`` over a
+  1-D int64 key per edge (``lo * n + hi``), which sorts the edges in
+  the same (lo, hi) order as a row-wise unique at a fraction of its
+  cost.
 - Components come from an iterative array-backed union-find (path
   halving, no recursion) over the deduplicated edges, plus one
   vectorized pointer-jumping pass to resolve every node's root. Work is
@@ -100,6 +103,10 @@ def series_edges(codes: np.ndarray) -> np.ndarray:
     Each row contributes a star from its first eFP to every later eFP —
     enough for connectivity, linear in the row length. Self-loops are
     dropped; undirected duplicates collapse via (lo, hi) normalization.
+    The edges come back sorted by (lo, hi), in the codes' dtype: the
+    dedup sorts the 1-D key ``lo * n + hi`` (n = the largest id + 1,
+    so the key orders pairs exactly as ``np.unique(pairs, axis=0)``
+    would, far faster; interned ids are dense, so it fits int64).
     """
     if codes.shape[1] < 2:
         return np.empty((0, 2), dtype=np.int64)
@@ -110,8 +117,12 @@ def series_edges(codes: np.ndarray) -> np.ndarray:
     if not mask.any():
         return np.empty((0, 2), dtype=np.int64)
     u, v = u[mask], v[mask]
-    pairs = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
-    return np.unique(pairs, axis=0)
+    lo = np.minimum(u, v).astype(np.int64)
+    hi = np.maximum(u, v).astype(np.int64)
+    n = int(hi.max()) + 1
+    keys = np.unique(lo * n + hi)
+    return np.stack(np.divmod(keys, n), axis=1).astype(codes.dtype,
+                                                        copy=False)
 
 
 @dataclass(frozen=True, eq=False)

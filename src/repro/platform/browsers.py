@@ -12,24 +12,35 @@ Version pools are head-heavy (auto-update concentrates mass on the
 current release train) with a long tail of stragglers; OS build pools
 model the slower OS upgrade cadence. All draws go through
 ``pick_weighted``: one ``rng.random()`` per draw against a cumulative
-table, deterministic given the caller's per-user stream.
+table, deterministic given the caller's per-user stream. Each table's
+cumulative distribution is computed once per process, not once per pick.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+
+@lru_cache(maxsize=256)
+def _cumulative(table: tuple) -> tuple[tuple, tuple[float, ...]]:
+    """A table's values and cumulative distribution, computed once per
+    distinct table content (tables are compared by value, never by id)."""
+    weights = np.array([w for _, w in table], dtype=np.float64)
+    cdf = np.cumsum(weights / weights.sum())
+    return tuple(value for value, _ in table), tuple(cdf.tolist())
 
 
 def pick_weighted(rng: np.random.Generator, table) -> str:
     """One weighted draw from ``[(value, weight), ...]`` — a single
     ``rng.random()`` against the table's cumulative distribution, so the
-    caller's stream advances by exactly one draw per pick."""
-    weights = np.array([w for _, w in table], dtype=np.float64)
-    cdf = np.cumsum(weights / weights.sum())
-    index = min(int(np.searchsorted(cdf, rng.random(), side="right")),
-                len(table) - 1)
-    return table[index][0]
+    caller's stream advances by exactly one draw per pick. ``bisect_right``
+    is ``np.searchsorted(cdf, u, side="right")`` on a list: the same
+    binary search, without the array call."""
+    values, cdf = _cumulative(tuple(table))
+    return values[min(bisect_right(cdf, rng.random()), len(values) - 1)]
 
 
 #: browser release trains, head-first (value, weight)

@@ -15,6 +15,17 @@ reproducing Table 1's starkest feature with no special-casing.
 
 The path string is part of the render-cache key, so fickleness costs one
 extra render per *path actually taken*, not one per iteration.
+
+Draw order, per user, from the user's own rng stream: the repertoire
+first (``sample_repertoire``), then, for each analyser vector in run
+order, one ``sample_path`` per iteration. ``sample_repertoire`` and
+``sample_path`` are the scalar definition of that order.
+``draw_path_codes`` replays it for a block of users in one array pass:
+it reads each stream's raw 64-bit words and applies numpy's own
+``Generator`` consumption rules to all users at once, so its paths are
+byte-identical to the scalar draws (pinned by tests). A path travels
+through the pass as a small integer *code*, ``t*8 + d*4 + m*2 + p``;
+``PATHS[code]`` is its string, and code 0 is ``REFERENCE_PATH``.
 """
 from __future__ import annotations
 
@@ -52,6 +63,11 @@ class JitterPath:
         if self.f32_precision:
             y = y.astype(np.float32).astype(np.float64)
         return y
+
+
+#: every path string, indexed by its code ``t*8 + d*4 + m*2 + p``
+PATHS = tuple(JitterPath(code >> 3, bool(code & 4), bool(code & 2),
+                         bool(code & 1)).encode() for code in range(32))
 
 
 def parse_path(path: str) -> JitterPath:
@@ -100,3 +116,120 @@ def sample_path(rng: np.random.Generator, load: float,
     if repertoire:
         return repertoire[int(rng.integers(len(repertoire)))]
     return _draw_perturbed(rng)
+
+
+# -- the bulk pass: the same draws for a block of users at once --------------
+
+_LOW32 = np.uint64(0xFFFFFFFF)  # a word's low half
+_HALF = np.uint64(32)  # shift to a word's high half
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of raw words: the top 53 bits over 2**53."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _repertoire_words(size):
+    """Words a ``size``-entry repertoire takes. Entry j draws
+    ``integers(4)`` (a half-word: the low half of a fresh word for even
+    j, the kept high half for odd j) and then three ``random()`` words."""
+    return 7 * (size // 2) + 4 * (size % 2)
+
+
+def _top_up(words: np.ndarray, stream, row: int,
+            fetched: np.ndarray) -> np.ndarray:
+    """Fetch one more word of ``row``'s stream into the block's word
+    matrix, widening the matrix when the row reaches its pad column."""
+    if fetched[row] + 1 >= words.shape[1]:
+        words = np.concatenate([words, np.zeros_like(words)], axis=1)
+    words[row, fetched[row]] = stream.random_raw()
+    fetched[row] += 1
+    return words
+
+
+def draw_path_codes(streams, loads, vectors: int,
+                    iterations: int) -> np.ndarray:
+    """Every iteration's path code for a block of users, in one array pass.
+
+    ``streams[u]`` is user u's fresh bit generator (anything with numpy's
+    ``random_raw``) and ``loads[u]`` its load. Returns a ``(users,
+    vectors, iterations)`` uint8 array whose ``[u, a, i]`` entry is the
+    code of the path ``sample_path`` gives analyser vector ``a`` in
+    iteration ``i``, drawing from ``np.random.Generator(streams[u])``
+    after ``sample_repertoire``.
+
+    The pass applies numpy's consumption rules to every user at once:
+
+    - ``random()`` takes one word ``w`` and returns ``(w >> 11) * 2**-53``;
+    - ``integers(n)`` takes one uint32 from the stream's half-word
+      buffer: the low half of a fresh word first, then the kept high
+      half (``random()`` never touches the buffer). Lemire's method
+      scales it, redrawing while ``(x * n) mod 2**32 < 2**32 mod n``;
+    - ``integers(1)`` draws nothing.
+
+    Each stream is prefetched with every word its draws can take when
+    nothing is rejected. A rejection draws one more half-word, so it
+    tops its stream up by one word.
+    """
+    loads = np.asarray(loads, dtype=np.float64)
+    users = len(streams)
+    steps = vectors * iterations
+    sizes = np.maximum(1 + np.rint(loads * 6.0).astype(np.int64), 0)
+    reach = int(sizes.max(initial=0))
+    prefetch = _repertoire_words(reach) + steps + (steps + 1) // 2
+    words = np.zeros((users, prefetch + 1), dtype=np.uint64)  # + a pad column
+    for row, stream in enumerate(streams):
+        words[row, :prefetch] = stream.random_raw(prefetch)
+    fetched = np.full(users, prefetch)
+
+    repertoire = np.zeros((users, max(reach, 1)), dtype=np.uint8)
+    for j in range(reach):
+        base = 7 * (j // 2)
+        if j % 2:
+            timing = words[:, base] >> _HALF
+            flags = words[:, base + 4:base + 7]
+        else:
+            timing = words[:, base] & _LOW32
+            flags = words[:, base + 1:base + 4]
+        # integers(0, 4) never rejects: 2**32 is a multiple of 4
+        bucket = (timing >> np.uint64(30)).astype(np.int64)
+        flag = _uniforms(flags) < (0.5, 0.5, 0.3)
+        repertoire[:, j] = bucket * 8 + flag @ (4, 2, 1)
+
+    rows = np.arange(users)
+    pos = _repertoire_words(sizes)  # each stream's next unread word
+    spare = sizes % 2 == 1  # a kept high half-word is buffered
+    half = words[rows, 7 * (sizes // 2)] >> _HALF
+    n = sizes.astype(np.uint64)
+    draws = sizes > 1  # integers(1) draws nothing
+    threshold = ((1 << 32) % np.maximum(sizes, 1)).astype(np.uint64)
+    codes = np.empty((users, steps), dtype=np.uint8)
+    for step in range(steps):
+        loaded = _uniforms(words[rows, pos]) < loads
+        pos += 1
+        draw = loaded & draws
+        word = words[rows, pos]
+        fresh = draw & ~spare
+        x = np.where(spare, half, word & _LOW32)
+        half = np.where(fresh, word >> _HALF, half)
+        pos += fresh
+        spare ^= draw
+        scaled = x * n
+        # Lemire rejections are rare (at most 4 in 2**32 draws): redraw
+        # them row by row, with numpy's buffer rules
+        for row in np.flatnonzero(draw & ((scaled & _LOW32) < threshold)):
+            product = int(scaled[row])
+            while product & 0xFFFFFFFF < int(threshold[row]):
+                words = _top_up(words, streams[row], row, fetched)
+                if spare[row]:
+                    value = int(half[row])
+                else:
+                    value = int(words[row, pos[row]])
+                    value, half[row] = value & 0xFFFFFFFF, value >> 32
+                    pos[row] += 1
+                spare[row] = not spare[row]
+                product = value * int(n[row])
+            scaled[row] = product
+        pick = (scaled >> _HALF).astype(np.intp)
+        codes[:, step] = np.where(loaded, repertoire[rows, pick], 0)
+    return codes.reshape(users, vectors, iterations)

@@ -17,6 +17,8 @@ reshuffles existing users).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from ..platform.browsers import sample_ua
@@ -40,9 +42,25 @@ def _pool_cdf():
     return pool, np.cumsum(weights)
 
 
-def _device_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, _SAMPLER_STREAM, index]))
+def user_seeds(seed: int, stream: int, start: int,
+               stop: int) -> Iterator[np.random.SeedSequence]:
+    """``SeedSequence([seed, stream, index])`` for each index in
+    ``[start, stop)``, one at a time: the per-user stream seeds of the
+    sampler and the study driver.
+
+    numpy hashes a list of ints after splitting each into uint32 words,
+    least significant first. When every int fits one word, the same
+    words go in as a uint32 row per user, which seeds the identical
+    sequence at a fifth of the cost of converting the list.
+    """
+    if not all(isinstance(value, (int, np.integer)) and 0 <= value < 2 ** 32
+               for value in (seed, stream, start, stop - 1)):
+        return (np.random.SeedSequence([seed, stream, index])
+                for index in range(start, stop))
+    entropy = np.empty((stop - start, 3), dtype=np.uint32)
+    entropy[:, 0], entropy[:, 1] = seed, stream
+    entropy[:, 2] = np.arange(start, stop)
+    return map(np.random.SeedSequence, entropy)
 
 
 def sample_population_slice(user_count: int, seed: int, start: int,
@@ -62,8 +80,9 @@ def sample_population_slice(user_count: int, seed: int, start: int,
                          f"sub-range of [0, {user_count})")
     pool, cdf = _pool_cdf()
     devices = []
-    for i in range(start, stop):
-        rng = _device_rng(seed, i)
+    for i, seeds in enumerate(user_seeds(seed, _SAMPLER_STREAM, start, stop),
+                              start):
+        rng = np.random.default_rng(seeds)
         pick = min(int(np.searchsorted(cdf, rng.random(), side="right")),
                    len(pool) - 1)
         stack, os_name, browser, _ = pool[pick]

@@ -6,10 +6,13 @@ collapses to its distinct equivalence classes. ``run_study`` works in
 three phases:
 
   1. PLAN     — sample the population and deterministically pre-draw every
-                iteration's jitter path (cheap, no DSP): per vector, a
-                (users, iterations) grid of integer class ids, plus one
-                class table holding each class's (vector, stack, path)
-                and cache key.
+                iteration's jitter path (cheap, no DSP). Per block of
+                users, one array pass replays every user's rng stream
+                (``repro.platform.jitter.draw_path_codes``, byte-identical
+                to the scalar draws) into integer path codes; the result
+                is, per vector, a (users, iterations) grid of integer
+                class ids, plus one class table holding each class's
+                (vector, stack, path) and cache key.
   2. RENDER   — resolve every class to its eFP: resume from the
                 checkpoint, probe the cache once per class,
                 and render the misses grouped by (vector, stack), up to
@@ -62,7 +65,7 @@ import numpy as np
 from ..io import atomic_write_json
 from ..obs import (EventLog, NULL_RECORDER, ProgressMeter, Recorder,
                    make_event, profile_nodes)
-from ..platform.jitter import sample_path, sample_repertoire
+from ..platform.jitter import PATHS, draw_path_codes
 from ..platform.stacks import AudioStack
 from ..resilience import (RetryBudget, RetryPolicy, StudyExecutionError,
                           SupervisedExecutor, load_checkpoint,
@@ -72,9 +75,13 @@ from ..vectors.registry import get_vector
 from .cache import RenderCache
 from .dataset import StudyDataset
 from .device import Device
-from .sampler import sample_population
+from .sampler import sample_population, user_seeds
 
 _STUDY_STREAM = 0x57D  # per-user jitter streams, disjoint from the sampler's
+
+#: Users per planning block: bounds the plan's working set (each user's
+#: prefetched rng words and class keys) while keeping the array pass wide.
+_PLAN_BLOCK = 4096
 
 #: Pool engagement threshold: below this many batch groups, fork + pickle
 #: overhead loses to inline rendering. The value comes from a worker sweep
@@ -225,12 +232,35 @@ def _absorb_batch_metrics(recorder, metrics: dict) -> None:
                                      metrics["node_calls"])
 
 
+def _stack_ids(vector, devices, ids: dict, stacks: list) -> np.ndarray:
+    """Each device's stack id for ``vector``, in first-seen order: ``ids``
+    maps a stack key to its id and ``stacks[id]`` is ``(stack, key)``;
+    both grow as new stacks appear.
+
+    Each vector fingerprints its own per-device stack (the audio stack
+    for audio vectors; UA/canvas/fonts/math identities for the
+    comparators). The class key and the render input both come from that
+    stack, so the cache stays a pure function of (vector, stack, path)
+    across every fingerprint surface."""
+    out = np.empty(len(devices), dtype=np.int32)
+    for row, device in enumerate(devices):
+        stack = vector.stack_of(device)
+        stack_key = stack.cache_key()
+        sid = ids.get(stack_key)
+        if sid is None:
+            sid = ids[stack_key] = len(stacks)
+            stacks.append((stack, stack_key))
+        out[row] = sid
+    return out
+
+
 def _plan(run: _StudyRun, devices: list[Device], first_index: int = 0):
     """Pre-draw all jitter paths; return the class-id grids and the class
     table.
 
     ``grids[vector]`` is a ``(users, iterations)`` int32 array of class
-    ids and ``classes[id]`` is ``(key, (vector, stack, path))``. Ids
+    ids (for an analyser-free vector, a read-only broadcast of one id per
+    user) and ``classes[id]`` is ``(key, (vector, stack, path))``. Ids
     follow first-seen order (user by user, each user's vectors in run
     order), so within one vector ascending id order is first-appearance
     order in its grid; a class's cache key is built once, when it is
@@ -241,39 +271,76 @@ def _plan(run: _StudyRun, devices: list[Device], first_index: int = 0):
     per-user jitter streams are seeded by global index, so planning a
     shard of the population draws exactly the paths the monolithic plan
     would.
+
+    Users go in blocks of ``_PLAN_BLOCK``. ``draw_path_codes`` draws a
+    block's paths as integer codes in one array pass. Within a vector a
+    class is then one integer, ``stack id * 32 + path code`` (the stack
+    id alone for an analyser-free vector); a dense table maps it to its
+    class id, and ``np.minimum.at`` finds where each new class is first
+    seen.
     """
     iterations = run.iterations
-    grids = {name: np.empty((len(devices), iterations), dtype=np.int32)
-             for name in run.vectors}
-    classes: list[tuple[str, tuple[str, AudioStack, str]]] = []
-    # (vector, stack key) -> path -> class id
-    by_stack: dict[tuple[str, str], dict[str, int]] = {}
     battery = [(name, get_vector(name)) for name in run.vectors]
-    for offset, device in enumerate(devices):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [run.seed, _STUDY_STREAM, first_index + offset]))
-        load = device.load
-        repertoire = sample_repertoire(rng, load)
-        for vector_name, vector in battery:
-            # each vector fingerprints its own per-device stack (the audio
-            # stack for audio vectors; UA/canvas/fonts/math identities for
-            # the comparators) — the class key and the render input both
-            # come from that stack, so the cache stays a pure function of
-            # (vector, stack, path) across every fingerprint surface
-            stack = vector.stack_of(device)
-            stack_key = stack.cache_key()
-            ids = by_stack.setdefault((vector_name, stack_key), {})
-            paths = ([sample_path(rng, load, repertoire)
-                      for _ in range(iterations)]
-                     if vector.uses_analyser
-                     else [vector.canonical_path(None)])
-            for path in dict.fromkeys(paths):  # distinct, first-seen order
-                if path not in ids:
-                    ids[path] = len(classes)
-                    classes.append((RenderCache.make_key(
-                        vector_name, stack_key, path),
-                        (vector_name, stack, path)))
-            grids[vector_name][offset] = [ids[path] for path in paths]
+    analysers = [name for name, vector in battery if vector.uses_analyser]
+    grids = {name: np.empty((len(devices), iterations
+                             if vector.uses_analyser else 1), dtype=np.int32)
+             for name, vector in battery}
+    classes: list[tuple[str, tuple[str, AudioStack, str]]] = []
+    stack_ids = {name: {} for name in run.vectors}
+    stacks = {name: [] for name in run.vectors}
+    # per vector: the class id of every class integer (-1 = not seen yet)
+    class_ids = {name: np.empty(0, dtype=np.int32) for name in run.vectors}
+    for lo in range(0, len(devices), _PLAN_BLOCK):
+        block = devices[lo:lo + _PLAN_BLOCK]
+        streams = [np.random.PCG64(seeds) for seeds in user_seeds(
+            run.seed, _STUDY_STREAM, first_index + lo,
+            first_index + lo + len(block))]
+        loads = np.fromiter((device.load for device in block),
+                            dtype=np.float64, count=len(block))
+        codes = draw_path_codes(streams, loads, len(analysers), iterations)
+        block_keys = {}  # per vector: the block's class integers
+        unseen = []  # per vector: (user, vector, iteration, class integer)
+        for order, (name, vector) in enumerate(battery):
+            sids = _stack_ids(vector, block, stack_ids[name], stacks[name])
+            if vector.uses_analyser:
+                keys = sids[:, None] * len(PATHS) \
+                    + codes[:, analysers.index(name)]
+                space = len(stacks[name]) * len(PATHS)
+            else:
+                keys = sids[:, None]
+                space = len(stacks[name])
+            ids = class_ids[name]
+            if len(ids) < space:
+                ids = class_ids[name] = np.concatenate(
+                    [ids, np.full(space - len(ids), -1, dtype=np.int32)])
+            first = np.full(space, keys.size)
+            np.minimum.at(first, keys.ravel(), np.arange(keys.size))
+            new = np.flatnonzero((first < keys.size) & (ids < 0))
+            user, column = np.divmod(first[new], keys.shape[1])
+            unseen.append(np.stack([user, np.full(len(new), order), column,
+                                    new]))
+            block_keys[name] = keys
+        # new classes take ids in first-seen order: by user, then vector
+        # (run order), then iteration
+        unseen = np.concatenate(unseen, axis=1)
+        order_seen = np.lexsort(unseen[2::-1])
+        for _, order, _, key in unseen[:, order_seen].T.tolist():
+            name, vector = battery[order]
+            if vector.uses_analyser:
+                stack, stack_key = stacks[name][key // len(PATHS)]
+                path = PATHS[key % len(PATHS)]
+            else:
+                stack, stack_key = stacks[name][key]
+                path = vector.canonical_path(None)
+            class_ids[name][key] = len(classes)
+            classes.append((RenderCache.make_key(name, stack_key, path),
+                            (name, stack, path)))
+        for name, keys in block_keys.items():
+            grids[name][lo:lo + len(block)] = class_ids[name][keys]
+    for name, vector in battery:
+        if not vector.uses_analyser:
+            grids[name] = np.broadcast_to(grids[name],
+                                          (len(devices), iterations))
     return grids, classes
 
 

@@ -65,8 +65,8 @@ class AnalyserNode(AudioNode):
         # whole-buffer append holds the same bytes as per-quantum appends;
         # smoothing state only advances at readout, never during rendering.
         # Fused buffers are write-once, so the mono view is stored uncopied
-        # — a row-uniform (broadcast) input stays cheap until the
-        # readout's concatenate materializes it
+        # — a row-uniform (broadcast) input stays one row through the
+        # downmix and the readout
         block = inputs[0]
         self._history.append(mix_to_channels(block, 1)[:, 0, :])
         self._history_len += length
@@ -77,21 +77,19 @@ class AnalyserNode(AudioNode):
         """Per-row time-domain windows: row b's window is shifted back by
         ``offsets[b]`` frames. Returns (B, fft_size)."""
         size = self._fft_size
-        if self._history:
-            data = np.concatenate(self._history, axis=-1)
-        else:
-            data = np.zeros((self.context.batch_size, 0), dtype=np.float64)
+        # the history rows hold identical values (the render loop is
+        # jitter-independent), so only row 0 is concatenated: each row's
+        # window is an exact slice of it, and a batch-uniform history
+        # stays one row instead of materializing B
+        row = (np.concatenate([block[0] for block in self._history])
+               if self._history else np.zeros(0, dtype=np.float64))
         out = np.empty((len(offsets), size), dtype=np.float64)
         # offsets repeat heavily (a handful of timing buckets), so slice
-        # once per distinct offset and assign to every row that uses it —
-        # the history rows hold identical values (the render loop is
-        # jitter-independent), so each row gets the exact slice the
-        # per-row loop produced
+        # once per distinct offset and assign to every row that uses it
         by_offset: dict[int, list[int]] = {}
         for b, offset in enumerate(offsets):
             by_offset.setdefault(int(offset), []).append(b)
         for offset, idx in by_offset.items():
-            row = data[idx[0]]
             end = max(0, row.shape[0] - offset)
             start = end - size
             if start < 0:

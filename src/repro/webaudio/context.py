@@ -37,7 +37,8 @@ from ..obs.profiler import current_node_profiler
 from .buffer import AudioBuffer
 from .config import EngineConfig
 from .graph import node_label, topological_order
-from .node import AudioNode, mix_sources, mix_sources_uniform, mix_to_channels
+from .node import (AudioNode, batch_uniform, mix_sources, mix_sources_uniform,
+                   mix_to_channels)
 from .segments import plan_segments
 
 
@@ -123,7 +124,13 @@ class OfflineAudioContext:
         return self._rendered
 
     def start_rendering_batch(self) -> np.ndarray:
-        """Render all batch rows at once; returns (B, channels, length)."""
+        """Render all batch rows at once; returns (B, channels, length).
+
+        When every row is the same memory (the fused path kept the
+        signal row-uniform to the destination), the result is a
+        read-only broadcast of one row; otherwise it is a fresh writable
+        array. ``start_rendering()`` (B = 1) always returns a writable
+        buffer."""
         if self._rendered_batch is not None:
             return self._rendered_batch
         plan = None
@@ -191,8 +198,12 @@ class OfflineAudioContext:
                        for port in node._inputs]
                 block_out[node] = node.process_block(ins, length, tail)
             out = np.concatenate([out, block_out[self.destination]], axis=-1)
-        # materialize (broadcast views stay read-only otherwise); values are
-        # the exact floats the quantum loop writes into its output array
+        # values are the exact floats the quantum loop writes into its
+        # output array; a row-uniform result keeps one contiguous row
+        # under a (read-only) broadcast instead of copying it B times
+        if batch_uniform(out):
+            row = np.ascontiguousarray(out[:1], dtype=np.float64)
+            return np.broadcast_to(row, out.shape)
         return np.ascontiguousarray(out, dtype=np.float64)
 
     def _render_quantum(self) -> np.ndarray:

@@ -110,10 +110,16 @@ def mix_sources(blocks: list[np.ndarray], batch: int, n: int) -> np.ndarray:
 
 
 def mix_to_channels(block: np.ndarray, channels: int) -> np.ndarray:
-    """Up/down-mix a (B, c, n) block to exactly ``channels`` channels."""
+    """Up/down-mix a (B, c, n) block to exactly ``channels`` channels.
+
+    A row-uniform block is mixed as its single distinct row, then
+    broadcast back to B rows: the same floats, computed once."""
     c = block.shape[-2]
     if c == channels:
         return block
+    if batch_uniform(block):
+        row = mix_to_channels(block[:1], channels)
+        return np.broadcast_to(row, (block.shape[0],) + row.shape[1:])
     if c == 1:
         return np.repeat(block, channels, axis=-2)
     if channels == 1:

@@ -4,6 +4,9 @@ cross-user sharing), union-find correctness, and exact permutation
 invariance of the entropy metrics under user reordering."""
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import StudyDataset, run_study
 from repro.analysis import (UnionFind, build_analysis_report, collate,
@@ -68,6 +71,37 @@ class TestSeriesEdges:
 
     def test_single_iteration_has_no_edges(self):
         assert series_edges(np.array([[0], [1]])).shape == (0, 2)
+
+
+def _row_unique_edges(codes: np.ndarray) -> np.ndarray:
+    """The reference dedup: star edges, (lo, hi) pairs, row-wise unique."""
+    if codes.shape[1] < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    first = np.broadcast_to(codes[:, :1],
+                            (codes.shape[0], codes.shape[1] - 1))
+    u, v = first.ravel(), codes[:, 1:].ravel()
+    mask = u != v
+    if not mask.any():
+        return np.empty((0, 2), dtype=np.int64)
+    u, v = u[mask], v[mask]
+    return np.unique(np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1),
+                     axis=0)
+
+
+@given(hnp.arrays(st.sampled_from([np.int64, np.int32]),
+                  hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                   max_side=12),
+                  elements=st.integers(0, 40)))
+@example(np.zeros((0, 5), dtype=np.int64))
+@example(np.arange(6, dtype=np.int32).reshape(6, 1))
+@example(np.full((4, 7), 3, dtype=np.int64))
+@example(np.array([[2 ** 31 - 1, 0, 2 ** 31 - 2]], dtype=np.int32))
+def test_series_edges_equal_row_unique(codes):
+    """The 1-D key dedup returns exactly the row-wise unique's edges:
+    same pairs, same (lo, hi) order, same dtype."""
+    got, want = series_edges(codes), _row_unique_edges(codes)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 class TestEdgeCases:

@@ -30,6 +30,35 @@ class TestWeightedDraws:
         counts = {k: picks.count(k) for k in "abc"}
         assert counts["a"] > counts["b"] > counts["c"]
 
+    @pytest.mark.parametrize("table", [
+        (("a", 0.7), ("b", 0.2), ("c", 0.1)),
+        [("x", 3.0), ("y", 0.0), ("z", 1.0)],
+        [("only", 2.5)],
+        BROWSER_VERSIONS["Chrome"], OS_BUILDS["Android"],
+        GPU_POOLS["Windows"]])
+    def test_pick_weighted_matches_per_pick_cdf(self, table):
+        """The cached cumulative table picks exactly what a CDF rebuilt
+        for every pick (and searched with np.searchsorted) picks."""
+        rng, again = np.random.default_rng(17), np.random.default_rng(17)
+        weights = np.array([w for _, w in table], dtype=np.float64)
+        cdf = np.cumsum(weights / weights.sum())
+        for _ in range(300):
+            index = min(int(np.searchsorted(cdf, again.random(),
+                                            side="right")), len(table) - 1)
+            assert pick_weighted(rng, table) == table[index][0]
+
+    def test_pick_weighted_keys_tables_by_content(self):
+        """Equal tables share one cumulative table; a table with the same
+        values but other weights gets its own."""
+        heavy_a = [("a", 9.0), ("b", 1.0)]
+        heavy_b = [("a", 1.0), ("b", 9.0)]
+        picks = {name: [pick_weighted(np.random.default_rng(seed), table)
+                        for seed in range(200)]
+                 for name, table in (("a", heavy_a), ("b", heavy_b),
+                                     ("a copy", list(heavy_a)))}
+        assert picks["a"] == picks["a copy"]
+        assert picks["a"].count("a") > 150 and picks["b"].count("b") > 150
+
     def test_sample_ua_uses_exactly_two_draws(self):
         """The frozen draw-order contract: UA consumes 2 uniforms."""
         rng1 = np.random.default_rng(9)

@@ -23,7 +23,7 @@ from repro.vectors.base import RENDER_LENGTH
 from repro.webaudio import ENGINE_VERSION, RENDER_PATHS, OfflineAudioContext
 from repro.webaudio.config import EngineConfig
 from repro.webaudio.fft import FFT_BACKENDS
-from repro.webaudio.node import AudioNode
+from repro.webaudio.node import AudioNode, mix_to_channels
 from repro.webaudio.segments import plan_segments
 
 BACKENDS = sorted(FFT_BACKENDS)
@@ -92,6 +92,39 @@ class TestFusedMatchesQuantum:
 
 STUDY = dict(user_count=6, iterations=3, vectors=("dc", "fft", "hybrid"),
              seed=13)
+
+
+class TestRowUniformResults:
+    """A row-uniform signal is computed and returned as one row."""
+
+    @staticmethod
+    def _render(batch, monkeypatch, path="fused"):
+        _force_path(monkeypatch, path)
+        ctx = OfflineAudioContext(1, 5000, 44100, batch_size=batch)
+        osc = ctx.create_oscillator()
+        osc.connect(ctx.create_dynamics_compressor()).connect(ctx.destination)
+        osc.start(0.0)
+        return ctx
+
+    def test_uniform_batch_returns_one_read_only_row(self, monkeypatch):
+        out = self._render(4, monkeypatch).start_rendering_batch()
+        assert out.shape == (4, 1, 5000) and out.strides[0] == 0
+        assert not out.flags.writeable
+        quantum = self._render(4, monkeypatch, "quantum")
+        np.testing.assert_array_equal(out, quantum.start_rendering_batch())
+
+    def test_single_render_stays_writable(self, monkeypatch):
+        buffer = self._render(1, monkeypatch).start_rendering()
+        assert buffer.get_channel_data(0).flags.writeable
+
+    @pytest.mark.parametrize("channels,to", [(3, 1), (1, 2), (3, 2)])
+    def test_mix_of_a_broadcast_block_stays_broadcast(self, channels, to):
+        row = np.random.default_rng(4).standard_normal((1, channels, 300))
+        block = np.broadcast_to(row, (5, channels, 300))
+        mixed = mix_to_channels(block, to)
+        assert mixed.shape == (5, to, 300) and mixed.strides[0] == 0
+        np.testing.assert_array_equal(
+            mixed, mix_to_channels(np.ascontiguousarray(block), to))
 
 
 class TestStudyDatasetAcrossRenderPaths:
