@@ -1,7 +1,7 @@
 """Crash-safe JSON/text writes shared across the repo.
 
-Every artefact this codebase persists — render-cache files, study
-datasets, run reports, analysis reports — is a single JSON document that
+Every artefact this codebase persists — study datasets, checkpoints,
+run reports, analysis reports — is a single JSON document that
 some later stage trusts completely. A bare ``open(path, "w")`` can leave
 a torn file if the process dies mid-dump; the reader then sees invalid
 JSON (best case) or a silently truncated payload (worst case).

@@ -2,7 +2,7 @@
 
 Where the recorder keeps *aggregates* (spans, counters, histograms), the
 event log keeps the *sequence*: every retry, pool rebuild, checkpoint
-write, cache quarantine and batch render lands as one JSONL line the
+write, cache miss and batch render lands as one JSONL line the
 moment it happens. That ordering is exactly what aggregate metrics throw
 away — and exactly what debugging a sharded million-user run (or proving
 the measurement infrastructure did not perturb the fingerprints it
@@ -64,8 +64,7 @@ EVENT_KINDS = frozenset({
     "study.start", "study.end",
     "phase.start", "phase.end",
     # render cache
-    "cache.miss", "cache.disk_load", "cache.corrupt_quarantine",
-    "cache.stale_prune",
+    "cache.miss",
     # checkpointing
     "checkpoint.write", "checkpoint.torn_write", "checkpoint.resume",
     "checkpoint.corrupt_quarantine",

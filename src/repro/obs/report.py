@@ -262,7 +262,7 @@ def render_report(payload: dict) -> str:
         out.append("")
         out.append("cache: " + ", ".join(
             f"{k}={cache[k]}" for k in
-            ("hits", "misses", "hit_rate", "entries", "evictions", "disk_loads")
+            ("hits", "misses", "hit_rate", "entries", "evictions")
             if k in cache))
 
     histograms = payload.get("histograms", {})

@@ -65,16 +65,21 @@ class JitterPath:
         return y
 
 
+#: the 32 paths the model draws, keyed by string, in code order
+_PARSED = {jitter.encode(): jitter for jitter in (
+    JitterPath(code >> 3, bool(code & 4), bool(code & 2), bool(code & 1))
+    for code in range(32))}
 #: every path string, indexed by its code ``t*8 + d*4 + m*2 + p``
-PATHS = tuple(JitterPath(code >> 3, bool(code & 4), bool(code & 2),
-                         bool(code & 1)).encode() for code in range(32))
+PATHS = tuple(_PARSED)
 
 
 def parse_path(path: str) -> JitterPath:
+    """The JitterPath of one of the 32 strings in ``PATHS``; any other
+    string names no path the model draws, so it is rejected rather than
+    given a second cache key for an existing eFP."""
     try:
-        t, d, m, p = path.split(".")
-        return JitterPath(int(t[1:]), d == "d1", m == "m1", p == "p1")
-    except Exception:
+        return _PARSED[path]
+    except (KeyError, TypeError):
         raise ValueError(f"malformed jitter path {path!r}") from None
 
 

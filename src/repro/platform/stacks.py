@@ -48,14 +48,12 @@ class AudioStack:
             str(self.channel_count),
         ])
 
-    def realize(self, jitter=None) -> EngineConfig:
-        """Build the EngineConfig this stack denotes (optionally jittered)."""
+    def realize(self) -> EngineConfig:
+        """Build the EngineConfig this stack denotes."""
         return EngineConfig(
             math=get_math_backend(self.math_backend),
             fft=get_fft_backend(self.fft_backend),
             compressor=COMPRESSOR_VARIANTS[self.compressor_variant],
-            jitter_transform=jitter.transform if jitter is not None else None,
-            readout_offset=jitter.readout_offset if jitter is not None else 0,
         )
 
 

@@ -10,8 +10,7 @@ vector is fickle under load like the other analyser vectors.
 """
 from __future__ import annotations
 
-from ..webaudio import OfflineAudioContext
-from .base import AudioVector, RENDER_LENGTH
+from .base import AnalyserVector
 
 _CARRIER_HZ = 10000.0
 _MODULATOR_HZ = 997.0  # prime, so the sidebands avoid the carrier's bins
@@ -24,9 +23,8 @@ def _am_script(samples, t, math):
     return samples * (0.5 + 0.5 * math.sin(_TWO_PI * _MODULATOR_HZ * t))
 
 
-class AMVector(AudioVector):
+class AMVector(AnalyserVector):
     name = "am"
-    uses_analyser = True
 
     @staticmethod
     def _build(context):
@@ -42,19 +40,3 @@ class AMVector(AudioVector):
             .connect(sink).connect(context.destination)
         oscillator.start(0.0)
         return analyser
-
-    def _features(self, stack, jitter):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(jitter))
-        analyser = self._build(context)
-        context.start_rendering()
-        return analyser.get_float_frequency_data()
-
-    def _features_batch(self, stack, jitters):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(),
-                                      batch_size=len(jitters))
-        analyser = self._build(context)
-        context.start_rendering_batch()
-        rows = analyser.get_float_frequency_data_batch(jitters)
-        return [rows[b] for b in range(rows.shape[0])]

@@ -1,11 +1,26 @@
-"""Vector API shared by all fingerprinting vectors."""
+"""Vector API shared by all fingerprinting vectors.
+
+``render_batch`` is the one render path: it renders a (vector, stack)
+group's B jitter paths in one graph build and one engine pass, and
+``render`` is its batch of one. An audio vector supplies only its graph
+(``_build``) and inherits one of the two readouts the battery uses:
+
+- ``AnalyserVector``: the AnalyserNode's frequency data, with each row's
+  jitter path applied at the readout (fft, hybrid, merged, am, fm);
+- ``SampleSumVector``: the sum of |samples| 4500..5000 of the rendered
+  buffer, which never touches the analyser (dc, custom).
+
+Comparator vectors implement ``_features(stack, jitter)`` and render one
+row at a time through the base fallback.
+"""
 from __future__ import annotations
 
 import hashlib
 
 import numpy as np
 
-from ..platform.jitter import REFERENCE_PATH, parse_path, sample_path
+from ..platform.jitter import REFERENCE_PATH, parse_path
+from ..webaudio import OfflineAudioContext
 
 #: frames rendered by every audio vector (the classic 1ch/5000/44.1k probe
 #: uses a 5000-frame buffer; we keep that shape across sample rates)
@@ -27,8 +42,9 @@ def digest(payload) -> str:
 
 
 class AudioVector:
-    """Base class. Subclasses implement ``_features(stack, jitter_path)``
-    and (for true batching) ``_features_batch(stack, jitters)``."""
+    """Base class. Subclasses implement ``_features_batch(stack, jitters)``
+    (one engine pass for all rows) or ``_features(stack, jitter)`` (one
+    row at a time)."""
 
     name = "abstract"
     #: "audio" vectors render through the webaudio engine off the device's
@@ -48,25 +64,21 @@ class AudioVector:
 
     def render(self, stack, jitter_path: str | None = None) -> str:
         """Pure render: same (stack, path) -> bit-identical eFP, always."""
-        path = self.canonical_path(jitter_path)
-        jitter = parse_path(path) if self.uses_analyser else None
-        return digest(self._features(stack, jitter))
+        return self.render_batch(stack, [jitter_path])[0]
 
     def render_batch(self, stack, jitter_paths) -> list[str]:
-        """Batched pure render: one graph build + one quantum-loop pass for
-        all paths of a (vector, stack) group. Returns one eFP per path,
-        bit-identical to ``render(stack, path)`` of each path alone —
-        batch rows never interact (pinned by tests)."""
+        """Batched pure render: one graph build + one engine pass for all
+        paths of a (vector, stack) group. Returns one eFP per path; batch
+        rows never interact, so each equals the path rendered alone
+        (pinned by tests)."""
         if not jitter_paths:
             return []
-        paths = [self.canonical_path(p) for p in jitter_paths]
-        jitters = [parse_path(p) if self.uses_analyser else None
-                   for p in paths]
+        jitters = [parse_path(self.canonical_path(p)) if self.uses_analyser
+                   else None for p in jitter_paths]
         return [digest(f) for f in self._features_batch(stack, jitters)]
 
     def _features_batch(self, stack, jitters):
-        """Fallback: per-class loop. Subclasses override with a single
-        batched render through the engine's batch axis."""
+        """Fallback: one row at a time."""
         return [self._features(stack, jitter) for jitter in jitters]
 
     def canonical_path(self, jitter_path: str | None) -> str:
@@ -75,10 +87,42 @@ class AudioVector:
             return "-"
         return jitter_path if jitter_path is not None else REFERENCE_PATH
 
-    def collect(self, stack, rng: np.random.Generator, load: float = 0.0) -> str:
-        """One observation: sample this iteration's jitter path, render."""
-        path = sample_path(rng, load) if self.uses_analyser else "-"
-        return self.render(stack, path)
-
     def _features(self, stack, jitter):  # pragma: no cover
         raise NotImplementedError
+
+
+def _render(vector, stack, rows: int):
+    """Build ``vector``'s graph in a mono ``RENDER_LENGTH`` context of
+    ``rows`` batch rows on ``stack`` and render it. Returns the rendered
+    ``(rows, 1, RENDER_LENGTH)`` batch and what ``_build`` returned."""
+    context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
+                                  config=stack.realize(), batch_size=rows)
+    built = vector._build(context)
+    return context.start_rendering_batch(), built
+
+
+class AnalyserVector(AudioVector):
+    """Frequency-data readout: ``_build`` returns the graph's analyser.
+    The engine pass is jitter-independent; each row's jitter path is
+    applied at the analyser readout."""
+
+    uses_analyser = True
+
+    def _features_batch(self, stack, jitters):
+        _, analyser = _render(self, stack, len(jitters))
+        return list(analyser.get_float_frequency_data_batch(jitters))
+
+
+class SampleSumVector(AudioVector):
+    """Sample-sum readout (the compressor probe of SNIPPETS.md #1): the
+    eFP is the sum of |samples| 4500..5000 of the rendered buffer. Never
+    touches the analyser, so it is bit-stable under load."""
+
+    uses_analyser = False
+
+    def _features_batch(self, stack, jitters):
+        batch, _ = _render(self, stack, len(jitters))
+        # per-row 1-D sums: each row's feature is the same 500-element
+        # pairwise reduction at any batch size
+        return [f"{np.sum(np.abs(batch[b, 0, 4500:5000])):.17g}"
+                for b in range(batch.shape[0])]

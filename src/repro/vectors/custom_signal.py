@@ -8,10 +8,8 @@ Analyser-free, so bit-stable under load like the DC vector.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from ..webaudio import OfflineAudioContext, PeriodicWave
-from .base import AudioVector, RENDER_LENGTH
+from ..webaudio import PeriodicWave
+from .base import SampleSumVector
 
 #: harmonic table of the probe waveform (index 0 = ignored DC terms); a
 #: 1 kHz fundamental keeps 8 harmonics under Nyquist at both sample rates
@@ -20,9 +18,8 @@ _WAVE_IMAG = (0.0, 1.00, 0.00, 0.50, 0.00, 0.25, 0.00, 0.10, 0.00)
 _FUNDAMENTAL_HZ = 1000.0
 
 
-class CustomSignalVector(AudioVector):
+class CustomSignalVector(SampleSumVector):
     name = "custom"
-    uses_analyser = False
 
     @staticmethod
     def _build(context):
@@ -32,21 +29,3 @@ class CustomSignalVector(AudioVector):
         compressor = context.create_dynamics_compressor()
         oscillator.connect(compressor).connect(context.destination)
         oscillator.start(0.0)
-
-    def _features(self, stack, jitter):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize())
-        self._build(context)
-        buffer = context.start_rendering()
-        total = np.sum(np.abs(buffer.get_channel_data(0)[4500:5000]))
-        return f"{total:.17g}"
-
-    def _features_batch(self, stack, jitters):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(),
-                                      batch_size=len(jitters))
-        self._build(context)
-        batch = context.start_rendering_batch()  # (B, 1, N)
-        # per-row 1-D sums: same reduction as the single-render path
-        return [f"{np.sum(np.abs(batch[b, 0, 4500:5000])):.17g}"
-                for b in range(batch.shape[0])]

@@ -7,15 +7,11 @@ Table 1's only perfectly stable vector.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from ..webaudio import OfflineAudioContext
-from .base import AudioVector, RENDER_LENGTH
+from .base import SampleSumVector
 
 
-class DCVector(AudioVector):
+class DCVector(SampleSumVector):
     name = "dc"
-    uses_analyser = False
 
     @staticmethod
     def _build(context):
@@ -25,22 +21,3 @@ class DCVector(AudioVector):
         compressor = context.create_dynamics_compressor()
         oscillator.connect(compressor).connect(context.destination)
         oscillator.start(0.0)
-
-    def _features(self, stack, jitter):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize())
-        self._build(context)
-        buffer = context.start_rendering()
-        total = np.sum(np.abs(buffer.get_channel_data(0)[4500:5000]))
-        return f"{total:.17g}"
-
-    def _features_batch(self, stack, jitters):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(),
-                                      batch_size=len(jitters))
-        self._build(context)
-        batch = context.start_rendering_batch()  # (B, 1, N)
-        # per-row 1-D sums: the same 500-element pairwise reduction as the
-        # single-render path, so the formatted feature is digit-identical
-        return [f"{np.sum(np.abs(batch[b, 0, 4500:5000])):.17g}"
-                for b in range(batch.shape[0])]

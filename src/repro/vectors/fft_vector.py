@@ -6,13 +6,11 @@ keeps the analyser on the rendered path.
 """
 from __future__ import annotations
 
-from ..webaudio import OfflineAudioContext
-from .base import AudioVector, RENDER_LENGTH
+from .base import AnalyserVector
 
 
-class FFTVector(AudioVector):
+class FFTVector(AnalyserVector):
     name = "fft"
-    uses_analyser = True
 
     @staticmethod
     def _build(context):
@@ -25,21 +23,3 @@ class FFTVector(AudioVector):
         oscillator.connect(analyser).connect(sink).connect(context.destination)
         oscillator.start(0.0)
         return analyser
-
-    def _features(self, stack, jitter):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(jitter))
-        analyser = self._build(context)
-        context.start_rendering()
-        return analyser.get_float_frequency_data()
-
-    def _features_batch(self, stack, jitters):
-        # the quantum loop is jitter-independent: jitter applies per row at
-        # the analyser readout, after one shared batched render
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(),
-                                      batch_size=len(jitters))
-        analyser = self._build(context)
-        context.start_rendering_batch()
-        rows = analyser.get_float_frequency_data_batch(jitters)
-        return [rows[b] for b in range(rows.shape[0])]

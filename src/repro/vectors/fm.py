@@ -11,16 +11,14 @@ automated-oscillator kernel.
 """
 from __future__ import annotations
 
-from ..webaudio import OfflineAudioContext
-from .base import AudioVector, RENDER_LENGTH
+from .base import AnalyserVector
 
 _SWEEP_FROM_HZ = 4000.0
 _SWEEP_TO_HZ = 9000.0
 
 
-class FMVector(AudioVector):
+class FMVector(AnalyserVector):
     name = "fm"
-    uses_analyser = True
 
     @staticmethod
     def _build(context):
@@ -38,19 +36,3 @@ class FMVector(AudioVector):
             .connect(context.destination)
         oscillator.start(0.0)
         return analyser
-
-    def _features(self, stack, jitter):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(jitter))
-        analyser = self._build(context)
-        context.start_rendering()
-        return analyser.get_float_frequency_data()
-
-    def _features_batch(self, stack, jitters):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(),
-                                      batch_size=len(jitters))
-        analyser = self._build(context)
-        context.start_rendering_batch()
-        rows = analyser.get_float_frequency_data_batch(jitters)
-        return [rows[b] for b in range(rows.shape[0])]

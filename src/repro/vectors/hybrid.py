@@ -5,13 +5,11 @@ load fickleness.
 """
 from __future__ import annotations
 
-from ..webaudio import OfflineAudioContext
-from .base import AudioVector, RENDER_LENGTH
+from .base import AnalyserVector
 
 
-class HybridVector(AudioVector):
+class HybridVector(AnalyserVector):
     name = "hybrid"
-    uses_analyser = True
 
     @staticmethod
     def _build(context):
@@ -26,19 +24,3 @@ class HybridVector(AudioVector):
             .connect(context.destination)
         oscillator.start(0.0)
         return analyser
-
-    def _features(self, stack, jitter):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(jitter))
-        analyser = self._build(context)
-        context.start_rendering()
-        return analyser.get_float_frequency_data()
-
-    def _features_batch(self, stack, jitters):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(),
-                                      batch_size=len(jitters))
-        analyser = self._build(context)
-        context.start_rendering_batch()
-        rows = analyser.get_float_frequency_data_batch(jitters)
-        return [rows[b] for b in range(rows.shape[0])]

@@ -11,16 +11,14 @@ load fickleness.
 """
 from __future__ import annotations
 
-from ..webaudio import OfflineAudioContext
-from .base import AudioVector, RENDER_LENGTH
+from .base import AnalyserVector
 
 #: (type, frequency) of the three merged sources
 _SOURCES = (("sine", 1000.0), ("square", 2500.0), ("sawtooth", 6500.0))
 
 
-class MergedSignalsVector(AudioVector):
+class MergedSignalsVector(AnalyserVector):
     name = "merged"
-    uses_analyser = True
 
     @staticmethod
     def _build(context):
@@ -38,19 +36,3 @@ class MergedSignalsVector(AudioVector):
         merger.connect(compressor).connect(analyser).connect(sink) \
             .connect(context.destination)
         return analyser
-
-    def _features(self, stack, jitter):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(jitter))
-        analyser = self._build(context)
-        context.start_rendering()
-        return analyser.get_float_frequency_data()
-
-    def _features_batch(self, stack, jitters):
-        context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                      config=stack.realize(),
-                                      batch_size=len(jitters))
-        analyser = self._build(context)
-        context.start_rendering_batch()
-        rows = analyser.get_float_frequency_data_batch(jitters)
-        return [rows[b] for b in range(rows.shape[0])]

@@ -2,8 +2,10 @@
 
 ``repro.webaudio`` depends only on NumPy. The platform layer
 (``repro.platform``) builds richer configs (ulp-perturbed math backends,
-alternative FFTs, compressor tuning forks, jitter sub-paths) and passes
-them in here; the engine itself only duck-types against them.
+alternative FFTs, compressor tuning forks) and passes them in here; the
+engine itself only duck-types against them. Jitter is not configuration:
+a render is jitter-independent, and each batch row's jitter path is
+applied at the analyser readout (``get_float_frequency_data_batch``).
 
 One render-dispatch knob lives here: ``render_path``, the execution
 strategy the context uses. ``"fused"`` (the default) renders fusible
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,10 +82,6 @@ class EngineConfig:
     math: object = field(default_factory=NumpyMath)
     fft: FFTBackend = field(default_factory=NumpyFFT)
     compressor: CompressorParams = field(default_factory=CompressorParams)
-    #: applied to the analyser's windowed frames (jitter sub-path); None = identity
-    jitter_transform: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    #: frames the analyser readout window is shifted back (jitter timing bucket)
-    readout_offset: int = 0
     #: execution strategy: "fused" | "quantum" (bit-identical either way)
     render_path: str = field(default_factory=get_default_render_path)
 

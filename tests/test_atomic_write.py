@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro import RenderCache, run_study
+from repro import run_study
 from repro.io import atomic_write_json, atomic_write_text
 
 
@@ -134,23 +134,6 @@ class TestRunStudyReport:
                       workers=0, report_path=str(path))
         assert json.loads(path.read_text()) == good
         assert list(tmp_path.iterdir()) == [path]
-
-
-class TestCachePersist:
-    def test_crash_mid_persist_keeps_old_cache(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "cache.json")
-        cache = RenderCache(disk_path=path)
-        cache.put("k", "old")
-        cache.persist()
-
-        cache.put("k", "new")
-        monkeypatch.setattr(os, "fsync",
-                            lambda fd: (_ for _ in ()).throw(OSError("crash")))
-        with pytest.raises(OSError):
-            cache.persist()
-        monkeypatch.undo()
-        assert RenderCache(disk_path=path).get("k") == "old"
-        assert os.listdir(tmp_path) == ["cache.json"]
 
 
 class TestDirectoryFsync:

@@ -1,15 +1,12 @@
 """Batched rendering contracts.
 
-The whole batching optimisation rests on one invariant: a batched render
-is *bit-identical* to the per-class renders it replaces — same digests,
-same dataset bytes, at any batch composition, batch split, worker count,
-or FFT backend. These tests pin that invariant, plus the crash-safety of
-the render cache's disk persistence. The study-level serial reference is
-the same driver at ``_MAX_BATCH = 1``: one row per engine pass.
+The whole batching optimisation rests on one invariant: a batch row is
+*bit-identical* to the same path rendered alone (``render``, a batch of
+one) — same digests, same dataset bytes, at any batch composition,
+batch split, worker count, or FFT backend. These tests pin that
+invariant. The study-level serial reference is the same driver at
+``_MAX_BATCH = 1``: one row per engine pass.
 """
-import json
-import os
-
 import numpy as np
 import pytest
 
@@ -41,14 +38,16 @@ class TestBatchedDigestsMatchSerial:
         batched = vector.render_batch(stack, paths)
         assert batched == [vector.render(stack, p) for p in paths]
 
-    def test_single_row_batch(self):
-        vector = get_vector("hybrid")
-        stack = AudioStack("webkit", "apple-libm", "bluestein", "webkit", 48000)
-        assert vector.render_batch(stack, [None]) == [vector.render(stack, None)]
-
     def test_empty_batch(self):
         stack = AudioStack("blink", "ucrt", "radix2", "blink")
         assert get_vector("fft").render_batch(stack, []) == []
+
+    def test_malformed_path_is_rejected(self):
+        """A path outside ``PATHS`` fails at parse time, naming the path,
+        not inside the readout."""
+        stack = AudioStack("blink", "ucrt", "radix2", "blink")
+        with pytest.raises(ValueError, match="malformed jitter path"):
+            get_vector("fft").render_batch(stack, [None, "t-1.d0.m0.p0"])
 
     def test_batch_rows_do_not_interact(self):
         """A row's digest must not depend on which rows share its batch."""
@@ -138,65 +137,3 @@ class TestGroupingNeverChangesTheDataset:
         serial = _serial_study(**kw)
         batched = run_study(cache=RenderCache(), workers=0, **kw)
         assert batched == serial
-
-
-class TestCacheCrashSafety:
-    def _populated(self, path):
-        cache = RenderCache(disk_path=path)
-        cache.put("k1", "v1")
-        cache.put("k2", "v2")
-        return cache
-
-    def test_persist_then_load_round_trips(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        self._populated(path).persist()
-        fresh = RenderCache(disk_path=path)
-        assert fresh.get("k1") == "v1" and fresh.get("k2") == "v2"
-        assert fresh.disk_loads == 2
-
-    def test_persist_leaves_no_temp_files(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        self._populated(path).persist()
-        assert sorted(os.listdir(tmp_path)) == ["cache.json"]
-
-    def test_persist_replaces_atomically(self, tmp_path):
-        """An existing file is replaced whole — never appended or truncated
-        in place — so a reader mid-persist sees old or new, not torn."""
-        path = str(tmp_path / "cache.json")
-        self._populated(path).persist()
-        cache = RenderCache(disk_path=path)
-        cache.get("k1")
-        cache.put("k3", "v3")
-        cache.persist()
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)  # valid JSON, complete new content
-        assert payload["entries"] == {"k1": "v1", "k2": "v2", "k3": "v3"}
-
-    @pytest.mark.parametrize("garbage", [
-        b"",                         # truncated to nothing
-        b'{"format": 1, "entries"',  # torn mid-write (pre-atomic-writer file)
-        b"[1, 2, 3]",                # not an object
-        b'{"format": 1, "entries": [1, 2]}',  # entries wrong shape
-        b"\x00\xff\x00\xff",         # binary garbage
-    ])
-    def test_unreadable_file_degrades_to_cold_cache(self, tmp_path, garbage):
-        path = tmp_path / "cache.json"
-        path.write_bytes(garbage)
-        cache = RenderCache(disk_path=str(path))
-        assert len(cache) == 0 and cache.disk_loads == 0
-        cache.put("k", "v")
-        cache.persist()  # and the bad file is recoverable by persisting over it
-        assert RenderCache(disk_path=str(path)).get("k") == "v"
-
-    def test_unreadable_directory_degrades_to_cold_cache(self, tmp_path):
-        unreadable = tmp_path / "dir-not-file"
-        unreadable.mkdir()
-        cache = RenderCache(disk_path=str(unreadable))
-        assert len(cache) == 0
-
-    def test_non_string_entries_are_skipped(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(
-            {"format": 1, "entries": {"good": "v", "bad": 7}}))
-        cache = RenderCache(disk_path=str(path))
-        assert len(cache) == 1 and cache.disk_loads == 1

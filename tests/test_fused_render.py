@@ -5,11 +5,8 @@ The fused whole-buffer path exists purely as cost control: it must be
 backend, and batch composition — same eFP digests, same StudyDataset
 bytes — or it may not run at all (segmentation declines and the quantum
 loop takes over). These tests pin that invariant, the segmentation
-decision rules, the study runner's pool clamp, and the render cache's
-stale-version pruning.
+decision rules and the study runner's pool clamp.
 """
-import json
-
 import numpy as np
 import pytest
 
@@ -17,10 +14,9 @@ from repro import RenderCache, run_study
 from repro.obs import Recorder
 from repro.platform import AudioStack
 from repro.platform.jitter import sample_path, sample_repertoire
-from repro.population.cache import _stale_version
 from repro.vectors import AUDIO_VECTORS, get_vector
 from repro.vectors.base import RENDER_LENGTH
-from repro.webaudio import ENGINE_VERSION, RENDER_PATHS, OfflineAudioContext
+from repro.webaudio import RENDER_PATHS, OfflineAudioContext
 from repro.webaudio.config import EngineConfig
 from repro.webaudio.fft import FFT_BACKENDS
 from repro.webaudio.node import AudioNode, mix_to_channels
@@ -327,47 +323,3 @@ class TestPoolClamp:
         plain, _ = self._tiny(monkeypatch, cores=8, workers=0)
         clamped, _ = self._tiny(monkeypatch, cores=1, workers=8)
         assert clamped == plain
-
-
-class TestStaleCachePruning:
-    CUR = f"e{ENGINE_VERSION}"
-
-    def test_stale_version_predicate(self):
-        assert _stale_version("dc|e999|blink|ucrt|radix2|blink|44100|1|-")
-        assert not _stale_version(f"dc|{self.CUR}|blink|ucrt|radix2|blink|44100|1|-")
-        assert not _stale_version("k1")          # ad-hoc keys are never stale
-        assert not _stale_version("a|b|c")       # no version component
-        assert not _stale_version("dc|e12x|rest")  # malformed != stale
-
-    def _file_with(self, tmp_path, entries):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"format": 1, "entries": entries}))
-        return str(path)
-
-    def test_stale_entries_pruned_on_load(self, tmp_path):
-        current = f"dc|{self.CUR}|blink|ucrt|radix2|blink|44100|1|-"
-        stale = "dc|e999|blink|ucrt|radix2|blink|44100|1|-"
-        path = self._file_with(tmp_path, {current: "a", stale: "b", "k1": "c"})
-        cache = RenderCache(disk_path=path)
-        assert cache.get(current) == "a"
-        assert cache.get("k1") == "c"
-        assert cache.get(stale) is None
-        assert cache.stale_prunes == 1
-        assert cache.disk_loads == 2
-        assert cache.stats()["stale_prunes"] == 1
-
-    def test_next_persist_drops_pruned_entries(self, tmp_path):
-        stale = "fft|e999|gecko|glibc|splitradix|gecko|48000|1|-"
-        path = self._file_with(tmp_path, {stale: "dead", "k1": "alive"})
-        cache = RenderCache(disk_path=path)
-        cache.persist()
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        assert payload["entries"] == {"k1": "alive"}
-
-    def test_reset_stats_clears_prune_counter(self, tmp_path):
-        stale = "dc|e999|blink|ucrt|radix2|blink|44100|1|-"
-        cache = RenderCache(disk_path=self._file_with(tmp_path, {stale: "x"}))
-        assert cache.stale_prunes == 1
-        cache.reset_stats()
-        assert cache.stale_prunes == 0

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from repro import RenderCache, run_study
-from repro.obs import Recorder, build_report, render_report, validate_report
+from repro.obs import (EVENT_KINDS, Recorder, build_report, make_event,
+                       render_report, validate_report)
 from repro.obs.report import STUDY_PHASES, main as report_main
 
 STUDY = dict(user_count=8, iterations=4, vectors=("dc", "fft", "hybrid"),
@@ -238,3 +239,33 @@ class TestChaosReportCheck:
             fh.write(b'{"schema": 1, "kind": "study.e')
         assert report_main([report_path, "--check"]) == 2
         assert "events sidecar: torn tail" in capsys.readouterr().err
+
+
+class TestRetiredCacheKinds:
+    """The render cache no longer has a disk tier, so the kinds only a
+    disk-backed cache emitted are unknown: refused at emit, and a log
+    holding one fails ``--check``."""
+
+    @pytest.mark.parametrize("kind", ["cache.disk_load",
+                                      "cache.corrupt_quarantine",
+                                      "cache.stale_prune"])
+    def test_log_holding_a_retired_kind_fails_check(self, kind, tmp_path,
+                                                    capsys):
+        assert kind not in EVENT_KINDS
+        with pytest.raises(ValueError, match="unknown event kind"):
+            make_event(kind)
+        report_path = str(tmp_path / "report.json")
+        events_path = str(tmp_path / "events.jsonl")
+        run_study(user_count=3, iterations=2, vectors=("dc", "fft"), seed=5,
+                  workers=0, cache=RenderCache(), report_path=report_path,
+                  event_log_path=events_path)
+        assert report_main([report_path, "--check"]) == 0
+        with open(events_path, "r", encoding="utf-8") as fh:
+            events = [json.loads(line) for line in fh]
+        line = next(i for i, e in enumerate(events) if e["kind"] == "cache.miss")
+        events[line]["kind"] = kind
+        with open(events_path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(e) + "\n" for e in events)
+        assert report_main([report_path, "--check"]) == 2
+        assert f"line {line + 1} has unknown kind {kind!r}" \
+            in capsys.readouterr().err

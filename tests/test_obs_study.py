@@ -177,8 +177,7 @@ class TestColdThenWarm:
     def _stats(hits, misses):
         return {"hits": hits, "misses": misses,
                 "hit_rate": hits / (hits + misses), "entries": 14,
-                "capacity": 100_000, "disabled": False, "evictions": 0,
-                "disk_loads": 0, "corrupt_entries": 0, "stale_prunes": 0}
+                "capacity": 100_000, "disabled": False, "evictions": 0}
 
     @pytest.mark.parametrize("label, rendered", [("cold", 14), ("warm", 0)])
     def test_study_end_counts_rendered_classes(self, runs, label, rendered):

@@ -1,5 +1,7 @@
 """Platform layer: stacks are frozen/hashable identities; math backends
 diverge at the ulp level; jitter paths round-trip and transform."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.platform import (
     sample_load,
     sample_path,
 )
-from repro.platform.jitter import JitterPath, sample_repertoire
+from repro.platform.jitter import PATHS, JitterPath, sample_repertoire
 from repro.webaudio import ENGINE_VERSION
 
 
@@ -51,7 +53,16 @@ class TestAudioStack:
         assert config.math.name == "glibc"
         assert config.fft.name == "splitradix"
         assert config.compressor.knee_db == 28.0
-        assert config.jitter_transform is None
+
+    def test_realize_carries_no_jitter(self):
+        """Jitter is applied at the analyser readout only, so the engine
+        config a stack realizes holds none and ``realize`` takes none."""
+        stack = AudioStack("gecko", "glibc", "splitradix", "gecko")
+        config = stack.realize()
+        assert [f.name for f in dataclasses.fields(config)] \
+            == ["math", "fft", "compressor", "render_path"]
+        with pytest.raises(TypeError):
+            stack.realize(parse_path("t1.d0.m0.p0"))
 
     def test_pool_shape(self):
         pool = default_stack_pool()
@@ -95,8 +106,31 @@ class TestJitter:
         assert path.readout_offset == 0
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_path("under-load")
+        for garbage in (
+            "under-load",
+            "t1.dX.mY.pZ",   # flags other than 0 or 1
+            "x1.d0.m0.p0",   # no timing prefix
+            "t-1.d0.m0.p0",  # negative timing bucket
+            "t9.d0.m0.p0",   # PATHS holds only t0-t3
+        ):
+            with pytest.raises(ValueError, match="malformed jitter path"):
+                parse_path(garbage)
+
+    def test_parse_rejects_non_strings(self):
+        for value in (None, 0, b"t0.d0.m0.p0", ["t0.d0.m0.p0"], JitterPath()):
+            with pytest.raises(ValueError, match="malformed jitter path"):
+                parse_path(value)
+
+    def test_paths_follow_their_codes(self):
+        """``PATHS[code]`` is the path whose bits are ``t*8 + d*4 + m*2 + p``,
+        the code the bulk draw emits, and each entry parses to itself."""
+        assert len(PATHS) == len(set(PATHS)) == 32
+        assert PATHS[0] == REFERENCE_PATH
+        for code, path in enumerate(PATHS):
+            jitter = parse_path(path)
+            assert jitter == JitterPath(code >> 3, bool(code & 4),
+                                        bool(code & 2), bool(code & 1))
+            assert jitter.encode() == path
 
     def test_transforms_change_bits(self):
         rng = np.random.default_rng(3)

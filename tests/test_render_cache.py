@@ -1,10 +1,13 @@
-"""RenderCache: bit-identity with uncached renders, LRU behavior, disk
-round-trip, disabled mode."""
-import json
+"""RenderCache: bit-identity with uncached renders, LRU behavior,
+disabled mode, an in-memory store, recorder binding."""
+import builtins
+import io
+import os
 
 import pytest
 
 from repro import RenderCache, StudyDataset, run_study
+from repro.obs import NullRecorder, Recorder
 from repro.platform import AudioStack
 from repro.vectors import get_vector
 
@@ -50,10 +53,9 @@ class TestCounterAPI:
         cache.record_hit(2)
         cache.record_miss(3)
         cache.record_eviction()
-        cache.record_disk_load(4)
         stats = cache.stats()
         assert (stats["hits"], stats["misses"]) == (2, 3)
-        assert (stats["evictions"], stats["disk_loads"]) == (1, 4)
+        assert stats["evictions"] == 1
         assert cache.hit_rate == 0.4
 
     def test_reset_clears_all_counters(self):
@@ -61,10 +63,9 @@ class TestCounterAPI:
         cache.record_hit()
         cache.record_miss()
         cache.record_eviction()
-        cache.record_disk_load()
         cache.reset_stats()
         assert cache.stats()["hits"] == cache.stats()["misses"] == 0
-        assert cache.stats()["evictions"] == cache.stats()["disk_loads"] == 0
+        assert cache.stats()["evictions"] == 0
 
     def test_disabled_baseline_uses_miss_counter(self):
         """The disabled-cache study path charges renders through
@@ -152,102 +153,6 @@ class TestBitIdentity:
         assert StudyDataset.load(path) == small
 
 
-class TestDisk:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "render_cache.json")
-        cache = RenderCache(disk_path=path)
-        cache.put("k1", "v1")
-        cache.put("k2", "v2")
-        cache.persist()
-
-        reloaded = RenderCache(disk_path=path)
-        assert reloaded.get("k1") == "v1"
-        assert reloaded.get("k2") == "v2"
-
-    def test_corrupt_file_ignored(self, tmp_path):
-        path = tmp_path / "render_cache.json"
-        path.write_text("{not json")
-        cache = RenderCache(disk_path=str(path))
-        assert len(cache) == 0
-
-    def test_corrupt_file_quarantined_and_counted(self, tmp_path):
-        """A broken cache file is moved aside as ``*.corrupt`` (so the
-        next persist starts clean and the wreckage stays inspectable) and
-        shows up in ``stats()``."""
-        path = tmp_path / "render_cache.json"
-        path.write_text("{not json")
-        cache = RenderCache(disk_path=str(path))
-        assert cache.stats()["corrupt_entries"] == 1
-        assert not path.exists()
-        quarantined = tmp_path / "render_cache.json.corrupt"
-        assert quarantined.read_text() == "{not json"
-        # the quarantined file never blocks a fresh persist + reload
-        cache.put("k", "v")
-        cache.persist()
-        assert RenderCache(disk_path=str(path)).get("k") == "v"
-
-    def test_wrong_shape_file_quarantined(self, tmp_path):
-        path = tmp_path / "render_cache.json"
-        path.write_text(json.dumps(["not", "a", "cache"]))
-        cache = RenderCache(disk_path=str(path))
-        assert len(cache) == 0
-        assert cache.corrupt_entries == 1
-        assert (tmp_path / "render_cache.json.corrupt").exists()
-
-    def test_per_entry_damage_skips_entry_and_counts(self, tmp_path):
-        """Damage confined to individual entries (non-string values) drops
-        just those entries — the healthy ones still load — and each one
-        is counted, without quarantining the whole file."""
-        path = tmp_path / "render_cache.json"
-        path.write_text(json.dumps(
-            {"format": 1, "entries": {"good": "efp", "bad": 7, "worse": None}}))
-        cache = RenderCache(disk_path=str(path))
-        assert cache.get("good") == "efp"
-        assert len(cache) == 1
-        assert cache.stats()["corrupt_entries"] == 2
-        assert path.exists()  # file itself is kept: most of it was fine
-
-    def test_reset_stats_clears_corrupt_counter(self, tmp_path):
-        path = tmp_path / "render_cache.json"
-        path.write_text("garbage")
-        cache = RenderCache(disk_path=str(path))
-        assert cache.corrupt_entries == 1
-        cache.reset_stats()
-        assert cache.stats()["corrupt_entries"] == 0
-
-    def test_persist_is_atomic_json(self, tmp_path):
-        path = tmp_path / "c.json"
-        cache = RenderCache(disk_path=str(path))
-        cache.put("k", "v")
-        cache.persist()
-        payload = json.loads(path.read_text())
-        assert payload["entries"] == {"k": "v"}
-        assert list(tmp_path.iterdir()) == [path]  # no stray temp files
-
-    def test_no_disk_path_is_noop(self):
-        RenderCache().persist()  # must not raise
-
-    def test_persist_creates_missing_directory(self, tmp_path):
-        """benchmarks/.cache/ is generated state (untracked); the cache
-        must create its directory on demand."""
-        path = str(tmp_path / "nested" / "dir" / "cache.json")
-        cache = RenderCache(disk_path=path)
-        cache.put("k", "v")
-        cache.persist()
-        assert RenderCache(disk_path=path).get("k") == "v"
-
-    def test_disk_load_counter(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = RenderCache(disk_path=path)
-        cache.put("k1", "v1")
-        cache.put("k2", "v2")
-        cache.persist()
-        reloaded = RenderCache(disk_path=path)
-        assert reloaded.disk_loads == 2
-        assert reloaded.stats()["disk_loads"] == 2
-        assert RenderCache(disk_path=path, disabled=True).disk_loads == 0
-
-
 class TestDisabled:
     def test_disabled_never_stores(self):
         cache = RenderCache(disabled=True)
@@ -261,3 +166,65 @@ class TestDisabled:
         run_study(user_count=3, iterations=2, vectors=("dc",), seed=1,
                   cache=cache, workers=0)
         assert cache.misses == 3 * 2
+
+
+class TestInMemoryOnly:
+    def test_disabled_is_keyword_only(self):
+        """A second positional value (where a file path used to go) is
+        refused rather than read as ``disabled``."""
+        with pytest.raises(TypeError):
+            RenderCache(8, "renders.json")
+        assert RenderCache(8, disabled=True).disabled is True
+
+    def test_touches_no_files(self, monkeypatch):
+        def no_io(*args, **kwargs):
+            raise AssertionError("RenderCache opened a file")
+
+        for module, name in ((builtins, "open"), (io, "open"), (os, "open"),
+                             (os, "replace")):
+            monkeypatch.setattr(module, name, no_io)
+        cache = RenderCache(capacity=2)
+        cache.put("a", "1")
+        cache.put("b", "2")
+        cache.put("c", "3")
+        assert "a" not in cache and cache.get("c") == "3"
+        cache.reset_stats()
+        assert len(cache) == 2
+
+    def test_stats_hold_in_memory_counters_only(self):
+        cache = RenderCache(capacity=4)
+        assert cache.stats() == {"hits": 0, "misses": 0, "hit_rate": 0.0,
+                                 "entries": 0, "capacity": 4,
+                                 "disabled": False, "evictions": 0}
+
+
+class TestRecorderBinding:
+    def test_misses_are_the_only_cache_events(self):
+        """Binding emits nothing; a miss emits ``cache.miss`` with its
+        count; hits and evictions stay silent."""
+        recorder = Recorder()
+        cache = RenderCache(capacity=1)
+        cache.attach_recorder(recorder)
+        assert recorder.events == []
+        cache.get("a")
+        cache.put("a", "1")
+        cache.get("a")
+        cache.put("b", "2")
+        cache.record_miss(3)
+        assert [(e["kind"], e["n"]) for e in recorder.events] \
+            == [("cache.miss", 1), ("cache.miss", 3)]
+        assert (cache.hits, cache.misses, cache.evictions) == (1, 4, 1)
+        cache.detach_recorder()
+        cache.get("a")
+        assert len(recorder.events) == 2
+
+    def test_disabled_recorder_is_never_called(self):
+        class Disabled(NullRecorder):
+            def event(self, kind, **fields):
+                raise AssertionError("a disabled recorder was called")
+
+        cache = RenderCache()
+        cache.attach_recorder(Disabled())
+        cache.get("a")
+        cache.record_miss(2)
+        assert cache.misses == 3

@@ -2,12 +2,18 @@
 import numpy as np
 import pytest
 
-from repro.platform import AudioStack, REFERENCE_PATH
+from repro.platform import AudioStack, REFERENCE_PATH, sample_path
 from repro.vectors import (AUDIO_VECTORS, COMPARATOR_VECTORS, VECTORS,
                            UnknownVectorError, get_vector, register)
+from repro.vectors import base as vector_base
+from repro.vectors.base import AnalyserVector, SampleSumVector
 
 STACK = AudioStack("blink", "ucrt", "radix2", "blink")
 OTHER = AudioStack("webkit", "apple-libm", "bluestein", "webkit", 48000)
+
+#: strings that name no path in ``PATHS``: bad flags, no timing prefix,
+#: a negative bucket, a bucket past t3
+UNKNOWN_PATHS = ("t1.dX.mY.pZ", "x1.d0.m0.p0", "t-1.d0.m0.p0", "t9.d0.m0.p0")
 
 
 def test_registry_contents():
@@ -70,12 +76,59 @@ def test_analyser_vectors_feel_jitter(name):
         assert vector.render(STACK, path) != ref
 
 
+@pytest.mark.parametrize("name", sorted(AUDIO_VECTORS))
+def test_audio_vector_has_one_render_path(name):
+    """Each audio vector inherits exactly one of the two readouts and adds
+    no renderer of its own, so ``render`` is its batch of one."""
+    cls = type(get_vector(name))
+    readouts = [readout for readout in (AnalyserVector, SampleSumVector)
+                if issubclass(cls, readout)]
+    assert len(readouts) == 1
+    assert cls.uses_analyser is (readouts[0] is AnalyserVector)
+    for own in cls.__mro__[: cls.__mro__.index(readouts[0])]:
+        assert not {"_features", "_features_batch", "render",
+                    "render_batch"} & set(vars(own))
+
+
+@pytest.mark.parametrize("name", ["fft", "hybrid", "merged", "am", "fm"])
+def test_analyser_vectors_reject_unknown_paths_before_rendering(
+        name, monkeypatch):
+    """A string outside ``PATHS`` would give an existing eFP a second cache
+    key: every analyser vector refuses it before building a graph."""
+    def no_render(*args):
+        raise AssertionError("rendered a batch holding an unknown path")
+
+    monkeypatch.setattr(vector_base, "_render", no_render)
+    vector = get_vector(name)
+    for path in UNKNOWN_PATHS:
+        with pytest.raises(ValueError, match="malformed jitter path"):
+            vector.render(STACK, path)
+        with pytest.raises(ValueError, match="malformed jitter path"):
+            vector.render_batch(STACK, [REFERENCE_PATH, path])
+
+
+@pytest.mark.parametrize("name", ["dc", "custom"])
+def test_analyser_free_vectors_never_parse_paths(name, monkeypatch):
+    """dc and custom never read the analyser, so no path string reaches
+    ``parse_path``: every string, known or not, is the one key ``"-"``."""
+    def no_parse(path):
+        raise AssertionError(f"parsed {path!r}")
+
+    monkeypatch.setattr(vector_base, "parse_path", no_parse)
+    vector = get_vector(name)
+    paths = [None, REFERENCE_PATH, "t3.d1.m1.p1", *UNKNOWN_PATHS]
+    assert {vector.canonical_path(p) for p in paths} == {"-"}
+    assert vector.render_batch(STACK, paths) \
+        == [vector.render(STACK, None)] * len(paths)
+
+
 def test_collect_samples_paths():
     vector = get_vector("fft")
-    quiet = vector.collect(STACK, np.random.default_rng(1), load=0.0)
+    quiet = vector.render(STACK, sample_path(np.random.default_rng(1), 0.0))
     assert quiet == vector.render(STACK, REFERENCE_PATH)
     rng = np.random.default_rng(2)
-    observed = {vector.collect(STACK, rng, load=0.95) for _ in range(12)}
+    observed = {vector.render(STACK, sample_path(rng, 0.95))
+                for _ in range(12)}
     assert len(observed) >= 2  # heavy load -> fickle
 
 
