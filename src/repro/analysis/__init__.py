@@ -4,8 +4,8 @@ Turns a rendered ``StudyDataset`` into the paper's measurement results:
 
   collation   the fingerprint graph (nodes = distinct eFPs, edges =
               co-observation within one user's series) collapsed into
-              stable collated fingerprint ids via a vectorized,
-              iterative union-find.
+              stable collated fingerprint ids by array label
+              propagation.
   entropy     Shannon/normalized entropy, anonymity-set distributions
               and raw-vs-collated stability, per vector and combined.
   report      a deterministic, schema-versioned JSON report; validated
@@ -15,8 +15,9 @@ Turns a rendered ``StudyDataset`` into the paper's measurement results:
 CLI: ``python -m repro.analysis dataset.json --out report.json``.
 """
 
-from .collation import (UnionFind, VectorCollation, collate,  # noqa: F401
-                        collate_vector, combined_user_ids, series_edges)
+from .collation import (VectorCollation, collate,  # noqa: F401
+                        collate_vector, combined_user_ids, component_roots,
+                        series_edges)
 from .entropy import (distribution, normalized_entropy,  # noqa: F401
                       shannon_entropy, stability, vector_metrics)
 from .report import (ANALYSIS_FORMAT, ANALYSIS_KIND,  # noqa: F401
@@ -32,8 +33,8 @@ from .tables import (MATCH_SPLITS, TABLES_FORMAT, TABLES_KIND,  # noqa: F401
                      render_tables_report, validate_tables_report)
 
 __all__ = [
-    "UnionFind", "VectorCollation", "collate", "collate_vector",
-    "combined_user_ids", "series_edges",
+    "VectorCollation", "collate", "collate_vector", "combined_user_ids",
+    "component_roots", "series_edges",
     "distribution", "normalized_entropy", "shannon_entropy", "stability",
     "vector_metrics",
     "ANALYSIS_FORMAT", "ANALYSIS_KIND", "build_analysis_report",

@@ -32,12 +32,10 @@ Implementation notes (scales past the paper's 2093 x 30 x 7 grid):
   1-D int64 key per edge (``lo * n + hi``), which sorts the edges in
   the same (lo, hi) order as a row-wise unique at a fraction of its
   cost.
-- Components come from an iterative array-backed union-find (path
-  halving, no recursion) over the deduplicated edges, plus one
-  vectorized pointer-jumping pass to resolve every node's root. Work is
-  linear in the grid size up to near-constant inverse-Ackermann /
-  log-depth factors.
-- Roots are canonicalized to the *minimum interned eFP id* in each
+- Components come from ``component_roots``: array label propagation
+  over the deduplicated edges, whole-array NumPy passes with no
+  per-edge Python loop.
+- Every node's root is the *minimum interned eFP id* in its
   component, so component identity is independent of edge order, and
   dense component labels follow interning (first-appearance) order —
   the same dataset always collates to byte-identical labels.
@@ -51,50 +49,36 @@ import numpy as np
 from ..obs import NULL_RECORDER
 
 
-class UnionFind:
-    """Array-backed disjoint-set union: iterative finds with path
-    halving, roots canonicalized to the smallest member id."""
+def component_roots(size: int, edges) -> np.ndarray:
+    """Label every node ``0..size-1`` with its component's minimum id.
 
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = np.arange(size, dtype=np.int64)
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = int(parent[i])
-        return int(i)
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; the smaller root wins, so a
-        component's representative is its minimum id regardless of the
-        order edges arrive in. Returns True if a merge happened."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def union_edges(self, edges: np.ndarray) -> int:
-        """Apply an ``(n, 2)`` edge array; returns the number of merges."""
-        merged = 0
-        for a, b in edges.tolist():
-            merged += self.union(a, b)
-        return merged
-
-    def roots(self) -> np.ndarray:
-        """Every element's root, resolved by vectorized pointer jumping
-        (O(log depth) full-array passes, no recursion)."""
-        parent = self.parent
+    ``edges`` is any ``(n, 2)`` array of node pairs; duplicates and
+    self-loops are harmless. Array label propagation: labels start at
+    ``arange(size)``; each round lowers the larger label of every edge
+    whose two ends disagree to the smaller one (``np.minimum.at``, so
+    conflicting writes keep the minimum), then pointer-jumps
+    (``labels = labels[labels]``) to a fixed point, so every node
+    carries its root again. It stops once both ends of every edge carry
+    the same label. Labels only fall and never leave their component,
+    so the loop ends, and at the fixed point each component's nodes all
+    carry the one label its minimum id has kept: the component minimum,
+    whatever order the edges come in.
+    """
+    labels = np.arange(size, dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    a, b = edges[:, 0], edges[:, 1]
+    while True:
+        la, lb = labels[a], labels[b]
+        split = la != lb
+        if not split.any():
+            return labels
+        la, lb = la[split], lb[split]
+        np.minimum.at(labels, np.maximum(la, lb), np.minimum(la, lb))
         while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                return grand
-            parent = grand
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def series_edges(codes: np.ndarray) -> np.ndarray:
@@ -174,10 +158,8 @@ def collate_vector(dataset, vector: str, recorder=NULL_RECORDER) -> VectorCollat
     """Collate one vector's series grid into stable fingerprint ids."""
     with recorder.span("collate", vector=vector):
         codes, labels, user_ids = dataset.intern(vector)
-        uf = UnionFind(len(labels))
         edges = series_edges(codes)
-        uf.union_edges(edges)
-        roots = uf.roots()
+        roots = component_roots(len(labels), edges)
         # roots are already canonical (min eFP id per component); densify
         # to 0..C-1 in ascending-root order == first-appearance order
         _, efp_components = np.unique(roots, return_inverse=True)

@@ -24,9 +24,9 @@ first-observed eFPs, as label indices).
 
 ``merge_shard_reports`` re-interns labels globally, sums the count
 vectors, unions the edge sets (unordered label pairs dedupe exactly the
-way the monolithic ``np.unique`` pass does), runs the same array-backed
-union-find over the union, and re-assembles a **byte-identical**
-monolithic analysis report:
+way the monolithic ``np.unique`` pass does), labels components with the
+same ``component_roots`` pass over the union, and re-assembles a
+**byte-identical** monolithic analysis report:
 
 - counts are integers, so sums are exact and associative;
 - every float in a report is ``_round``-ed from a count multiset that
@@ -48,7 +48,7 @@ import numpy as np
 
 from ..schema import ARRAY, COUNT, POSITIVE, STRING, STUDY, each
 from ..schema import problems as schema_problems
-from .collation import UnionFind, series_edges
+from .collation import component_roots, series_edges
 from .entropy import _round, distribution
 from .report import ANALYSIS_FORMAT, ANALYSIS_KIND, dumps_analysis_report
 
@@ -81,9 +81,7 @@ def build_shard_report(dataset, manifest: dict) -> dict:
         # (never assumed), exactly like the monolithic path — a user's
         # own series connects all their eFPs, so local and global
         # components agree on every per-user collapse scalar
-        uf = UnionFind(len(labels))
-        uf.union_edges(edges)
-        roots = uf.roots()
+        roots = component_roots(len(labels), edges)
         if len(labels):
             _, comp = np.unique(roots, return_inverse=True)
         else:
@@ -320,10 +318,7 @@ def merge_shard_reports(reports: list[dict]) -> dict:
                         "collated_max_ids_per_user"):
                 stab_max[key] = max(stab_max[key], stab[key])
 
-        uf = UnionFind(len(gid))
-        if edge_set:
-            uf.union_edges(np.array(sorted(edge_set), dtype=np.int64))
-        roots = uf.roots()
+        roots = component_roots(len(gid), list(edge_set))
         if len(gid):
             _, comp = np.unique(roots, return_inverse=True)
         else:

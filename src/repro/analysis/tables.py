@@ -31,7 +31,8 @@ from ..schema import (COUNT, NUMBER, POSITIVE, STRING, STUDY, Check, each,
                       maybe)
 from ..schema import problems as schema_problems
 from ..vectors.registry import get_vector
-from .collation import UnionFind, collate, combined_user_ids, series_edges
+from .collation import (collate, combined_user_ids, component_roots,
+                        series_edges)
 from .entropy import FLOAT_DECIMALS, distribution, shannon_entropy
 from .report import DISTRIBUTION, distribution_problems, dumps_analysis_report
 
@@ -76,26 +77,24 @@ def match_score(codes: np.ndarray, s: int) -> float | None:
     eFPs into components, exactly like the full-study collation), then
     test on the next ``s``: a user *matches* iff at least one test eFP
     was already seen in training and every previously-seen test eFP
-    resolves to the user's own training component. Returns None when the
-    series is too short to split (needs ``2 s`` iterations).
+    resolves to the user's own training component. Both conditions are
+    masked reductions over the ``(users, s)`` test grid. Returns None
+    when there are no users or the series is too short to split (needs
+    ``2 s`` iterations).
     """
     users, iterations = codes.shape
     if users == 0 or iterations < 2 * s:
         return None
     train = codes[:, :s]
     test = codes[:, s:2 * s]
-    uf = UnionFind(int(codes.max()) + 1)
-    uf.union_edges(series_edges(train))
-    roots = uf.roots()
+    roots = component_roots(int(codes.max()) + 1, series_edges(train))
     seen = np.zeros(roots.shape[0], dtype=bool)
     seen[train.ravel()] = True
     own = roots[train[:, 0]]
-    matched = 0
-    for u in range(users):
-        revisits = [e for e in test[u].tolist() if seen[e]]
-        if revisits and all(int(roots[e]) == int(own[u]) for e in revisits):
-            matched += 1
-    return matched / users
+    hit = seen[test]
+    matched = hit.any(axis=1) & (
+        (roots[test] == own[:, None]) | ~hit).all(axis=1)
+    return int(matched.sum()) / users
 
 
 def _battery_section(collations, names) -> dict:
@@ -135,9 +134,11 @@ def _additive_value(collations, audio_names, comparator_names):
 
 def _match_scores(collations, audio_names, iterations):
     """The revisit-consistency sweep over ``MATCH_SPLITS``; only splits
-    the series actually covers (2 s <= iterations) are emitted."""
+    the series actually covers (2 s <= iterations) are emitted, and a
+    study with no users has no sweep."""
     splits = [s for s in MATCH_SPLITS if 2 * s <= iterations]
-    if not audio_names or not splits:
+    if not audio_names or not splits \
+            or not collations[audio_names[0]].user_ids:
         return None
     scores = {}
     for name in audio_names:
@@ -163,8 +164,10 @@ def _table4(collations):
 
 
 def _table5(dataset, collations):
-    """Per-platform distinct DC vs distinct Math-JS fingerprints."""
-    if "dc" not in collations or "mathjs" not in collations:
+    """Per-platform distinct DC vs distinct Math-JS fingerprints; None
+    when the study has no users, so no platform."""
+    if "dc" not in collations or "mathjs" not in collations \
+            or not collations["dc"].user_ids:
         return None
     dc = collations["dc"]
     mathjs = collations["mathjs"]

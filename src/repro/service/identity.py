@@ -14,10 +14,10 @@ Equivalence to the batch path is exact, not approximate:
   first eFP to every later one; observing a series incrementally unions
   each new eFP with that user's first eFP — the identical edge set.
 * **Same canonical roots.** Unions keep the minimum member id as the
-  root (as batch ``UnionFind.union`` does), so a component's
-  representative is its minimum interned eFP id regardless of arrival
-  order — this is the *live* identity the service serves, stable under
-  any interleaving of the same visits.
+  root (batch ``component_roots`` labels every node with that same
+  minimum), so a component's representative is its minimum interned eFP
+  id regardless of arrival order — this is the *live* identity the
+  service serves, stable under any interleaving of the same visits.
 * **Same dense labels.** ``user_component_ids`` densifies resolved
   roots in ascending order, exactly ``np.unique(roots)`` in the batch
   path. Feed the collator a dataset's visits in canonical order (user

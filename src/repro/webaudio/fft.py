@@ -35,18 +35,17 @@ def _is_pow2(n: int) -> bool:
 # them returns the exact arrays the uncached code would rebuild — zero
 # effect on output bytes, large effect on per-call Python/alloc overhead.
 # Cached arrays are marked read-only; kernels only ever multiply by them.
-_TWIDDLE_CACHE: dict[tuple[int, object], np.ndarray] = {}
+_TWIDDLE_CACHE: dict[int, np.ndarray] = {}
 _BITREV_CACHE: dict[int, np.ndarray] = {}
 
 
-def _twiddles(size: int, dtype=np.complex128) -> np.ndarray:
-    """``exp(-2j*pi*arange(size//2)/size)`` in ``dtype``, cached per size."""
-    key = (size, np.dtype(dtype).str)
-    tw = _TWIDDLE_CACHE.get(key)
+def _twiddles(size: int) -> np.ndarray:
+    """``exp(-2j*pi*arange(size//2)/size)`` in complex128, cached per size."""
+    tw = _TWIDDLE_CACHE.get(size)
     if tw is None:
-        tw = np.exp(-2j * np.pi * np.arange(size // 2) / size).astype(dtype)
+        tw = np.exp(-2j * np.pi * np.arange(size // 2) / size)
         tw.setflags(write=False)
-        _TWIDDLE_CACHE[key] = tw
+        _TWIDDLE_CACHE[size] = tw
     return tw
 
 
@@ -64,7 +63,7 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
-def _fft_iterative_radix2(x: np.ndarray, twiddle_dtype=np.complex128) -> np.ndarray:
+def _fft_iterative_radix2(x: np.ndarray) -> np.ndarray:
     """Iterative Cooley-Tukey decimation-in-time; vectorized per stage.
 
     Transforms the last axis; leading axes are independent batch rows.
@@ -84,7 +83,7 @@ def _fft_iterative_radix2(x: np.ndarray, twiddle_dtype=np.complex128) -> np.ndar
     size = 2
     while size <= n:
         half = size // 2
-        tw = _twiddles(size, twiddle_dtype)
+        tw = _twiddles(size)
         av = a.reshape(*lead, n // size, size)
         ov = out.reshape(*lead, n // size, size)
         even = av[..., :half]
@@ -206,9 +205,9 @@ class Radix2FFT(FFTBackend):
 
 
 class SplitRadixFFT(FFTBackend):
-    """Recursive evaluation order + float32-rounded twiddles in the last
-    iterative fallback — models a build compiled with single-precision
-    twiddle tables (a real divergence between audio stacks)."""
+    """The recursive radix-2 kernel, complex128 throughout: the same DFT
+    as ``Radix2FFT`` in a different evaluation order, so the two round
+    differently at the ulp level."""
 
     name = "splitradix"
     tolerance = 1e-9

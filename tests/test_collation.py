@@ -1,6 +1,6 @@
 """Collation: the fingerprint graph's connected components become stable
 collated ids — edge cases (single user, fully stable, fully fickle,
-cross-user sharing), union-find correctness, and exact permutation
+cross-user sharing), component labelling, and exact permutation
 invariance of the entropy metrics under user reordering."""
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import StudyDataset, run_study
-from repro.analysis import (UnionFind, build_analysis_report, collate,
-                            collate_vector, series_edges)
+from repro.analysis import (build_analysis_report, collate, collate_vector,
+                            component_roots, series_edges)
 
 
 def make_dataset(series, iterations):
@@ -25,43 +25,53 @@ def make_dataset(series, iterations):
     )
 
 
-class TestUnionFind:
-    def test_roots_match_naive_connectivity(self):
-        rng = np.random.default_rng(3)
-        n = 200
-        edges = rng.integers(0, n, size=(150, 2))
-        uf = UnionFind(n)
-        uf.union_edges(edges)
-        roots = uf.roots()
-        # naive: repeated min-label propagation over an adjacency dict
-        label = list(range(n))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in edges.tolist():
-                low = min(label[a], label[b])
-                if label[a] != low or label[b] != low:
-                    label[a] = label[b] = low
-                    changed = True
-        # same partition: equal roots <=> equal naive labels
-        for i in range(n):
-            for j in (0, n // 2, n - 1):
-                assert (roots[i] == roots[j]) == (label[i] == label[j])
+def _naive_min_labels(size, edges):
+    """Repeated min-label propagation over the edge list."""
+    label = list(range(size))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges.tolist():
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+    return label
+
+
+@st.composite
+def graphs(draw):
+    """``(size, edges)``: 0-40 nodes and up to 60 random edges, so
+    duplicates, self-loops and isolated nodes all turn up."""
+    size = draw(st.integers(0, 40))
+    count = draw(st.integers(0, 60)) if size else 0
+    edges = draw(hnp.arrays(np.int64, (count, 2),
+                            elements=st.integers(0, max(size - 1, 0))))
+    return size, edges
+
+
+class TestComponentRoots:
+    @given(graphs())
+    @example((0, np.empty((0, 2), dtype=np.int64)))
+    @example((1, np.empty((0, 2), dtype=np.int64)))
+    @example((1, np.array([[0, 0]])))
+    @example((6, np.array([[3, 3], [4, 1], [1, 4], [4, 1], [5, 5]])))
+    @example((40, np.empty((0, 2), dtype=np.int64)))
+    # a path whose ids fall away from its minimum: 0 - 9 - 8 - ... - 1
+    @example((10, np.array([[0, 9]] + [[k, k - 1] for k in range(9, 1, -1)])))
+    def test_roots_match_naive_connectivity(self, graph):
+        """Every node carries its component's minimum id: exactly the
+        naive min-label propagation, not merely the same partition."""
+        size, edges = graph
+        roots = component_roots(size, edges)
+        assert roots.dtype == np.int64
+        assert roots.tolist() == _naive_min_labels(size, edges)
 
     def test_root_is_component_minimum_regardless_of_edge_order(self):
         for order in ([(2, 4), (4, 1), (1, 9)], [(1, 9), (4, 1), (2, 4)]):
-            uf = UnionFind(10)
-            for a, b in order:
-                uf.union(a, b)
-            roots = uf.roots()
+            roots = component_roots(10, np.array(order))
             assert roots[1] == roots[2] == roots[4] == roots[9] == 1
             assert roots[0] == 0
-
-    def test_union_reports_merges(self):
-        uf = UnionFind(3)
-        assert uf.union(0, 1) is True
-        assert uf.union(0, 1) is False
-        assert uf.union_edges(np.array([[1, 2], [0, 2]])) == 1
 
 
 class TestSeriesEdges:

@@ -8,9 +8,14 @@ only ever refining, additive value in the published regime, match
 scores ~1 once a revisit sees two iterations, and the math library
 explaining only part of the DC signal.
 """
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro import RenderCache, run_study
+from repro import RenderCache, StudyDataset, run_study
+from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.tables import (MATCH_SPLITS, TABLES_FORMAT, TABLES_KIND,
                                    build_tables_report, classify_vectors,
                                    dumps_tables_report, match_score,
@@ -127,24 +132,95 @@ class TestPaperInvariants:
 
 class TestMatchScoreUnit:
     def test_too_short_series_returns_none(self):
-        import numpy as np
         codes = np.zeros((4, 3), dtype=np.int64)
         assert match_score(codes, 2) is None
 
     def test_perfectly_stable_users_always_match(self):
-        import numpy as np
         codes = np.arange(5, dtype=np.int64)[:, None].repeat(6, axis=1)
         for s in (1, 2, 3):
             assert match_score(codes, s) == 1.0
 
     def test_novel_revisit_efp_breaks_the_match(self):
-        import numpy as np
         # user 0 revisits with an eFP never seen in training: no link
         codes = np.array([[0, 0, 7, 7], [1, 1, 1, 1]], dtype=np.int64)
         assert match_score(codes, 2) == 0.5
 
     def test_splits_cover_the_paper_axis(self):
         assert MATCH_SPLITS == (1, 2, 3, 5)
+
+
+def _match_score_reference(codes, s):
+    """``match_score`` by its definition, one user at a time: train roots
+    by naive min-label propagation over each training row, then a
+    per-user check of the revisit eFPs."""
+    users, iterations = codes.shape
+    if users == 0 or iterations < 2 * s:
+        return None
+    train = codes[:, :s].tolist()
+    test = codes[:, s:2 * s].tolist()
+    root = {e: e for row in train for e in row}
+    changed = True
+    while changed:
+        changed = False
+        for row in train:
+            low = min(root[e] for e in row)
+            for e in row:
+                if root[e] != low:
+                    root[e] = low
+                    changed = True
+    matched = 0
+    for u in range(users):
+        own = root[train[u][0]]
+        revisits = [e for e in test[u] if e in root]
+        if revisits and all(root[e] == own for e in revisits):
+            matched += 1
+    return matched / users
+
+
+@given(codes=hnp.arrays(np.int64,
+                        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                         max_side=12),
+                        elements=st.integers(0, 40)),
+       s=st.sampled_from(MATCH_SPLITS))
+# no users; too few iterations for the split
+@example(codes=np.zeros((0, 12), dtype=np.int64), s=1)
+@example(codes=np.zeros((3, 5), dtype=np.int64), s=3)
+# user 0's revisit eFP 7 was never seen in training
+@example(codes=np.array([[0, 0, 7, 7], [1, 1, 1, 1]]), s=2)
+# user 0 revisits with 2, seen only in user 1's training, same component
+@example(codes=np.array([[0, 1, 2, 2], [1, 2, 1, 2]]), s=2)
+# user 0's revisits span their own component and user 1's
+@example(codes=np.array([[0, 0, 0, 5], [5, 5, 5, 5]]), s=2)
+def test_match_score_equals_per_user_definition(codes, s):
+    assert match_score(codes, s) == _match_score_reference(codes, s)
+
+
+class TestZeroUserStudy:
+    """A dataset with no users is valid; the tables report has no match
+    sweep and no platform rows, and says so with ``null``."""
+
+    VECTORS = ("dc", "fft", "canvas", "mathjs")
+
+    @pytest.fixture()
+    def empty(self):
+        return StudyDataset(seed=1, user_count=0, iterations=4,
+                            vectors=self.VECTORS, users=[],
+                            series={name: {} for name in self.VECTORS})
+
+    def test_report_is_valid(self, empty):
+        report = build_tables_report(empty)
+        assert report["match_scores"] is None
+        assert report["table5_platforms"] is None
+        assert validate_tables_report(report) == []
+
+    def test_cli_writes_and_renders(self, empty, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        empty.save(str(path))
+        out = tmp_path / "tables.json"
+        assert analysis_main([str(path), "--tables", "--out", str(out)]) == 0
+        assert out.exists()
+        assert analysis_main([str(path), "--tables", "--render"]) == 0
+        assert "table 2" in capsys.readouterr().out
 
 
 class TestStudyFrontDoor:
