@@ -10,10 +10,12 @@ exactly the structure the additive-value analysis measures.
 
 Version pools are head-heavy (auto-update concentrates mass on the
 current release train) with a long tail of stragglers; OS build pools
-model the slower OS upgrade cadence. All draws go through
-``pick_weighted``: one ``rng.random()`` per draw against a cumulative
-table, deterministic given the caller's per-user stream. Each table's
-cumulative distribution is computed once per process, not once per pick.
+model the slower OS upgrade cadence. ``pick_weighted`` defines a draw:
+one ``rng.random()`` against a cumulative table, deterministic given the
+caller's per-user stream. Each table's cumulative distribution is
+computed once per process, not once per pick; the population sampler
+makes the same picks for a whole slice of users at once, with
+``searchsorted`` on the same distribution.
 """
 from __future__ import annotations
 

@@ -22,19 +22,27 @@ class Device:
     canvas: CanvasStack | None = None
     fonts: FontStack | None = None
 
-    def describe(self) -> dict:
+    def describe(self, key_of=None) -> dict:
+        """The device's user record. ``key_of(stack)`` gives each stack's
+        key (default ``cache_key_of``); a caller describing devices that
+        share stack objects may pass a memo of it."""
+        key_of = key_of or cache_key_of
         # the exact load float: JSON round-trips float64 via repr, so a
         # device rebuilt from its description is bit-identical (lossy
         # round(load, 6) here used to break that — pinned by test)
         return {
             "id": self.user_id,
-            "stack_key": self.stack.cache_key(),
+            "stack_key": key_of(self.stack),
             "os": self.os,
             "browser": self.browser,
             "load": self.load,
-            "ua_key": self.ua.cache_key() if self.ua is not None else None,
-            "canvas_key": (self.canvas.cache_key()
-                           if self.canvas is not None else None),
-            "fonts_key": (self.fonts.cache_key()
-                          if self.fonts is not None else None),
+            "ua_key": key_of(self.ua),
+            "canvas_key": key_of(self.canvas),
+            "fonts_key": key_of(self.fonts),
         }
+
+
+def cache_key_of(stack) -> str | None:
+    """A stack's ``cache_key()``; None for a comparator stack a hand-built
+    device left out."""
+    return stack.cache_key() if stack is not None else None

@@ -55,9 +55,9 @@ from ..schema import problems as schema_problems
 from ..webaudio import ENGINE_VERSION
 from .cache import RenderCache
 from .dataset import StudyDataset
-from .sampler import sample_population_slice
-from .study import (_CHECKPOINT_EVERY, _Tally, _assemble, _integer, _phase,
-                    _plan, _render_range, _study_run, _write_report)
+from .sampler import _integer, sample_population_slice
+from .study import (_CHECKPOINT_EVERY, _Tally, _assemble, _phase, _plan,
+                    _render_range, _study_run, _write_report)
 
 SHARD_KIND = "repro.study.shard"
 SHARD_FORMAT = 1
@@ -531,7 +531,7 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                         shard_span.set(users=stop - start,
                                        distinct_classes=len(classes),
                                        rendered=misses)
-                    dataset = _assemble(run, devices, grids, efps)
+                    dataset = _assemble(run, devices, grids, classes, efps)
                     manifest = write_shard(shard.paths, study, index, start,
                                            stop, dataset)
                     with suppress(OSError):  # the manifest supersedes it

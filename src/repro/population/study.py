@@ -6,8 +6,12 @@ collapses to its distinct equivalence classes. ``run_study`` works in
 three phases:
 
   1. PLAN     — sample the population and deterministically pre-draw every
-                iteration's jitter path (cheap, no DSP). Per block of
-                users, one array pass replays every user's rng stream
+                iteration's jitter path (cheap, no DSP). The sampler is
+                columnar (``repro.population.sampler``); every user's
+                stream seed comes from one array pass of numpy's seed
+                hash (``user_seeds``); each distinct stack object is
+                keyed once, not once per user. Per block of users, one
+                array pass replays every user's rng stream
                 (``repro.platform.jitter.draw_path_codes``, byte-identical
                 to the scalar draws) into integer path codes; the result
                 is, per vector, a (users, iterations) grid of integer
@@ -24,10 +28,11 @@ three phases:
                 budget that ends in a structured ``StudyExecutionError``.
                 With ``checkpoint_path`` set, renders are crash-safely
                 checkpointed, so a killed run resumes byte-identically.
-  3. ASSEMBLE — per vector, map class ids to eFP codes and index the grid
-                with that map: array work, no per-item lookup. The
-                dataset keeps the codes; string series are derived only
-                for callers that serialize.
+  3. ASSEMBLE — per vector, map class ids to eFP codes (one pass over
+                the class table) and index the grid with that map: array
+                work, no per-item lookup. The dataset keeps the codes;
+                string series are derived only for callers that
+                serialize.
 
 With the cache disabled every grid item is rendered (the honest
 baseline); at ``_MAX_BATCH = 1`` every row is its own engine pass (the
@@ -53,12 +58,12 @@ prints a live heartbeat to stderr.
 """
 from __future__ import annotations
 
-import operator
 import os
 import string
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -74,8 +79,8 @@ from ..resilience.faults import CORRUPT_EFP, render_fault
 from ..vectors.registry import get_vector
 from .cache import RenderCache
 from .dataset import StudyDataset
-from .device import Device
-from .sampler import sample_population, user_seeds
+from .device import Device, cache_key_of
+from .sampler import _integer, sample_population, user_seeds
 
 _STUDY_STREAM = 0x57D  # per-user jitter streams, disjoint from the sampler's
 
@@ -232,26 +237,39 @@ def _absorb_batch_metrics(recorder, metrics: dict) -> None:
                                      metrics["node_calls"])
 
 
-def _stack_ids(vector, devices, ids: dict, stacks: list) -> np.ndarray:
-    """Each device's stack id for ``vector``, in first-seen order: ``ids``
-    maps a stack key to its id and ``stacks[id]`` is ``(stack, key)``;
-    both grow as new stacks appear.
+def _distinct(devices, field: str) -> tuple[list[int], np.ndarray]:
+    """Group ``devices`` by the identity of their ``field`` object (the
+    sampler shares one object among the devices holding a stack).
+    Returns the first device row of each group and each device's group."""
+    addresses = np.array(list(map(id, map(attrgetter(field), devices))),
+                         dtype=np.uintp)
+    _, first, group = np.unique(addresses, return_index=True,
+                                return_inverse=True)
+    return first.tolist(), group
+
+
+def _stack_ids(vector, devices, first: list[int], group: np.ndarray):
+    """Each device's stack id for ``vector``, and the stacks: ``stacks[id]``
+    is ``(stack, key)``. ``first`` and ``group`` are ``_distinct`` of the
+    vector's ``stack_field``, so ``stack_of`` and ``cache_key`` run once per
+    distinct object, not once per device; objects with one key share an
+    id. Class ids never depend on this numbering.
 
     Each vector fingerprints its own per-device stack (the audio stack
     for audio vectors; UA/canvas/fonts/math identities for the
     comparators). The class key and the render input both come from that
     stack, so the cache stays a pure function of (vector, stack, path)
     across every fingerprint surface."""
-    out = np.empty(len(devices), dtype=np.int32)
-    for row, device in enumerate(devices):
-        stack = vector.stack_of(device)
+    ids: dict[str, int] = {}
+    stacks: list[tuple[object, str]] = []
+    sids = np.empty(len(first), dtype=np.int32)
+    for index, row in enumerate(first):
+        stack = vector.stack_of(devices[row])
         stack_key = stack.cache_key()
-        sid = ids.get(stack_key)
-        if sid is None:
-            sid = ids[stack_key] = len(stacks)
+        sids[index] = ids.setdefault(stack_key, len(stacks))
+        if len(ids) > len(stacks):
             stacks.append((stack, stack_key))
-        out[row] = sid
-    return out
+    return sids[group], stacks
 
 
 def _plan(run: _StudyRun, devices: list[Device], first_index: int = 0):
@@ -272,12 +290,16 @@ def _plan(run: _StudyRun, devices: list[Device], first_index: int = 0):
     shard of the population draws exactly the paths the monolithic plan
     would.
 
-    Users go in blocks of ``_PLAN_BLOCK``. ``draw_path_codes`` draws a
-    block's paths as integer codes in one array pass. Within a vector a
-    class is then one integer, ``stack id * 32 + path code`` (the stack
-    id alone for an analyser-free vector); a dense table maps it to its
-    class id, and ``np.minimum.at`` finds where each new class is first
-    seen.
+    Stack ids come first: the devices are grouped once by the object in
+    each ``stack_field`` the battery reads, and each vector keys one
+    stack per distinct object (``_stack_ids``). Users then go in blocks
+    of ``_PLAN_BLOCK``: ``user_seeds`` hashes the block's stream seeds
+    in one pass, and ``draw_path_codes`` draws its paths as integer
+    codes in one array pass. Within a vector a class is then one
+    integer, ``stack id * 32 + path code`` (the stack id alone for an
+    analyser-free vector); a dense table maps it to its class id,
+    ``np.minimum.at`` finds where each new class is first seen, and the
+    new classes get their ids per vector in one array assignment.
     """
     iterations = run.iterations
     battery = [(name, get_vector(name)) for name in run.vectors]
@@ -286,8 +308,12 @@ def _plan(run: _StudyRun, devices: list[Device], first_index: int = 0):
                              if vector.uses_analyser else 1), dtype=np.int32)
              for name, vector in battery}
     classes: list[tuple[str, tuple[str, AudioStack, str]]] = []
-    stack_ids = {name: {} for name in run.vectors}
-    stacks = {name: [] for name in run.vectors}
+    groups = {field: _distinct(devices, field) for field in
+              dict.fromkeys(vector.stack_field for _, vector in battery)}
+    stack_ids, stacks = {}, {}
+    for name, vector in battery:
+        stack_ids[name], stacks[name] = _stack_ids(
+            vector, devices, *groups[vector.stack_field])
     # per vector: the class id of every class integer (-1 = not seen yet)
     class_ids = {name: np.empty(0, dtype=np.int32) for name in run.vectors}
     for lo in range(0, len(devices), _PLAN_BLOCK):
@@ -301,7 +327,7 @@ def _plan(run: _StudyRun, devices: list[Device], first_index: int = 0):
         block_keys = {}  # per vector: the block's class integers
         unseen = []  # per vector: (user, vector, iteration, class integer)
         for order, (name, vector) in enumerate(battery):
-            sids = _stack_ids(vector, block, stack_ids[name], stacks[name])
+            sids = stack_ids[name][lo:lo + len(block)]
             if vector.uses_analyser:
                 keys = sids[:, None] * len(PATHS) \
                     + codes[:, analysers.index(name)]
@@ -323,18 +349,21 @@ def _plan(run: _StudyRun, devices: list[Device], first_index: int = 0):
         # new classes take ids in first-seen order: by user, then vector
         # (run order), then iteration
         unseen = np.concatenate(unseen, axis=1)
-        order_seen = np.lexsort(unseen[2::-1])
-        for _, order, _, key in unseen[:, order_seen].T.tolist():
-            name, vector = battery[order]
+        _, seen_in, _, seen = unseen[:, np.lexsort(unseen[2::-1])]
+        added = [None] * len(seen)
+        for order, (name, vector) in enumerate(battery):
+            at = np.flatnonzero(seen_in == order)
+            class_ids[name][seen[at]] = len(classes) + at
             if vector.uses_analyser:
-                stack, stack_key = stacks[name][key // len(PATHS)]
-                path = PATHS[key % len(PATHS)]
+                sids, codes_at = np.divmod(seen[at], len(PATHS))
+                paths = [PATHS[code] for code in codes_at.tolist()]
             else:
-                stack, stack_key = stacks[name][key]
-                path = vector.canonical_path(None)
-            class_ids[name][key] = len(classes)
-            classes.append((RenderCache.make_key(name, stack_key, path),
-                            (name, stack, path)))
+                sids, paths = seen[at], [vector.canonical_path(None)] * len(at)
+            for position, sid, path in zip(at.tolist(), sids.tolist(), paths):
+                stack, stack_key = stacks[name][sid]
+                added[position] = (RenderCache.make_key(name, stack_key, path),
+                                   (name, stack, path))
+        classes.extend(added)
         for name, keys in block_keys.items():
             grids[name][lo:lo + len(block)] = class_ids[name][keys]
     for name, vector in battery:
@@ -388,22 +417,6 @@ class _Tally:
         return cls(checkpoint={"enabled": checkpointing, "writes": 0,
                                "torn_writes": 0, "resumed_classes": 0,
                                "corrupt_recoveries": 0})
-
-
-def _integer(name: str, value, minimum: int) -> int:
-    """``value`` as an ``int`` (anything ``operator.index`` accepts, but
-    never a bool) of at least ``minimum``; else a ValueError naming
-    ``name``."""
-    if not isinstance(value, bool):
-        try:
-            number = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if number >= minimum:
-                return number
-    kind = "a positive" if minimum == 1 else "a non-negative"
-    raise ValueError(f"{name} must be {kind} integer, got {value!r}")
 
 
 def _resolve_workers(workers: int | None) -> tuple[int, int | None, int]:
@@ -633,27 +646,36 @@ def _render_range(run: _StudyRun, tally: _Tally, grids, classes,
     return [found[key] for key, _ in classes], len(rendered), len(keyed)
 
 
-def _assemble(run: _StudyRun, devices: list[Device], grids,
+def _assemble(run: _StudyRun, devices: list[Device], grids, classes,
               efps: list[str]) -> StudyDataset:
     """One range's dataset, by array indexing: per vector, class ids map
     to eFP codes in first-appearance order (several classes may share an
-    eFP), and the class-id grid indexes that map. The cache is never
-    read; the grid's hits are charged in one call, as the per-item
-    lookups they stand for would have been."""
-    interned = {}
-    codes_of = np.empty(len(efps), dtype=np.int64)  # class id -> eFP code
-    for name in run.vectors:
-        grid = grids[name]
-        table: dict[str, int] = {}
-        # ascending class id is first-appearance order within one vector
-        for cid in np.unique(grid).tolist():
-            codes_of[cid] = table.setdefault(efps[cid], len(table))
-        interned[name] = (codes_of[grid], list(table))
+    eFP), and the class-id grid indexes that map. One pass over the class
+    table builds every vector's map: the plan numbers each vector's
+    classes in first-appearance order, so ascending id is that order.
+    Each distinct stack object's cache key is computed once for the
+    user records. The cache is never read; the grid's hits are charged
+    in one call, as the per-item lookups they stand for would have
+    been."""
+    tables: dict[str, dict[str, int]] = {name: {} for name in run.vectors}
+    codes_of = np.array([tables[name].setdefault(efp, len(tables[name]))
+                         for (_, (name, _, _)), efp in zip(classes, efps)],
+                        dtype=np.int64)  # class id -> eFP code
+    interned = {name: (codes_of.take(grids[name]), list(tables[name]))
+                for name in run.vectors}
     if not run.cache.disabled:
         run.cache.record_hit(sum(grid.size for grid in grids.values()))
+    keys: dict[int, str | None] = {}  # stack object id -> its key
+
+    def key_of(stack):
+        key = keys.get(id(stack))
+        if key is None:
+            key = keys[id(stack)] = cache_key_of(stack)
+        return key
+
     return StudyDataset(seed=run.seed, user_count=len(devices),
                         iterations=run.iterations, vectors=run.vectors,
-                        users=[d.describe() for d in devices],
+                        users=[device.describe(key_of) for device in devices],
                         interned=interned)
 
 
@@ -802,7 +824,7 @@ def run_study(user_count: int, iterations: int = 30,
             efps, rendered, _ = _render_range(run, tally, grids, classes,
                                               checkpoint_path, fingerprint)
         with _phase(recorder, "assemble"):
-            dataset = _assemble(run, devices, grids, efps)
+            dataset = _assemble(run, devices, grids, classes, efps)
         recorder.event("study.end", grid_items=grid_items,
                        distinct_classes=len(classes), rendered=rendered)
         _write_report(run, tally, render_span.duration_s,

@@ -8,9 +8,11 @@ into 2,226 classes for the 7 audio vectors, and 690,690 into 3,404 for
 all 11.
 
 Comparator vectors (canvas, fonts, useragent, mathjs) ride the same
-machinery: each declares the per-device stack it fingerprints via
-``stack_of`` and renders a deterministic payload from it, so the study
-driver, cache, and analysis treat every fingerprint surface uniformly.
+machinery: each names the device field holding the stack it
+fingerprints (``stack_field``, read by ``stack_of``; mathjs projects the
+audio stack onto its math backend) and renders a deterministic payload
+from it, so the study driver, cache, and analysis treat every
+fingerprint surface uniformly.
 """
 
 from .base import AudioVector, digest  # noqa: F401

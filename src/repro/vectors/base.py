@@ -12,6 +12,14 @@ group's B jitter paths in one graph build and one engine pass, and
 
 Comparator vectors implement ``_features(stack, jitter)`` and render one
 row at a time through the base fallback.
+
+Every vector names the ``Device`` field its stack comes from in
+``stack_field``: ``"stack"`` (the audio stack) for the audio vectors and
+``mathjs``, and ``"ua"``, ``"canvas"`` or ``"fonts"`` for the other
+comparators. ``stack_of`` reads that field; the study planner groups a
+population's devices by the identity of each field's object and calls
+``stack_of`` once per distinct object, so the sampler's shared stacks
+are keyed once, not once per user.
 """
 from __future__ import annotations
 
@@ -54,13 +62,20 @@ class AudioVector:
     kind = "audio"
     #: vectors that never touch the AnalyserNode ignore the jitter path
     uses_analyser = True
+    #: the ``Device`` field holding the stack this vector fingerprints
+    stack_field = "stack"
 
     def stack_of(self, device):
-        """The per-device stack this vector fingerprints. The study planner
-        keys equivalence classes on ``stack_of(device).cache_key()``, so a
-        comparator vector overrides this to point at its own frozen stack
-        (the device's canvas/font/UA identity) instead of the audio one."""
-        return device.stack
+        """The per-device stack this vector fingerprints: the device's
+        ``stack_field``. The study planner keys equivalence classes on
+        ``stack_of(device).cache_key()``. A hand-built device may leave a
+        comparator field ``None``; that raises a ``ValueError``."""
+        stack = getattr(device, self.stack_field)
+        if stack is None:
+            raise ValueError(
+                f"device {device.user_id!r} has {self.stack_field}=None; "
+                f"the {self.name} vector needs sampler-built devices")
+        return stack
 
     def render(self, stack, jitter_path: str | None = None) -> str:
         """Pure render: same (stack, path) -> bit-identical eFP, always."""

@@ -15,13 +15,7 @@ class CanvasVector(AudioVector):
     name = "canvas"
     kind = "comparator"
     uses_analyser = False
-
-    def stack_of(self, device):
-        if device.canvas is None:
-            raise ValueError(
-                f"device {device.user_id!r} carries no canvas stack; "
-                "the canvas vector needs sampler-built devices")
-        return device.canvas
+    stack_field = "canvas"
 
     def _features(self, stack, jitter):
         return stack.probe_payload()

@@ -13,13 +13,7 @@ class FontsVector(AudioVector):
     name = "fonts"
     kind = "comparator"
     uses_analyser = False
-
-    def stack_of(self, device):
-        if device.fonts is None:
-            raise ValueError(
-                f"device {device.user_id!r} carries no font stack; "
-                "the fonts vector needs sampler-built devices")
-        return device.fonts
+    stack_field = "fonts"
 
     def _features(self, stack, jitter):
         return "fonts-probe-v1;" + ",".join(stack.fonts)

@@ -33,9 +33,10 @@ class MathJSVector(AudioVector):
     name = "mathjs"
     kind = "comparator"
     uses_analyser = False
+    stack_field = "stack"
 
     def stack_of(self, device):
-        return MathProbe(device.stack.math_backend)
+        return MathProbe(super().stack_of(device).math_backend)
 
     def _features(self, stack, jitter):
         math = get_math_backend(stack.math_backend)

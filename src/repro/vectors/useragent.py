@@ -13,13 +13,7 @@ class UserAgentVector(AudioVector):
     name = "useragent"
     kind = "comparator"
     uses_analyser = False
-
-    def stack_of(self, device):
-        if device.ua is None:
-            raise ValueError(
-                f"device {device.user_id!r} carries no UA stack; "
-                "the useragent vector needs sampler-built devices")
-        return device.ua
+    stack_field = "ua"
 
     def _features(self, stack, jitter):
         return stack.ua_string()

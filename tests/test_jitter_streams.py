@@ -12,15 +12,19 @@ rejections, prefetch top-ups and ``integers(1)``, against a pure-Python
 spec of numpy's rules. ``HYPOTHESIS_PROFILE=deep`` searches longer.
 
 A golden digest pins the bytes of one saved study, so any drift in the
-draws, the class table or the renders shows up in tier-1.
+draws, the class table or the renders shows up in tier-1. The streams
+come from ``user_seeds``' one-pass seed hash, compared here with
+numpy's ``SeedSequence`` state for state and stream for stream; a call
+count pins that ``_plan`` keys each shared stack object once.
 """
 import dataclasses
 import hashlib
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro.population.study as study_mod
@@ -28,7 +32,8 @@ from repro import RenderCache, run_study
 from repro.platform.jitter import (PATHS, REFERENCE_PATH, draw_path_codes,
                                    parse_path, sample_path,
                                    sample_repertoire)
-from repro.population.sampler import sample_population_slice, user_seeds
+from repro.population.sampler import (sample_population,
+                                      sample_population_slice, user_seeds)
 from repro.vectors import FULL_BATTERY, get_vector
 
 _MASK32 = 0xFFFFFFFF
@@ -175,13 +180,21 @@ def test_path_codes_decode_to_the_scalar_encoding():
 
 @given(seed=st.integers(0, 2 ** 64 - 1), start=st.integers(0, 2 ** 33),
        count=st.integers(1, 4))
+@example(seed=0, start=0, count=1)
+@example(seed=2 ** 32 - 1, start=2 ** 32 - 1, count=1)
+@example(seed=0, start=2 ** 32 - 1, count=2)
+@example(seed=2 ** 32 - 1, start=0, count=4)
 def test_user_seeds_equal_list_entropy(seed, start, count):
+    """The one-pass seed hash is numpy's ``SeedSequence`` hash, state
+    for state and stream for stream."""
     seeds = list(user_seeds(seed, 0x57D, start, start + count))
     assert len(seeds) == count
     for index, got in enumerate(seeds, start):
         want = np.random.SeedSequence([seed, 0x57D, index])
         assert np.array_equal(got.generate_state(4, np.uint64),
                               want.generate_state(4, np.uint64))
+        assert np.array_equal(np.random.PCG64(got).random_raw(8),
+                              np.random.PCG64(want).random_raw(8))
 
 
 def _scalar_plan(run, devices, first_index):
@@ -246,6 +259,29 @@ def test_plan_equals_scalar_plan(case):
         # over the iterations
         if not get_vector(name).uses_analyser:
             assert grids[name].strides[1] == 0 or run.iterations == 1
+
+
+def test_plan_keys_each_stack_object_once(monkeypatch):
+    """``_plan`` calls ``stack_of`` once per distinct object of the field
+    a vector reads (the sampler shares stack objects), not once per
+    (user, vector)."""
+    devices = sample_population(300, 2021)
+    calls = Counter()
+    for name in FULL_BATTERY:
+        vector = get_vector(name)
+
+        def counted(device, name=name, original=vector.stack_of):
+            calls[name] += 1
+            return original(device)
+
+        monkeypatch.setattr(vector, "stack_of", counted)
+    run = SimpleNamespace(seed=2021, iterations=30, vectors=FULL_BATTERY)
+    study_mod._plan(run, devices)
+    for name in FULL_BATTERY:
+        field = get_vector(name).stack_field
+        distinct = {id(getattr(device, field)) for device in devices}
+        assert 0 < calls[name] <= len(distinct) < len(devices)
+    assert sum(calls.values()) < len(devices) * len(FULL_BATTERY)
 
 
 #: sha256 of the saved dataset of run_study(60, 30, FULL_BATTERY,

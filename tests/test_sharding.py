@@ -51,6 +51,8 @@ class TestSliceSampler:
     def test_slice_bounds_validated(self):
         with pytest.raises(ValueError):
             sample_population_slice(10, 2021, 5, 5)
+        with pytest.raises(ValueError, match="sub-range"):
+            sample_population_slice(10, 2021, 6, 5)
         with pytest.raises(ValueError):
             sample_population_slice(10, 2021, -1, 5)
         with pytest.raises(ValueError):
