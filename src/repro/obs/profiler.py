@@ -3,9 +3,10 @@
 The webaudio engine is the hot path: ~40 render quanta x ~6 nodes per
 eFP, at hundreds of thousands of eFPs per study. Rather than thread a
 profiler argument through every vector -> context -> node call chain,
-the engine asks ``current_node_profiler()`` once per render and only
-takes its instrumented loop when a profiler is active — when none is,
-the render path is byte-for-byte the uninstrumented one.
+the engine asks ``current_node_profiler()`` once per render, and each
+render loop reads the clock around a node's step only when a profiler
+is active. The arithmetic is the same either way, so rendered bytes
+never depend on profiling.
 
 Activation is scoped: ``with profile_nodes() as prof:`` installs a fresh
 accumulator for the dynamic extent of the block (contextvars keep this

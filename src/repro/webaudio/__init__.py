@@ -1,7 +1,8 @@
 """repro.webaudio — a from-scratch, offline Web Audio API rendering engine.
 
-Everything renders in 128-frame quanta as whole-block NumPy operations;
-there are no per-sample Python loops anywhere on the render path.
+Nodes render as whole-block NumPy operations — over the entire buffer on
+the default fused path, in 128-frame quanta on the quantum reference
+loop; there are no per-sample Python loops anywhere on the render path.
 
 ENGINE_VERSION is folded into every platform stack's cache key: any change
 to a node's DSP must bump it, which invalidates every equivalence-class
@@ -21,7 +22,6 @@ from .merger import ChannelMergerNode  # noqa: E402
 from .compressor import DynamicsCompressorNode  # noqa: E402
 from .analyser import AnalyserNode  # noqa: E402
 from .script_processor import ScriptProcessorNode  # noqa: E402
-from .segments import FusedPlan, Segment, plan_segments  # noqa: E402
 from . import fft  # noqa: E402
 
 __all__ = [
@@ -32,9 +32,6 @@ __all__ = [
     "NumpyMath",
     "RENDER_PATHS",
     "get_default_render_path",
-    "FusedPlan",
-    "Segment",
-    "plan_segments",
     "AudioBuffer",
     "OfflineAudioContext",
     "OscillatorNode",

@@ -12,9 +12,10 @@ enters the engine: the render loop is jitter-independent, so a batched
 render accumulates one shared history, and
 ``get_float_frequency_data_batch`` applies each row's jitter path
 (readout offset and transform) once per distinct path, finishing with
-ONE batched FFT over those rows — the FFT backends' per-stage Python
-overhead (the dominant cost for the recursive split-radix kernel) is
-paid once per batch instead of once per class.
+ONE batched FFT over those rows — the FFT kernel's per-stage Python
+overhead is paid once per batch instead of once per class. An active
+profiler gets that FFT's time under ``fft:<backend>``; the readout runs
+after ``start_rendering_batch`` returns, so no node's time includes it.
 """
 from __future__ import annotations
 
@@ -125,13 +126,12 @@ class AnalyserNode(AudioNode):
             if jitter is not None:
                 frames[row] = jitter.transform(frames[row])
         profiler = current_node_profiler()
-        if profiler is None:
-            spectrum = cfg.fft.fft(frames)[..., : self.frequency_bin_count]
-        else:
+        if profiler is not None:
+            start = time.perf_counter()
+        spectrum = cfg.fft.fft(frames)[..., : self.frequency_bin_count]
+        if profiler is not None:
             # attribute the transform itself to its backend, so hot-node
             # reports split Analyser bookkeeping from FFT kernel time
-            start = time.perf_counter()
-            spectrum = cfg.fft.fft(frames)[..., : self.frequency_bin_count]
             profiler.add(f"fft:{cfg.fft.name}", time.perf_counter() - start)
         magnitude = np.abs(spectrum) / self._fft_size
         db = 20.0 * math.log10(np.maximum(magnitude, 1e-40))

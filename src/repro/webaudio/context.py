@@ -11,10 +11,11 @@ that row alone with ``batch_size == 1`` (pinned by tests).
 
 Two execution strategies produce that buffer (``config.render_path``):
 
-- **fused** — the default: ``plan_segments`` checks the graph is
-  acyclic and every node has a whole-buffer kernel (fan-in, fan-out and
-  ``AudioParam`` automation are all fine), then each node renders the
-  *entire* buffer in one ``process_buffer`` call. The fused path is
+- **fused** — the default: ``fused_order`` (``graph.py``) checks the
+  graph is acyclic and every node has a whole-buffer kernel (fan-in,
+  fan-out and ``AudioParam`` automation are all fine), then each node
+  renders the *entire* buffer in one ``process_buffer`` call, in
+  topological order. The fused path is
   bit-identical to the quantum loop by construction (elementwise stages
   are blocking-invariant; block-granular state — the compressor's
   envelope, an automated oscillator's per-block params — keeps its
@@ -24,7 +25,9 @@ Two execution strategies produce that buffer (``config.render_path``):
   semantics and the fallback for graphs the fused path declines (a
   node type with no whole-buffer kernel).
 
-``render_path_used`` records which strategy actually ran.
+``render_path_used`` records which strategy actually ran. Each loop
+times a node's step only when ``current_node_profiler()`` is set; the
+arithmetic is the same either way.
 """
 from __future__ import annotations
 
@@ -36,10 +39,9 @@ from . import RENDER_QUANTUM_FRAMES
 from ..obs.profiler import current_node_profiler
 from .buffer import AudioBuffer
 from .config import EngineConfig
-from .graph import node_label, topological_order
+from .graph import fused_order, node_label, topological_order
 from .node import (AudioNode, batch_uniform, mix_sources, mix_sources_uniform,
                    mix_to_channels)
-from .segments import plan_segments
 
 
 class DestinationNode(AudioNode):
@@ -133,24 +135,23 @@ class OfflineAudioContext:
         buffer."""
         if self._rendered_batch is not None:
             return self._rendered_batch
-        plan = None
-        if self.config.render_path == "fused":
-            plan = plan_segments(self._nodes, self.destination)
-        if plan is not None:
+        order = (fused_order(self._nodes)
+                 if self.config.render_path == "fused" else None)
+        if order is not None:
             self.render_path_used = "fused"
-            self._rendered_batch = self._render_fused(plan)
+            self._rendered_batch = self._render_fused(order)
         else:
             self.render_path_used = "quantum"
             self._rendered_batch = self._render_quantum()
         return self._rendered_batch
 
-    def _render_fused(self, plan) -> np.ndarray:
-        """One whole-buffer pass per node, in segment order.
+    def _render_fused(self, order) -> np.ndarray:
+        """One whole-buffer pass per node, in topological order.
 
         The per-block interpreter loop disappears entirely: the graph is
         walked once, each kernel sees the full (B, channels, length)
-        signal, and the profiled variant attributes time per node (same
-        labels as the quantum loop) plus per segment (``segment:`` labels).
+        signal, and an active profiler gets each node's time under the
+        same labels as the quantum loop.
 
         One block is left to the quantum kernels: a final block of ONE
         frame. NumPy sums a (k, 1) array along k pairwise, but the same
@@ -166,34 +167,20 @@ class OfflineAudioContext:
         length = self.length - tail
         buffer_out: dict[AudioNode, np.ndarray] = {}
         profiler = current_node_profiler()
-        if profiler is None:
-            for segment in plan.segments:
-                for node in segment.nodes:
-                    ins = [
-                        mix_sources_uniform([buffer_out[s] for s in port],
-                                            batch, length)
-                        for port in node._inputs
-                    ]
-                    buffer_out[node] = node.process_buffer(ins, length)
-        else:
-            labels = {node: node_label(node) for node in plan.order}
-            for segment in plan.segments:
-                segment_start = time.perf_counter()
-                for node in segment.nodes:
-                    start = time.perf_counter()
-                    ins = [
-                        mix_sources_uniform([buffer_out[s] for s in port],
-                                            batch, length)
-                        for port in node._inputs
-                    ]
-                    buffer_out[node] = node.process_buffer(ins, length)
-                    profiler.add(labels[node], time.perf_counter() - start)
-                profiler.add(f"segment:{segment.label}",
-                             time.perf_counter() - segment_start)
+        for node in order:
+            if profiler is not None:
+                start = time.perf_counter()
+            ins = [
+                mix_sources_uniform([buffer_out[s] for s in port], batch, length)
+                for port in node._inputs
+            ]
+            buffer_out[node] = node.process_buffer(ins, length)
+            if profiler is not None:
+                profiler.add(node_label(node), time.perf_counter() - start)
         out = buffer_out[self.destination]
         if tail:
             block_out: dict[AudioNode, np.ndarray] = {}
-            for node in plan.order:
+            for node in order:
                 ins = [mix_sources([block_out[s] for s in port], batch, tail)
                        for port in node._inputs]
                 block_out[node] = node.process_block(ins, length, tail)
@@ -214,33 +201,17 @@ class OfflineAudioContext:
         out = np.zeros((batch, channels, self.length), dtype=np.float64)
         quantum = RENDER_QUANTUM_FRAMES
         block_out: dict[AudioNode, np.ndarray] = {}
-        # Profiling duplicates the quantum loop rather than branching inside
-        # it: the unprofiled path (the default) must stay exactly the hot
-        # loop, and the numeric operations are identical either way.
         profiler = current_node_profiler()
-        if profiler is None:
-            for frame0 in range(0, self.length, quantum):
-                n = min(quantum, self.length - frame0)
-                block_out.clear()
-                for node in order:
-                    ins = [
-                        mix_sources([block_out[s] for s in port], batch, n)
-                        for port in node._inputs
-                    ]
-                    block_out[node] = node.process_block(ins, frame0, n)
-                out[:, :, frame0:frame0 + n] = block_out[self.destination][..., :n]
-        else:
-            labels = {node: node_label(node) for node in order}
-            for frame0 in range(0, self.length, quantum):
-                n = min(quantum, self.length - frame0)
-                block_out.clear()
-                for node in order:
+        for frame0 in range(0, self.length, quantum):
+            n = min(quantum, self.length - frame0)
+            block_out.clear()
+            for node in order:
+                if profiler is not None:
                     start = time.perf_counter()
-                    ins = [
-                        mix_sources([block_out[s] for s in port], batch, n)
-                        for port in node._inputs
-                    ]
-                    block_out[node] = node.process_block(ins, frame0, n)
-                    profiler.add(labels[node], time.perf_counter() - start)
-                out[:, :, frame0:frame0 + n] = block_out[self.destination][..., :n]
+                ins = [mix_sources([block_out[s] for s in port], batch, n)
+                       for port in node._inputs]
+                block_out[node] = node.process_block(ins, frame0, n)
+                if profiler is not None:
+                    profiler.add(node_label(node), time.perf_counter() - start)
+            out[:, :, frame0:frame0 + n] = block_out[self.destination][..., :n]
         return out

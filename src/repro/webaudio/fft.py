@@ -1,22 +1,25 @@
 """From-scratch FFT backends, selectable per platform stack.
 
-Each backend computes the same DFT but through a different algorithm /
-floating-point evaluation order, so their outputs agree with
-``numpy.fft.fft`` only to within a backend-specific tolerance — exactly
-the ulp-level divergence between real browsers' FFT libraries that the
-paper identifies as a causal factor of fingerprint diversity (§5).
+Each backend computes the same DFT but rounds it differently, so their
+outputs agree with ``numpy.fft.fft`` only to within a backend-specific
+tolerance — the ulp-level divergence between real browsers' FFT
+libraries that the paper identifies as a causal factor of fingerprint
+diversity (§5). ``radix2`` and ``splitradix`` run one iterative kernel
+and differ only in the operand order of the butterfly's twiddle
+product; ``bluestein`` always takes the chirp-z path; ``numpy`` is the
+reference.
 
 All backends accept arbitrary sizes: powers of two go through the
-backend's own core, everything else through the Bluestein chirp-z
-transform built on that core.
+iterative kernel, everything else through the Bluestein chirp-z
+transform built on it.
 
 Every backend transforms the LAST axis and accepts arbitrary leading
 (batch) axes: ``fft((B, n))`` computes B independent n-point DFTs in
 one call, with each row bit-identical to ``fft((n,))`` of that row —
 all stage arithmetic is elementwise, so adding a leading axis never
-reorders a single floating-point operation. Batching matters most for
-the recursive split-radix kernel, whose per-stage Python overhead
-(~2n recursive calls) is paid once per *batch* instead of once per row.
+reorders a single floating-point operation. The kernel's Python
+overhead (a few ufunc calls per stage, log2(n) stages) is paid once per
+*batch* instead of once per row.
 """
 from __future__ import annotations
 
@@ -63,7 +66,7 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
-def _fft_iterative_radix2(x: np.ndarray) -> np.ndarray:
+def _fft_iterative_radix2(x: np.ndarray, twiddle_first: bool = False) -> np.ndarray:
     """Iterative Cooley-Tukey decimation-in-time; vectorized per stage.
 
     Transforms the last axis; leading axes are independent batch rows.
@@ -72,6 +75,12 @@ def _fft_iterative_radix2(x: np.ndarray) -> np.ndarray:
     same order as the textbook concatenate form, minus the per-stage
     temporary allocations (which dominated wall time for analyser-sized
     batches).
+
+    ``twiddle_first`` swaps the operands of the butterfly's complex
+    product (``tw * odd`` instead of ``odd * tw``). Where numpy's complex
+    multiply fuses a multiply-add, the two orders round differently, and
+    that is the whole difference between ``Radix2FFT`` and
+    ``SplitRadixFFT``.
     """
     n = x.shape[-1]
     lead = x.shape[:-1]
@@ -86,40 +95,22 @@ def _fft_iterative_radix2(x: np.ndarray) -> np.ndarray:
         tw = _twiddles(size)
         av = a.reshape(*lead, n // size, size)
         ov = out.reshape(*lead, n // size, size)
-        even = av[..., :half]
-        odd = np.multiply(av[..., half:], tw,
-                          out=scratch.reshape(*lead, n // size, size)[..., :half])
-        np.add(even, odd, out=ov[..., :half])
-        np.subtract(even, odd, out=ov[..., half:])
+        even, odd = av[..., :half], av[..., half:]
+        product = scratch.reshape(*lead, n // size, size)[..., :half]
+        if twiddle_first:
+            np.multiply(tw, odd, out=product)
+        else:
+            np.multiply(odd, tw, out=product)
+        np.add(even, product, out=ov[..., :half])
+        np.subtract(even, product, out=ov[..., half:])
         a, out = out, a
         size *= 2
     return a
 
 
-def _fft_recursive(x: np.ndarray) -> np.ndarray:
-    """Recursive radix-2 (split-radix-style evaluation order).
-
-    Same DFT, different summation order than the iterative kernel, so its
-    rounding differs at the ulp level — a genuinely distinct implementation,
-    not a tweaked copy.
-    """
-    n = x.shape[-1]
-    if n == 1:
-        return x.astype(np.complex128)
-    if n == 2:
-        # unrolled base case: the exact ops of the two n == 1 leaves plus
-        # the n == 2 combine, minus two Python frames per leaf pair
-        even = x[..., 0::2].astype(np.complex128)
-        t = _twiddles(2) * x[..., 1::2].astype(np.complex128)
-        return np.concatenate([even + t, even - t], axis=-1)
-    even = _fft_recursive(x[..., ::2])
-    odd = _fft_recursive(x[..., 1::2])
-    t = _twiddles(n) * odd
-    return np.concatenate([even + t, even - t], axis=-1)
-
-
 class FFTBackend:
-    """Base class. Subclasses implement ``_fft_pow2``; any size works.
+    """Base class: the iterative radix-2 kernel for powers of two, and
+    the Bluestein chirp-z transform built on it for every other size.
 
     ``fft`` transforms the last axis; arbitrary leading batch axes are
     carried through every kernel untouched.
@@ -131,15 +122,18 @@ class FFTBackend:
 
     def fft(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        n = x.shape[-1]
-        if n == 0:
+        if x.shape[-1] == 0:
             return np.zeros(x.shape, dtype=np.complex128)
-        if _is_pow2(n):
+        return self._fft(x)
+
+    def _fft(self, x: np.ndarray) -> np.ndarray:
+        """The transform of a non-empty last axis."""
+        if _is_pow2(x.shape[-1]):
             return self._fft_pow2(x)
         return self._bluestein(x)
 
-    def _fft_pow2(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
+    def _fft_pow2(self, x: np.ndarray) -> np.ndarray:
+        return _fft_iterative_radix2(x)
 
     def _ifft_pow2(self, x: np.ndarray) -> np.ndarray:
         return np.conj(self._fft_pow2(np.conj(x))) / x.shape[-1]
@@ -186,34 +180,26 @@ class NumpyFFT(FFTBackend):
     name = "numpy"
     tolerance = 0.0
 
-    def fft(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape[-1] == 0:
-            return np.zeros(x.shape, dtype=np.complex128)
+    def _fft(self, x: np.ndarray) -> np.ndarray:
         return np.fft.fft(x)
-
-    def _fft_pow2(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.fft(np.asarray(x))
 
 
 class Radix2FFT(FFTBackend):
     name = "radix2"
     tolerance = 1e-10
 
-    def _fft_pow2(self, x: np.ndarray) -> np.ndarray:
-        return _fft_iterative_radix2(x)
-
 
 class SplitRadixFFT(FFTBackend):
-    """The recursive radix-2 kernel, complex128 throughout: the same DFT
-    as ``Radix2FFT`` in a different evaluation order, so the two round
-    differently at the ulp level."""
+    """Radix-2 decimation-in-time with the twiddle product's operands
+    swapped (``tw * odd``). It rounds differently from ``Radix2FFT``
+    only where numpy's complex multiply uses FMA; without FMA the two
+    agree bit for bit."""
 
     name = "splitradix"
     tolerance = 1e-9
 
     def _fft_pow2(self, x: np.ndarray) -> np.ndarray:
-        return _fft_recursive(np.asarray(x, dtype=np.complex128))
+        return _fft_iterative_radix2(x, twiddle_first=True)
 
 
 class BluesteinFFT(FFTBackend):
@@ -222,13 +208,7 @@ class BluesteinFFT(FFTBackend):
     name = "bluestein"
     tolerance = 1e-7
 
-    def _fft_pow2(self, x: np.ndarray) -> np.ndarray:
-        return _fft_iterative_radix2(x)
-
-    def fft(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape[-1] == 0:
-            return np.zeros(x.shape, dtype=np.complex128)
+    def _fft(self, x: np.ndarray) -> np.ndarray:
         return self._bluestein(x)
 
 

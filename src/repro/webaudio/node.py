@@ -63,8 +63,8 @@ class AudioNode:
         block-granular state (oscillator phase wrap and automated params,
         compressor envelope) keep that state's block structure internally
         while hoisting every elementwise stage to one whole-buffer pass.
-        Only defined for ``fusible`` node types (the segmentation pass
-        checks before dispatching here).
+        Only defined for ``fusible`` node types (``fused_order`` checks
+        before dispatching here).
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no whole-buffer kernel")

@@ -1,12 +1,17 @@
 """Property-style checks: every custom FFT backend matches numpy.fft.fft
 within its declared tolerance, on power-of-two sizes (native kernels) and
-non-power-of-two sizes (Bluestein chirp-z path). Fixed seeds, no
-hypothesis dependency.
+non-power-of-two sizes (Bluestein chirp-z path), at fixed seeds. A
+hypothesis test pins ``SplitRadixFFT``'s iterative kernel byte for byte
+to the recursive kernel it replaced (``HYPOTHESIS_PROFILE=deep``
+searches longer; profiles are registered in the root ``conftest.py``).
 """
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.webaudio.fft import FFT_BACKENDS, get_fft_backend
+from repro.webaudio.fft import (FFT_BACKENDS, SplitRadixFFT, _twiddles,
+                                get_fft_backend)
 
 POW2_SIZES = [8, 32, 128, 512, 2048]
 NON_POW2_SIZES = [3, 12, 100, 441, 1000]
@@ -84,3 +89,43 @@ def test_unknown_backend_raises():
 def test_empty_input():
     for name in FFT_BACKENDS:
         assert get_fft_backend(name).fft(np.zeros(0)).shape == (0,)
+
+
+def _fft_recursive(x: np.ndarray) -> np.ndarray:
+    """The recursive radix-2 kernel ``SplitRadixFFT`` used to run: the
+    reference the iterative kernel must reproduce byte for byte. Kept
+    here, as it was, as the test oracle."""
+    n = x.shape[-1]
+    if n == 1:
+        return x.astype(np.complex128)
+    if n == 2:
+        # unrolled base case: the exact ops of the two n == 1 leaves plus
+        # the n == 2 combine, minus two Python frames per leaf pair
+        even = x[..., 0::2].astype(np.complex128)
+        t = _twiddles(2) * x[..., 1::2].astype(np.complex128)
+        return np.concatenate([even + t, even - t], axis=-1)
+    even = _fft_recursive(x[..., ::2])
+    odd = _fft_recursive(x[..., 1::2])
+    t = _twiddles(n) * odd
+    return np.concatenate([even + t, even - t], axis=-1)
+
+
+@given(n=st.sampled_from([2 ** k for k in range(16)]),
+       lead=st.sampled_from([(), (1,), (3,), (2, 5)]),
+       complex_input=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, lead=(3,), complex_input=False, seed=0)
+@example(n=2, lead=(), complex_input=True, seed=1)
+@example(n=4, lead=(2, 5), complex_input=False, seed=2)
+@example(n=32768, lead=(1,), complex_input=True, seed=3)
+def test_split_radix_equals_recursive_kernel(n, lead, complex_input, seed):
+    """``SplitRadixFFT`` runs the iterative kernel with the twiddle as the
+    product's first operand, which is exactly the recursive kernel's
+    arithmetic: same butterflies, same order, same bytes."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((*lead, n))
+    if complex_input:
+        x = x + 1j * rng.standard_normal(x.shape)
+    got = SplitRadixFFT().fft(x)
+    want = _fft_recursive(np.asarray(x, dtype=np.complex128))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

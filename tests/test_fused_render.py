@@ -3,8 +3,8 @@
 The fused whole-buffer path exists purely as cost control: it must be
 *bit-identical* to the 128-frame quantum loop for every vector, FFT
 backend, and batch composition — same eFP digests, same StudyDataset
-bytes — or it may not run at all (segmentation declines and the quantum
-loop takes over). These tests pin that invariant, the segmentation
+bytes — or it may not run at all (``fused_order`` declines and the
+quantum loop takes over). These tests pin that invariant, the fusibility
 decision rules and the study runner's pool clamp.
 """
 import numpy as np
@@ -19,8 +19,8 @@ from repro.vectors.base import RENDER_LENGTH
 from repro.webaudio import RENDER_PATHS, OfflineAudioContext
 from repro.webaudio.config import EngineConfig
 from repro.webaudio.fft import FFT_BACKENDS
+from repro.webaudio.graph import fused_order
 from repro.webaudio.node import AudioNode, mix_to_channels
-from repro.webaudio.segments import plan_segments
 
 BACKENDS = sorted(FFT_BACKENDS)
 
@@ -136,7 +136,7 @@ class TestStudyDatasetAcrossRenderPaths:
         assert len(blobs) == 1
 
 
-class TestSegmentation:
+class TestFusedOrder:
     def _chain(self):
         ctx = OfflineAudioContext(1, 5000, 44100)
         osc = ctx.create_oscillator()
@@ -149,15 +149,8 @@ class TestSegmentation:
 
     def test_linear_chain_plans(self):
         ctx, osc, comp, analyser, gain = self._chain()
-        plan = plan_segments(ctx._nodes, ctx.destination)
-        assert plan is not None
-        # stateful nodes are singleton segment boundaries
-        for segment in plan.segments:
-            if segment.stateful:
-                assert len(segment.nodes) == 1
-                assert segment.nodes[0] in (comp, analyser)
-        stateful = [s.nodes[0] for s in plan.segments if s.stateful]
-        assert stateful == [comp, analyser]
+        assert fused_order(ctx._nodes) == [osc, comp, analyser, gain,
+                                           ctx.destination]
 
     def test_default_picks_fused_for_fusible_graph(self):
         ctx, *_ = self._chain()
@@ -176,9 +169,10 @@ class TestSegmentation:
             EngineConfig(render_path=path)
 
     def test_automation_plans_fused(self):
-        """AudioParam automation no longer refuses the plan: the automated
-        oscillator walks the quantum loop's blocks inside its kernel, and
-        the gain curve is evaluated frame by frame either way."""
+        """AudioParam automation does not decline the fused path: the
+        automated oscillator walks the quantum loop's blocks inside its
+        kernel, and the gain curve is evaluated frame by frame either
+        way."""
         def build(ctx):
             osc = ctx.create_oscillator()
             osc.type = "square"
@@ -222,8 +216,9 @@ class TestSegmentation:
         _assert_fused_equals_quantum(build)
 
     def test_fallback_is_bit_identical(self):
-        """A node type with no whole-buffer kernel refuses the plan, and
-        the quantum loop renders the same bytes whatever the knob says."""
+        """A node type with no whole-buffer kernel declines the fused
+        path, and the quantum loop renders the same bytes whatever the
+        knob says."""
         outs = []
         for path in RENDER_PATHS:
             ctx = OfflineAudioContext(1, 5000, 44100, batch_size=3,
@@ -231,7 +226,7 @@ class TestSegmentation:
             osc = ctx.create_oscillator()
             osc.connect(_BlockOnlyHalver(ctx)).connect(ctx.destination)
             osc.start(0.0)
-            assert plan_segments(ctx._nodes, ctx.destination) is None
+            assert fused_order(ctx._nodes) is None
             outs.append(ctx.start_rendering_batch())
             assert ctx.render_path_used == "quantum"
         np.testing.assert_array_equal(outs[0], outs[1])
@@ -242,7 +237,7 @@ class TestSegmentation:
         every batch row through the compressor; pin that none does."""
         ctx = OfflineAudioContext(1, RENDER_LENGTH, 44100)
         get_vector(name)._build(ctx)
-        assert plan_segments(ctx._nodes, ctx.destination) is not None
+        assert fused_order(ctx._nodes) is not None
 
 
 class _BlockOnlyHalver(AudioNode):
@@ -253,14 +248,14 @@ class _BlockOnlyHalver(AudioNode):
 
 
 def _assert_fused_equals_quantum(build, batch=3):
-    """``build(ctx)`` plans fused, and the fused render is byte-equal to
+    """``build(ctx)`` renders fused, and the fused render is byte-equal to
     the quantum loop's, each path reporting that it ran."""
     outs = []
     for path in RENDER_PATHS:
         ctx = OfflineAudioContext(1, 5000, 44100, batch_size=batch,
                                   config=EngineConfig(render_path=path))
         build(ctx)
-        assert plan_segments(ctx._nodes, ctx.destination) is not None
+        assert fused_order(ctx._nodes) is not None
         outs.append(ctx.start_rendering_batch())
         assert ctx.render_path_used == path
     np.testing.assert_array_equal(outs[0], outs[1])

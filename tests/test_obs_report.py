@@ -7,12 +7,20 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro import RenderCache, run_study
 from repro.obs import (EVENT_KINDS, Recorder, build_report, make_event,
                        render_report, validate_report)
 from repro.obs.report import STUDY_PHASES, main as report_main
+from repro.platform import AudioStack
+from repro.platform.jitter import sample_path, sample_repertoire
+from repro.population.study import _MEASURE_NODES, _render_group
+from repro.vectors import AUDIO_VECTORS, get_vector
+from repro.vectors.base import RENDER_LENGTH
+from repro.webaudio import OfflineAudioContext
+from repro.webaudio.graph import node_label
 
 STUDY = dict(user_count=8, iterations=4, vectors=("dc", "fft", "hybrid"),
              seed=13, workers=0)
@@ -88,6 +96,28 @@ class TestStudyReport:
         for marker in ("phases:", "cache:", "latency histograms:",
                        "hot nodes", "pool:"):
             assert marker in text
+
+
+@pytest.mark.parametrize("name", sorted(AUDIO_VECTORS))
+def test_profiled_labels_are_disjoint_slices_of_the_batch(name):
+    """A profiled batch reports each node of the vector's graph, plus its
+    FFT backend when the vector reads the analyser, and nothing else.
+    Those are disjoint slices of the batch's wall time, so the hot-node
+    share column divides by a total no larger than the batch took."""
+    stack = AudioStack("blink", "ucrt-sse2", "radix2", "blink")
+    rng = np.random.default_rng(11)
+    repertoire = sample_repertoire(rng, 0.9)
+    members = [(f"key{i}", sample_path(rng, 0.9, repertoire))
+               for i in range(5)]
+    _, metrics = _render_group((name, stack, members, _MEASURE_NODES))
+    vector = get_vector(name)
+    context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate)
+    vector._build(context)
+    labels = {node_label(node) for node in context._nodes}
+    if vector.uses_analyser:
+        labels.add(f"fft:{stack.fft_backend}")
+    assert set(metrics["nodes"]) == labels
+    assert sum(metrics["nodes"].values()) <= metrics["wall_s"]
 
 
 class TestValidator:
