@@ -88,11 +88,6 @@ _STUDY_STREAM = 0x57D  # per-user jitter streams, disjoint from the sampler's
 #: prefetched rng words and class keys) while keeping the array pass wide.
 _PLAN_BLOCK = 4096
 
-#: Pool engagement threshold: below this many batch groups, fork + pickle
-#: overhead loses to inline rendering. The value comes from a worker sweep
-#: on a one-CPU host and is no longer re-measured.
-_POOL_GROUP_THRESHOLD = 4
-
 #: Batch rows per engine pass. Caps the working set of a batched render
 #: ((B, channels, 5000) float64 blocks plus the analyser history) while
 #: keeping the interpreter amortization; row results are independent, so
@@ -386,11 +381,8 @@ class _StudyRun:
     seed: int
     cache: RenderCache
     recorder: object
-    #: the effective pool size; ``requested_workers`` is what the caller
-    #: asked for (None = auto) and ``cpu`` the core count it resolved against
+    #: the most processes a render step may pool (0 or 1 = inline)
     workers: int
-    requested_workers: int | None
-    cpu: int
     checkpoint_every: int
     retry_policy: RetryPolicy | None
     retry_budget: int | None
@@ -410,37 +402,13 @@ class _Tally:
     checkpoint: dict  # the report's "checkpoint" section
     summaries: list[dict] = field(default_factory=list)  # one per supervisor
     jobs: int = 0
-    pooled: bool = False
+    workers: int = 0  # the largest pool a render step used (<= 1: inline)
 
     @classmethod
     def start(cls, checkpointing: bool) -> "_Tally":
         return cls(checkpoint={"enabled": checkpointing, "writes": 0,
                                "torn_writes": 0, "resumed_classes": 0,
                                "corrupt_recoveries": 0})
-
-
-def _resolve_workers(workers: int | None) -> tuple[int, int | None, int]:
-    """Resolve the ``workers`` knob to an effective pool size.
-
-    Returns ``(workers, requested, cpu)``: None = auto (cpu count capped
-    at 8); explicit counts above the core count are clamped to it, never
-    below 2 — an explicit pool request stays a pool even on a 1-core box.
-    """
-    cpu = os.cpu_count() or 1
-    requested = workers
-    if workers is None:
-        workers = min(cpu, 8)
-    elif workers > max(cpu, 2):
-        # Oversubscribing a small machine cannot win: more processes than
-        # cores adds context-switch and serialization overhead (the
-        # one-CPU worker sweep behind _POOL_GROUP_THRESHOLD showed it, and
-        # is no longer re-measured). Explicit requests
-        # are trimmed to the core count — but never below 2, so an
-        # explicit >= 2 request keeps pool semantics (supervision, crash
-        # isolation) even on a 1-core box. Results are worker-count
-        # invariant (pinned), so only wall time changes.
-        workers = max(cpu, 2)
-    return workers, requested, cpu
 
 
 @contextmanager
@@ -471,9 +439,11 @@ def _study_run(user_count, iterations, vectors, seed, *, cache, workers,
     if not vectors:
         raise ValueError("vectors must be non-empty")
     seed = _integer("seed", seed, 0)
-    if workers is not None:
-        workers = _integer("workers", workers, 0)
+    workers = (os.cpu_count() or 1) if workers is None \
+        else _integer("workers", workers, 0)
     checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
+    if retry_budget is not None:
+        retry_budget = _integer("retry_budget", retry_budget, 0)
     for i, name in enumerate(vectors):
         get_vector(name)  # fail fast on unknown vectors (UnknownVectorError)
         if name in vectors[:i]:
@@ -487,11 +457,9 @@ def _study_run(user_count, iterations, vectors, seed, *, cache, workers,
             else NULL_RECORDER
     if cache is None:
         cache = RenderCache()
-    workers, requested_workers, cpu = _resolve_workers(workers)
     run = _StudyRun(
         user_count=user_count, iterations=iterations, vectors=vectors,
         seed=seed, cache=cache, recorder=recorder, workers=workers,
-        requested_workers=requested_workers, cpu=cpu,
         checkpoint_every=checkpoint_every, retry_policy=retry_policy,
         retry_budget=retry_budget, report_path=report_path,
         event_log_path=event_log_path, progress=progress)
@@ -571,22 +539,15 @@ def _render_range(run: _StudyRun, tally: _Tally, grids, classes,
                 else:
                     found[key] = efp
 
-    workers, requested = run.workers, run.requested_workers
     jobs = _group_jobs(keyed, run.measuring)
-    pooled = workers > 1 and len(jobs) >= _POOL_GROUP_THRESHOLD
-    if requested is not None and workers < requested:
-        recorder.count("pool.workers_clamped", requested - workers)
-    if not pooled and len(jobs) >= _POOL_GROUP_THRESHOLD and workers <= 1 \
-            and (requested is None or requested > 1):
-        # enough jobs to pool, but fan-out cannot win on this machine
-        recorder.count("pool.fanout_skipped")
+    workers = min(run.workers, len(jobs))  # a pool never outnumbers its jobs
     budget = (None if run.retry_budget is None
               else RetryBudget(run.retry_budget))
     supervisor = SupervisedExecutor(
-        _render_group, workers=workers if pooled else 0,
-        policy=run.retry_policy, budget=budget, recorder=recorder,
-        seed=run.seed, splitter=_split_group_job,
-        validator=_validate_group_result, keys_of=_group_job_keys)
+        _render_group, workers=workers, policy=run.retry_policy,
+        budget=budget, recorder=recorder, seed=run.seed,
+        splitter=_split_group_job, validator=_validate_group_result,
+        keys_of=_group_job_keys)
 
     meter = None
     if run.progress:
@@ -639,7 +600,7 @@ def _render_range(run: _StudyRun, tally: _Tally, grids, classes,
             cache.put(key, efp)
     tally.summaries.append(supervisor.summary())
     tally.jobs += len(jobs)
-    tally.pooled = tally.pooled or pooled
+    tally.workers = max(tally.workers, workers)
     if run.measuring:
         recorder.count("pool.jobs", len(jobs))
     found.update(rendered)
@@ -720,14 +681,10 @@ def _write_report(run: _StudyRun, tally: _Tally, render_s: float,
     if run.measuring:
         busy = recorder.histograms.get("pool.task_wall_s")
         busy_s = busy.total if busy else 0.0
-        lanes = run.workers if tally.pooled else 1
+        lanes = max(tally.workers, 1)
         pool = {
-            "workers": run.workers, "pooled": tally.pooled,
+            "workers": tally.workers, "pooled": tally.workers > 1,
             "jobs": tally.jobs,
-            "requested": (run.requested_workers
-                          if run.requested_workers is not None
-                          else run.workers),
-            "cpu_count": run.cpu,
             "supervised": True,
             "rebuilds": sum(s["degraded"]["pool_rebuilds"]
                             for s in tally.summaries),
@@ -759,16 +716,16 @@ def run_study(user_count: int, iterations: int = 30,
     """Run the synthetic study and return its dataset.
 
     ``user_count``, ``iterations`` and ``checkpoint_every`` are positive
-    integers and ``seed`` a non-negative one (any ``operator.index``
-    value, never a bool); ``vectors`` is a non-empty sequence of distinct
+    integers, and ``seed``, ``workers`` and ``retry_budget`` (the last two
+    unless None) non-negative ones (any ``operator.index`` value, never a
+    bool); ``vectors`` is a non-empty sequence of distinct
     vector names (not a bare string). Anything else raises a
     ``ValueError`` naming the argument; an unknown vector name raises
     ``UnknownVectorError``.
-    ``workers``: None = auto (cpu count, capped at 8), 0 = render inline.
-    Explicit counts above the machine's core count are clamped to it
-    (never below 2, so an explicit pool request stays a pool); the clamp
-    and any fan-out skip are recorded as ``pool.workers_clamped`` /
-    ``pool.fanout_skipped`` counters.
+    ``workers``: the most processes the render step may use; None = the
+    machine's core count (``os.cpu_count()``), 0 or 1 = render inline.
+    The step pools ``min(workers, jobs)`` processes for its jobs, one job
+    per (vector, stack) batch group, so a single job renders inline.
     ``recorder``: a ``repro.obs.Recorder`` to instrument the run; None =
     observability off (null object, no per-render overhead) unless
     ``report_path`` or ``event_log_path`` is set, which implies a fresh
@@ -784,7 +741,7 @@ def run_study(user_count: int, iterations: int = 30,
     ``repro.resilience``); defaults retry failed or hung render jobs with
     capped deterministic backoff and give up — raising
     ``StudyExecutionError`` naming the quarantined classes — once the
-    budget is spent.
+    budget is spent. A None budget is sized from the job count.
     ``event_log_path``: stream the run's telemetry events (see
     ``repro.obs.events``) to this crash-safe append-only JSONL sidecar;
     the run report gains an ``events`` summary section pointing at it.

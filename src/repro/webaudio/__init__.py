@@ -1,8 +1,9 @@
 """repro.webaudio — a from-scratch, offline Web Audio API rendering engine.
 
-Nodes render as whole-block NumPy operations — over the entire buffer on
-the default fused path, in 128-frame quanta on the quantum reference
-loop; there are no per-sample Python loops anywhere on the render path.
+Nodes render as whole-block NumPy operations: a render runs each node
+once over the entire buffer (the fused loop), and the 128-frame quantum
+loop that tests compare it with runs them block by block; there are no
+per-sample Python loops anywhere on the render path.
 
 ENGINE_VERSION is folded into every platform stack's cache key: any change
 to a node's DSP must bump it, which invalidates every equivalence-class
@@ -12,8 +13,7 @@ render cache at once (see DESIGN.md, "Performance architecture").
 ENGINE_VERSION = "1"
 RENDER_QUANTUM_FRAMES = 128
 
-from .config import (EngineConfig, CompressorParams, NumpyMath,  # noqa: E402
-                     RENDER_PATHS, get_default_render_path)
+from .config import EngineConfig, CompressorParams, NumpyMath  # noqa: E402
 from .buffer import AudioBuffer  # noqa: E402
 from .context import OfflineAudioContext  # noqa: E402
 from .oscillator import OscillatorNode, PeriodicWave  # noqa: E402
@@ -30,8 +30,6 @@ __all__ = [
     "EngineConfig",
     "CompressorParams",
     "NumpyMath",
-    "RENDER_PATHS",
-    "get_default_render_path",
     "AudioBuffer",
     "OfflineAudioContext",
     "OscillatorNode",

@@ -30,8 +30,6 @@ _VALID_FFT_SIZES = {2 ** k for k in range(5, 16)}
 
 
 class AnalyserNode(AudioNode):
-    fusible = True
-
     def __init__(self, context):
         super().__init__(context)
         self._fft_size = 2048

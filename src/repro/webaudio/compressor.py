@@ -28,8 +28,6 @@ _DB_FLOOR = 1e-12  # linear floor before dB conversion
 
 
 class DynamicsCompressorNode(AudioNode):
-    fusible = True
-
     def __init__(self, context):
         super().__init__(context)
         p = context.config.compressor

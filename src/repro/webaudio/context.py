@@ -1,4 +1,4 @@
-"""OfflineAudioContext: render-path dispatch over two engines.
+"""OfflineAudioContext: the batched render loop.
 
 The renderer carries a batch axis end to end: every node produces
 ``(batch_size, channels, frames)`` blocks, so one graph build and one
@@ -9,25 +9,18 @@ of once per render — the NumPy kernels below it are elementwise or
 fixed-axis reductions, so each batch row is bit-identical to rendering
 that row alone with ``batch_size == 1`` (pinned by tests).
 
-Two execution strategies produce that buffer (``config.render_path``):
+A render runs the fused loop: ``topological_order`` (``graph.py``)
+orders the graph, raising ``ValueError`` on a cycle, then each node
+renders the *entire* buffer in one ``process_buffer`` call (fan-in,
+fan-out and ``AudioParam`` automation are all fine). ``_render_quantum``
+is the 128-frame block loop, kept verbatim as the reference semantics
+that tests compare the fused loop with, byte for byte: elementwise
+stages are blocking-invariant, and block-granular state — the
+compressor's envelope, an automated oscillator's per-block params —
+keeps its block structure inside the kernels.
 
-- **fused** — the default: ``fused_order`` (``graph.py``) checks the
-  graph is acyclic and every node has a whole-buffer kernel (fan-in,
-  fan-out and ``AudioParam`` automation are all fine), then each node
-  renders the *entire* buffer in one ``process_buffer`` call, in
-  topological order. The fused path is
-  bit-identical to the quantum loop by construction (elementwise stages
-  are blocking-invariant; block-granular state — the compressor's
-  envelope, an automated oscillator's per-block params — keeps its
-  block structure inside the kernels) and by test, so no
-  ``ENGINE_VERSION`` bump and no cache invalidation.
-- **quantum** — the 128-frame block loop, kept verbatim as the reference
-  semantics and the fallback for graphs the fused path declines (a
-  node type with no whole-buffer kernel).
-
-``render_path_used`` records which strategy actually ran. Each loop
-times a node's step only when ``current_node_profiler()`` is set; the
-arithmetic is the same either way.
+Each loop times a node's step only when ``current_node_profiler()`` is
+set; the arithmetic is the same either way.
 """
 from __future__ import annotations
 
@@ -39,14 +32,12 @@ from . import RENDER_QUANTUM_FRAMES
 from ..obs.profiler import current_node_profiler
 from .buffer import AudioBuffer
 from .config import EngineConfig
-from .graph import fused_order, node_label, topological_order
+from .graph import node_label, topological_order
 from .node import (AudioNode, batch_uniform, mix_sources, mix_sources_uniform,
                    mix_to_channels)
 
 
 class DestinationNode(AudioNode):
-    fusible = True
-
     def __init__(self, context, number_of_channels: int):
         self.channel_count = number_of_channels
         super().__init__(context)
@@ -72,8 +63,6 @@ class OfflineAudioContext:
         self._nodes: list[AudioNode] = []
         self._rendered: AudioBuffer | None = None
         self._rendered_batch: np.ndarray | None = None
-        #: which strategy rendered this context: "fused" | "quantum" | None
-        self.render_path_used: str | None = None
         self.destination = DestinationNode(self, int(number_of_channels))
 
     # -- node registry ------------------------------------------------------
@@ -133,16 +122,9 @@ class OfflineAudioContext:
         read-only broadcast of one row; otherwise it is a fresh writable
         array. ``start_rendering()`` (B = 1) always returns a writable
         buffer."""
-        if self._rendered_batch is not None:
-            return self._rendered_batch
-        order = (fused_order(self._nodes)
-                 if self.config.render_path == "fused" else None)
-        if order is not None:
-            self.render_path_used = "fused"
-            self._rendered_batch = self._render_fused(order)
-        else:
-            self.render_path_used = "quantum"
-            self._rendered_batch = self._render_quantum()
+        if self._rendered_batch is None:
+            self._rendered_batch = self._render_fused(
+                topological_order(self._nodes))
         return self._rendered_batch
 
     def _render_fused(self, order) -> np.ndarray:
@@ -194,7 +176,9 @@ class OfflineAudioContext:
         return np.ascontiguousarray(out, dtype=np.float64)
 
     def _render_quantum(self) -> np.ndarray:
-        """The 128-frame-quantum block loop — the reference semantics."""
+        """The 128-frame-quantum block loop — the reference semantics the
+        fused loop reproduces byte for byte. Renders run the fused loop;
+        tests call this one directly to compare the two."""
         order = topological_order(self._nodes)
         batch = self.batch_size
         channels = self.destination.channel_count

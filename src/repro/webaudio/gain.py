@@ -8,8 +8,6 @@ from .param import AudioParam
 
 
 class GainNode(AudioNode):
-    fusible = True
-
     def __init__(self, context):
         super().__init__(context)
         self.gain = AudioParam(1.0)

@@ -1,6 +1,5 @@
-"""Graph ordering: topological sort with cycle detection (Kahn), the
-fused path's fusibility check — plus the node labels the per-node
-profiler attributes render time to."""
+"""Graph ordering: topological sort with cycle detection (Kahn) — plus
+the node labels the per-node profiler attributes render time to."""
 from __future__ import annotations
 
 
@@ -35,14 +34,3 @@ def topological_order(nodes) -> list:
             "DelayNode-legalized cycles arrive in a later engine version)"
         )
     return order
-
-
-def fused_order(nodes) -> list | None:
-    """The topological order the fused path renders in, or None when it
-    declines the graph: a cycle (which fails identically in the quantum
-    loop) or a node type with no whole-buffer kernel (``fusible``)."""
-    try:
-        order = topological_order(nodes)
-    except ValueError:
-        return None
-    return order if all(node.fusible for node in order) else None

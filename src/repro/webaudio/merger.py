@@ -7,8 +7,6 @@ from .node import AudioNode, batch_uniform, mix_to_channels
 
 
 class ChannelMergerNode(AudioNode):
-    fusible = True
-
     def __init__(self, context, number_of_inputs: int = 6):
         if not 1 <= number_of_inputs <= 32:
             raise ValueError("number_of_inputs must be in [1, 32]")

@@ -16,9 +16,6 @@ import numpy as np
 class AudioNode:
     number_of_inputs = 1
     number_of_outputs = 1
-    #: nodes the fused whole-buffer path knows how to render; a node type
-    #: without a ``process_buffer`` kernel forces the quantum-loop fallback
-    fusible = False
 
     def __init__(self, context):
         self.context = context
@@ -55,7 +52,7 @@ class AudioNode:
         raise NotImplementedError
 
     def process_buffer(self, inputs: list[np.ndarray], length: int) -> np.ndarray:
-        """Fused path: produce this node's output for the *entire* buffer.
+        """Fused loop: produce this node's output for the *entire* buffer.
 
         Same contract as ``process_block`` with ``frame0 == 0`` and
         ``n == length``, but implementations must reproduce the quantum
@@ -63,8 +60,7 @@ class AudioNode:
         block-granular state (oscillator phase wrap and automated params,
         compressor envelope) keep that state's block structure internally
         while hoisting every elementwise stage to one whole-buffer pass.
-        Only defined for ``fusible`` node types (``fused_order`` checks
-        before dispatching here).
+        Every node type a context renders defines it.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no whole-buffer kernel")

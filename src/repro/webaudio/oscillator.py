@@ -56,7 +56,6 @@ class PeriodicWave:
 
 class OscillatorNode(AudioNode):
     number_of_inputs = 0
-    fusible = True
 
     def __init__(self, context):
         super().__init__(context)

@@ -35,8 +35,6 @@ VALID_BUFFER_SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384)
 
 
 class ScriptProcessorNode(AudioNode):
-    fusible = True
-
     def __init__(self, context, buffer_size: int = 256, script=None):
         if buffer_size not in VALID_BUFFER_SIZES:
             raise ValueError(

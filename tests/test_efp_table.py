@@ -8,15 +8,18 @@ call per (vector, stack), so the readouts shared across vectors and the
 readout's dedup of equal jitter paths are checked over every path on
 every stack, not only over a few random ones.
 
-The digest does not depend on the render loop: CI runs this test again
-with ``REPRO_RENDER_PATH=quantum``, which pins the 128-frame reference
-loop to the fused path over the same table.
+The digest does not depend on the render loop: the table is checked
+once through the fused loop every render runs, and once with each
+context rendering through the 128-frame quantum reference loop instead.
 """
 import hashlib
+
+import pytest
 
 from repro.platform import default_stack_pool
 from repro.platform.jitter import PATHS
 from repro.vectors import AUDIO_VECTORS, get_vector
+from repro.webaudio import OfflineAudioContext
 
 #: sha256 of the table's lines ``f"{name}|{stack key}|{path}|{efp}\n"``,
 #: captured before the single-row renderers were deleted
@@ -24,7 +27,11 @@ GOLDEN_SHA256 = \
     "f5f67080305be1b9ee3d6e674d636d4f5f494dfacdfe3e861f0320edcbb5b20c"
 
 
-def test_efp_table_is_pinned():
+@pytest.mark.parametrize("loop", ["fused", "quantum"])
+def test_efp_table_is_pinned(loop, monkeypatch):
+    if loop == "quantum":
+        monkeypatch.setattr(OfflineAudioContext, "_render_fused",
+                            lambda ctx, order: ctx._render_quantum())
     stacks = {}
     for stack, _os, _browser, _weight in default_stack_pool():
         stacks.setdefault(stack.cache_key(), stack)  # first seen, pool order

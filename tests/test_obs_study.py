@@ -17,8 +17,8 @@ from repro import RenderCache, run_study
 from repro.obs import NullRecorder, Recorder
 
 # 4 users x 2 iterations x 3 vectors = 24 grid items in 6 (vector, stack)
-# batch groups: above the pool threshold of 4 groups, so workers=2 really
-# exercises the ProcessPoolExecutor merge path.
+# batch groups: more than one, so workers=2 really exercises the
+# ProcessPoolExecutor merge path.
 POOLED = dict(user_count=4, iterations=2, vectors=("dc", "fft", "hybrid"),
               seed=5)
 

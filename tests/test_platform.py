@@ -60,7 +60,7 @@ class TestAudioStack:
         stack = AudioStack("gecko", "glibc", "splitradix", "gecko")
         config = stack.realize()
         assert [f.name for f in dataclasses.fields(config)] \
-            == ["math", "fft", "compressor", "render_path"]
+            == ["math", "fft", "compressor"]
         with pytest.raises(TypeError):
             stack.realize(parse_path("t1.d0.m0.p0"))
 

@@ -1,8 +1,8 @@
-"""Randomised differential test of the two render paths.
+"""Randomised differential test of the two render loops.
 
-The fused whole-buffer path renders every acyclic graph of fusible
-nodes, so it must reproduce the 128-frame quantum loop byte for byte on
-any such graph, not only on the seven vectors' graphs. Hypothesis draws
+Every render runs the fused whole-buffer loop, so it must reproduce the
+128-frame quantum loop (``_render_quantum``) byte for byte on any
+acyclic graph, not only on the seven vectors' graphs. Hypothesis draws
 the graph — 1-3 oscillators of any type (a ``PeriodicWave`` included),
 merger or gain fan-in with several sources on one port, fan-out taps to
 the destination, automation on ``frequency``, ``detune`` and ``gain``,
@@ -10,15 +10,13 @@ an optional ScriptProcessor — plus a platform stack, a batch size and
 the readout jitter paths. ``HYPOTHESIS_PROFILE=deep`` searches longer
 (profiles are registered in the root ``conftest.py``).
 """
-import dataclasses
-
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.platform import AudioStack, default_stack_pool
 from repro.platform.jitter import JitterPath
 from repro.vectors.am import _am_script
-from repro.webaudio import RENDER_PATHS, OfflineAudioContext, PeriodicWave
+from repro.webaudio import OfflineAudioContext, PeriodicWave
 
 _STACKS = sorted({row[0] for row in default_stack_pool()},
                  key=lambda stack: stack.cache_key())
@@ -115,13 +113,12 @@ def _automate(param, spec):
             param.set_target_at_time(target, time, time_constant)
 
 
-def _build(spec, render_path):
-    """Build ``spec`` in a fresh context on ``render_path``; returns the
-    context and its analyser."""
+def _build(spec):
+    """Build ``spec`` in a fresh context; returns the context and its
+    analyser."""
     stack = spec["stack"]
-    config = dataclasses.replace(stack.realize(), render_path=render_path)
     ctx = OfflineAudioContext(spec["channels"], spec["length"],
-                              stack.sample_rate, config=config,
+                              stack.sample_rate, config=stack.realize(),
                               batch_size=len(spec["jitters"]))
     oscillators = []
     for osc_spec in spec["oscillators"]:
@@ -180,10 +177,10 @@ _ONE_FRAME_TAIL = dict(
                            _tone("sine", 9001.0)]))
 def test_fused_render_equals_quantum_loop(spec):
     rendered = {}
-    for render_path in RENDER_PATHS:
-        ctx, analyser = _build(spec, render_path)
-        buffer = ctx.start_rendering_batch()
-        assert ctx.render_path_used == render_path
+    for loop in ("fused", "quantum"):
+        ctx, analyser = _build(spec)
+        buffer = (ctx.start_rendering_batch() if loop == "fused"
+                  else ctx._render_quantum())
         readout = analyser.get_float_frequency_data_batch(spec["jitters"])
-        rendered[render_path] = (buffer.tobytes(), readout.tobytes())
+        rendered[loop] = (buffer.tobytes(), readout.tobytes())
     assert rendered["fused"] == rendered["quantum"]

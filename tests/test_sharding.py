@@ -187,6 +187,31 @@ class TestShardedRunReport:
         assert isinstance(utilization, float) and 0 < utilization <= 1
         assert payload["events"]["path"] == str(events_path)
 
+    def test_fully_resumed_run_report_validates(self, tmp_path):
+        """A rerun that resumes every shard renders nothing and still
+        writes a report with every phase."""
+        out = str(tmp_path / "shards")
+        run_study_sharded(9, 3, out, workers=0, **STUDY)
+        report_path = tmp_path / "report.json"
+        again = run_study_sharded(9, 3, out, workers=0,
+                                  report_path=str(report_path), **STUDY)
+        assert all(shard.resumed for shard in again.shards)
+        payload = json.loads(report_path.read_text())
+        assert validate_report(payload, str(tmp_path)) == []
+        assert payload["pool"]["jobs"] == 0
+
+    def test_report_names_the_largest_pool_a_shard_used(self, tmp_path):
+        """Each shard pools min(workers, its jobs): here 2 for the first
+        shard's two groups and 0 for the second, whose one class the
+        shared cache already holds. The report names the largest."""
+        report_path = tmp_path / "report.json"
+        run_study_sharded(5, 4, str(tmp_path / "shards"), iterations=2,
+                          vectors=("dc",), seed=7, workers=2,
+                          report_path=str(report_path))
+        pool = json.loads(report_path.read_text())["pool"]
+        assert pool["jobs"] == 2
+        assert pool["workers"] == 2 and pool["pooled"] is True
+
 
 class TestShardIntegrity:
     def _shard_copy(self, sharded, tmp_path, index=1):

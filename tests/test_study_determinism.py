@@ -1,12 +1,17 @@
 """The seeded-reproducibility contract (EXPERIMENTS.md): same seed ->
 bit-identical dataset; different seed -> different stack assignments.
-Plus the front door both study drivers share: the same bad argument is
-rejected the same way, before anything is sampled or written.
+Plus the pool rule (a render step pools ``min(workers, jobs)``
+processes) and the front door both study drivers share: the same bad
+argument is rejected the same way, before anything is sampled or
+written.
 """
+import json
+
 import numpy as np
 import pytest
 
 from repro import RenderCache, StudyDataset, run_study, run_study_sharded
+from repro.population import study
 from repro.population.sampler import sample_population
 
 FAST = dict(user_count=50, iterations=6, vectors=("dc", "fft"), workers=0)
@@ -37,6 +42,52 @@ def test_worker_count_does_not_change_results():
     pooled = run_study(seed=2021, user_count=50, iterations=6,
                        vectors=("dc", "fft"), workers=2)
     assert serial == pooled
+
+
+def _pool_sizes(monkeypatch) -> list:
+    """The pool size each render step hands its executor, read the way
+    the pipeline benchmark's pool spy reads it."""
+    sizes = []
+    executor = study.SupervisedExecutor
+
+    def spy(*args, **kwargs):
+        sizes.append(kwargs.get("workers", 0))
+        return executor(*args, **kwargs)
+    monkeypatch.setattr(study, "SupervisedExecutor", spy)
+    return sizes
+
+
+#: (user_count, vectors, workers, os.cpu_count(), jobs, pool): a render
+#: step hands its executor min(workers, jobs), workers=None meaning the
+#: core count (1 when unknown); a pool of 0 or 1 renders inline
+POOL_RULE = [
+    pytest.param(4, ("dc",), 2, 2, 2, 2, id="two-groups"),
+    pytest.param(3, ("dc",), 2, 2, 1, 1, id="one-group"),
+    pytest.param(4, ("dc", "custom"), 2, 2, 4, 2, id="groups-over-workers"),
+    pytest.param(4, ("dc", "custom"), 3, 1, 4, 3, id="workers-over-cores"),
+    pytest.param(4, ("dc",), None, 3, 2, 2, id="auto-more-cores-than-groups"),
+    pytest.param(4, ("dc", "custom"), None, 3, 4, 3, id="auto-more-groups"),
+    pytest.param(4, ("dc",), None, None, 2, 1, id="auto-cores-unknown"),
+    pytest.param(4, ("dc",), 1, 2, 2, 1, id="one-worker"),
+]
+
+
+@pytest.mark.parametrize("user_count, vectors, workers, cores, jobs, pool",
+                         POOL_RULE)
+def test_pool_rule(user_count, vectors, workers, cores, jobs, pool,
+                   monkeypatch, tmp_path):
+    """The executor gets the pool the rule names, the run report shows
+    the pool that rendered, and the dataset is the inline one."""
+    monkeypatch.setattr(study.os, "cpu_count", lambda: cores)
+    sizes = _pool_sizes(monkeypatch)
+    report = tmp_path / "report.json"
+    dataset = run_study(user_count, 2, vectors, seed=7, workers=workers,
+                        report_path=str(report))
+    section = json.loads(report.read_text())["pool"]
+    assert section["jobs"] == jobs
+    assert sizes == [pool]
+    assert section["workers"] == pool and section["pooled"] is (pool > 1)
+    assert dataset == run_study(user_count, 2, vectors, seed=7, workers=0)
 
 
 def test_population_sampler_is_deterministic():
@@ -95,6 +146,8 @@ BAD_ARGUMENTS = [
     ("checkpoint_every", True), ("checkpoint_every", 2.0),
     ("seed", -1), ("seed", None), ("seed", 1.5),
     ("vectors", "dc"), ("vectors", 3),
+    ("retry_budget", True), ("retry_budget", -1), ("retry_budget", 2.5),
+    ("retry_budget", "5"),
 ]
 
 
