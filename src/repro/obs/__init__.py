@@ -1,8 +1,10 @@
 """repro.obs — zero-dependency observability for the render pipeline.
 
 Three layers, all stdlib-only so every other package may import this one
-(and nothing here imports any other repro package; ``report`` and
-``events`` use the dependency-free ``repro.schema`` walker):
+(and nothing here imports any other repro package but two dependency-free
+modules: ``report`` and ``events`` use the ``repro.schema`` walker, and
+``events`` writes and reads its log through the crash-safe file layer,
+``repro.io``):
 
   recorder   span tracer (context-manager API, monotonic clocks, nesting),
              counters, and mergeable exponential histograms, behind a
@@ -13,7 +15,7 @@ Three layers, all stdlib-only so every other package may import this one
              a contextvar so the engine's hot loop stays untouched when
              profiling is off.
   events     the crash-safe append-only JSONL event log: the *sequence* of
-             retries, rebuilds, checkpoint writes, and cache quarantines
+             retries, rebuilds, checkpoint writes and shard quarantines
              that aggregates throw away (see ``repro.obs.events``).
   progress   the opt-in stderr heartbeat for long runs (``ProgressMeter``).
   report     the machine-readable run report: build/validate/render, plus

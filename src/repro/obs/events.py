@@ -24,13 +24,14 @@ identifies the emitting process. Everything else is the event's payload.
 
 Crash safety
 ------------
-``EventLog`` appends one line per event and flushes it, so a SIGKILL can
-tear at most the final line. Opening a log repairs that torn tail the
-way checkpoints are repaired: the fragment is quarantined to
-``<path>.corrupt`` and appending resumes on a clean line boundary.
-``read_events`` tolerates a torn tail (the events before it are intact)
-but reports it, so ``repro.obs.report --check`` can refuse a report
-whose sidecar lost events.
+``EventLog`` is the crash-safe file layer's append-only JSONL log
+(``repro.io.JsonlLog``), the same class the service WAL is: one flushed
+line per event, so a SIGKILL can tear at most the final line, and
+opening a log quarantines that fragment to ``<path>.corrupt`` so
+appending resumes on a clean line boundary. ``read_events`` parses with
+the same line scanner; it tolerates a torn tail (the events before it
+are intact) but reports it, so ``repro.obs.report --check`` can refuse a
+report whose sidecar lost events.
 
 Determinism
 -----------
@@ -52,6 +53,7 @@ import json
 import os
 import time
 
+from ..io import JsonlLog, scan_lines
 from ..schema import COUNT, NON_NEGATIVE, NUMBER, optional
 from ..schema import problems as schema_problems
 
@@ -125,68 +127,12 @@ def make_event(kind: str, *, epoch: float = 0.0, **fields) -> dict:
     return event
 
 
-class EventLog:
-    """Append-only JSONL sink. One ``write + flush`` per event: after a
-    SIGKILL the OS page cache still holds every flushed line, so at most
-    the in-flight line is torn — and opening the log quarantines that
-    fragment to ``<path>.corrupt`` before appending anything new."""
+class EventLog(JsonlLog):
+    """The study's append-only JSONL sink (``repro.io.JsonlLog``): one
+    flushed line per event, and opening the log quarantines a torn tail
+    to ``<path>.corrupt`` before appending anything new."""
 
-    def __init__(self, path: str):
-        self.path = path
-        self.torn_tail_repaired = False
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._repair_torn_tail()
-        self._fh = open(path, "a", encoding="utf-8")
-
-    def _repair_torn_tail(self) -> None:
-        try:
-            with open(self.path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return
-        if not data:
-            return
-        # keep the longest prefix of intact JSON lines; everything after
-        # it (a line cut mid-write, or bytes with no trailing newline) is
-        # the torn tail a crash left behind
-        good_end = 0
-        start = 0
-        while start < len(data):
-            newline = data.find(b"\n", start)
-            if newline < 0:
-                break
-            line = data[start:newline]
-            try:
-                json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                break
-            good_end = newline + 1
-            start = newline + 1
-        if good_end == len(data):
-            return
-        with open(self.path + ".corrupt", "ab") as fh:
-            fh.write(data[good_end:])
-        with open(self.path, "r+b") as fh:
-            fh.truncate(good_end)
-        self.torn_tail_repaired = True
-
-    def emit(self, event: dict) -> None:
-        self._fh.write(json.dumps(event, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
+    emit = JsonlLog.append
 
 
 def read_events(path: str) -> tuple[list[dict], list[str]]:
@@ -195,46 +141,35 @@ def read_events(path: str) -> tuple[list[dict], list[str]]:
     A torn final line (no trailing newline, or unparseable last line of a
     file that was being appended when the process died) is *tolerated* —
     the events before it are returned — but reported as a problem so
-    validators can decide whether torn is acceptable. Any other
-    unparseable line, an unknown ``kind``, a foreign ``schema``, or an
-    envelope field of the wrong type is a hard problem.
+    validators can decide whether torn is acceptable. Any other bad
+    line, an unknown ``kind``, a foreign ``schema``, or an envelope field
+    of the wrong type is a hard problem; reading goes on past each.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     events: list[dict] = []
     problems: list[str] = []
-    raw_lines = data.split(b"\n")
-    # a file ending in "\n" splits to a trailing empty chunk; drop it
-    if raw_lines and raw_lines[-1] == b"":
-        raw_lines.pop()
-    last = len(raw_lines) - 1
-    for i, raw in enumerate(raw_lines):
-        torn_candidate = (i == last)
-        try:
-            event = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            if torn_candidate:
-                problems.append(f"torn tail at line {i + 1} "
-                                f"({len(raw)} bytes, unparseable)")
+    for line, (start, end, event) in enumerate(scan_lines(data), 1):
+        if event is None:
+            if end == len(data):
+                problems.append(f"torn tail at line {line} "
+                                f"({end - start} bytes)")
             else:
-                problems.append(f"corrupt event at line {i + 1}")
-            continue
-        if not isinstance(event, dict):
-            problems.append(f"event at line {i + 1} is not an object")
+                problems.append(f"corrupt event at line {line}")
             continue
         if event.get("schema") != EVENT_SCHEMA:
-            problems.append(f"event at line {i + 1} has schema "
+            problems.append(f"event at line {line} has schema "
                             f"{event.get('schema')!r} "
                             f"(expected {EVENT_SCHEMA})")
             continue
         if not isinstance(event.get("kind"), str) \
                 or event["kind"] not in EVENT_KINDS:
-            problems.append(f"event at line {i + 1} has unknown kind "
+            problems.append(f"event at line {line} has unknown kind "
                             f"{event.get('kind')!r}")
             continue
         envelope = schema_problems(event, _ENVELOPE)
         if envelope:
-            problems.extend(f"event at line {i + 1}: {problem}"
+            problems.extend(f"event at line {line}: {problem}"
                             for problem in envelope)
             continue
         events.append(event)

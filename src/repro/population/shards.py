@@ -48,10 +48,10 @@ import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 
-from ..io import atomic_write_chunks, atomic_write_json, atomic_write_text
+from ..io import (atomic_write_chunks, atomic_write_json, atomic_write_text,
+                  load_document, quarantine)
 from ..resilience import study_fingerprint
 from ..schema import COUNT, STRING, STUDY
-from ..schema import problems as schema_problems
 from ..webaudio import ENGINE_VERSION
 from .cache import RenderCache
 from .dataset import StudyDataset
@@ -197,41 +197,17 @@ def write_shard(paths: ShardPaths, study: dict, index: int, start: int,
     return manifest
 
 
-def _quarantine_shard(paths: ShardPaths) -> list[str]:
-    """Move a shard's data+manifest aside; best-effort, returns what moved."""
-    moved = []
-    for path in (paths.data, paths.manifest):
-        try:
-            os.replace(path, path + ".corrupt")
-            moved.append(path + ".corrupt")
-        except OSError:
-            pass
-    return moved
-
-
 def load_manifest(manifest_path: str):
     """Parse and structurally validate a shard manifest; ``None`` if the
-    file does not exist. A malformed manifest quarantines the shard and
-    raises ``ShardIntegrityError`` naming the problem."""
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as exc:  # ValueError: not JSON / UTF-8
-        paths = _paths_for_manifest(manifest_path)
-        _quarantine_shard(paths)
-        raise ShardIntegrityError(
-            f"shard manifest {manifest_path} is unreadable "
-            f"({exc.__class__.__name__}); shard quarantined") from None
-    problems = schema_problems(payload, _MANIFEST)
-    if problems:
-        paths = _paths_for_manifest(manifest_path)
-        _quarantine_shard(paths)
-        raise ShardIntegrityError(
-            f"shard manifest {manifest_path} is malformed "
-            f"({'; '.join(problems)}); shard quarantined")
-    return payload
+    file does not exist. An unreadable or malformed manifest is
+    quarantined with its shard's data and raises ``ShardIntegrityError``
+    naming the problem."""
+    manifest, problem = load_document(manifest_path, _MANIFEST,
+                                      "shard manifest")
+    if problem is not None:
+        quarantine(_paths_for_manifest(manifest_path).data)
+        raise ShardIntegrityError(f"{problem}; shard quarantined")
+    return manifest
 
 
 def _paths_for_manifest(manifest_path: str) -> ShardPaths:
@@ -245,29 +221,30 @@ def verify_shard_data(paths: ShardPaths, manifest: dict) -> None:
     """Check the data file against its manifest stamp (size + sha256);
     quarantine and raise ``ShardIntegrityError`` on any mismatch — a
     torn or truncated shard must never flow into a merge silently."""
-    stamp = manifest["data"]
-    stem = os.path.basename(paths.data)
+    problem = _data_problem(paths.data, manifest["data"])
+    if problem is not None:
+        quarantine(paths.data)
+        quarantine(paths.manifest)
+        raise ShardIntegrityError(f"shard {os.path.basename(paths.data)}: "
+                                  f"{problem}; shard quarantined")
+
+
+def _data_problem(path: str, stamp: dict) -> str | None:
     try:
-        size = os.path.getsize(paths.data)
+        size = os.path.getsize(path)
     except OSError:
-        _quarantine_shard(paths)
-        raise ShardIntegrityError(
-            f"shard {stem}: manifest present but data file missing; "
-            "shard quarantined") from None
+        return "manifest present but data file missing"
     if size != stamp["bytes"]:
-        _quarantine_shard(paths)
-        raise ShardIntegrityError(
-            f"shard {stem}: data file is {size} bytes, manifest stamped "
-            f"{stamp['bytes']} (torn or truncated); shard quarantined")
+        return (f"data file is {size} bytes, manifest stamped "
+                f"{stamp['bytes']} (torn or truncated)")
     digest = hashlib.sha256()
-    with open(paths.data, "rb") as fh:
+    with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     if digest.hexdigest() != stamp["sha256"]:
-        _quarantine_shard(paths)
-        raise ShardIntegrityError(
-            f"shard {stem}: data sha256 {digest.hexdigest()[:12]}… does not "
-            f"match manifest {stamp['sha256'][:12]}…; shard quarantined")
+        return (f"data sha256 {digest.hexdigest()[:12]}… does not match "
+                f"manifest {stamp['sha256'][:12]}…")
+    return None
 
 
 def check_shard_study(manifest: dict, study: dict, manifest_path: str,

@@ -3,28 +3,32 @@
 A checkpoint is one JSON document mapping completed render-class keys to
 their eFPs, stamped with the study fingerprint (seed/user_count/
 iterations/vectors) that produced them. ``run_study(checkpoint_path=...)``
-writes one every N completed render jobs through the shared atomic
-writer, so a killed run resumes by re-rendering only the classes the
-checkpoint doesn't already hold — the resumed dataset is byte-identical
-to an uninterrupted one because eFPs are pure functions of their key.
+writes one every N completed render jobs through the crash-safe file
+layer (``repro.io``), so a killed run resumes by re-rendering only the
+classes the checkpoint doesn't already hold — the resumed dataset is
+byte-identical to an uninterrupted one because eFPs are pure functions
+of their key.
 
 Resume is defensive in both directions: a checkpoint whose fingerprint
 belongs to a *different* study raises (silently mixing studies would
-poison the dataset), while an unreadable/torn file — the artifact of a
-kill mid-write predating the atomic writer, or an injected
-``torn_checkpoint`` fault — is quarantined to ``<path>.corrupt`` and the
-run simply starts cold.
+poison the dataset), while a file the layer's loader rejects — torn
+(the artifact of a kill mid-write predating the atomic writer, or an
+injected ``torn_checkpoint`` fault) or off its schema shape — is
+quarantined to ``<path>.corrupt`` and the run simply starts cold.
 """
 from __future__ import annotations
 
 import json
-import os
 
-from ..io import atomic_write_text
+from ..io import atomic_write_text, load_document
+from ..schema import OBJECT, STRING, each
 from . import faults
 
 CHECKPOINT_KIND = "repro.study.checkpoint"
 CHECKPOINT_FORMAT = 1
+
+_CHECKPOINT = {"kind": CHECKPOINT_KIND, "format": CHECKPOINT_FORMAT,
+               "study": OBJECT, "rendered": each(STRING)}
 
 
 def study_fingerprint(seed: int, user_count: int, iterations: int,
@@ -51,39 +55,18 @@ def write_checkpoint(path: str, study: dict, rendered: dict,
     return True
 
 
-def _quarantine(path: str) -> None:
-    try:
-        os.replace(path, path + ".corrupt")
-    except OSError:
-        pass  # quarantine is best-effort; the load already failed safely
-
-
 def load_checkpoint(path: str, study: dict) -> tuple[dict[str, str], str | None]:
     """Load a checkpoint for resuming ``study``.
 
     Returns ``(rendered, problem)``: a missing file is a clean cold start
-    (``({}, None)``); an unreadable or structurally invalid file is
-    quarantined to ``<path>.corrupt`` and reported (``({}, reason)``); a
-    *readable* checkpoint from a different study fingerprint raises
-    ``ValueError`` naming the mismatched field.
+    (``({}, None)``); an unreadable or malformed file is quarantined to
+    ``<path>.corrupt`` and reported (``({}, problem)``); a well-formed
+    checkpoint from a different study fingerprint raises ``ValueError``
+    naming the mismatched field and stays where it is.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        return {}, None
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        _quarantine(path)
-        return {}, f"unreadable checkpoint ({exc.__class__.__name__})"
-
-    if not isinstance(payload, dict) \
-            or payload.get("kind") != CHECKPOINT_KIND \
-            or payload.get("format") != CHECKPOINT_FORMAT \
-            or not isinstance(payload.get("study"), dict) \
-            or not isinstance(payload.get("rendered"), dict):
-        _quarantine(path)
-        return {}, "malformed checkpoint structure"
-
+    payload, problem = load_document(path, _CHECKPOINT, "checkpoint")
+    if payload is None:
+        return {}, problem
     theirs = payload["study"]
     # compare every field the expected fingerprint carries: the base
     # study identity, plus any extra scoping a caller stamped in (the
@@ -96,10 +79,4 @@ def load_checkpoint(path: str, study: dict) -> tuple[dict[str, str], str | None]
                 f"{field} is {theirs.get(field)!r}, this run has "
                 f"{study[field]!r} — delete it (or point checkpoint_path "
                 "elsewhere) to start fresh")
-
-    rendered = payload["rendered"]
-    if not all(isinstance(k, str) and isinstance(v, str)
-               for k, v in rendered.items()):
-        _quarantine(path)
-        return {}, "checkpoint holds non-string render entries"
-    return dict(rendered), None
+    return payload["rendered"], None

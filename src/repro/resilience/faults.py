@@ -148,6 +148,15 @@ class FaultPlan:
                 continue
         return False
 
+    def _due(self, kinds, key: str, select: bool = True):
+        """The faults of ``kinds`` firing on this occurrence of ``key``,
+        lazily: each is selected for ``key`` (any key when ``select`` is
+        off) and has an unfired occurrence, which yielding it claims."""
+        return (fault for index, fault in enumerate(self.faults)
+                if fault.kind in kinds
+                and (not select or self._selected(fault, key))
+                and self._claim(index, fault, key))
+
     # -- firing --------------------------------------------------------------
     _RENDER_KINDS = frozenset({"crash", "hang", "corrupt", "delay"})
 
@@ -155,12 +164,7 @@ class FaultPlan:
         """Run crash/hang/delay faults for one render of ``key``; return
         True when the render's result must be corrupted."""
         corrupt = False
-        for index, fault in enumerate(self.faults):
-            if fault.kind not in self._RENDER_KINDS \
-                    or not self._selected(fault, key):
-                continue
-            if not self._claim(index, fault, key):
-                continue
+        for fault in self._due(self._RENDER_KINDS, key):
             if fault.kind in ("hang", "delay"):
                 time.sleep(fault.seconds)
             elif fault.kind == "corrupt":
@@ -172,19 +176,14 @@ class FaultPlan:
         return corrupt
 
     def fire_torn_checkpoint(self, path: str, text: str) -> bool:
-        """If a torn-checkpoint fault is due, leave a truncated
-        (non-atomic, invalid-JSON) file at ``path`` — exactly what a
-        crash mid-write through a *naive* writer would leave — and tell
-        the caller to skip the real write."""
-        for index, fault in enumerate(self.faults):
-            if fault.kind != "torn_checkpoint":
-                continue
-            if not self._claim(index, fault, "checkpoint"):
-                continue
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text[:max(1, len(text) // 3)])
-            return True
-        return False
+        """If a torn-checkpoint fault is due (on any checkpoint write),
+        leave a truncated file at ``path`` and tell the caller to skip
+        the real write."""
+        if not any(self._due({"torn_checkpoint"}, "checkpoint",
+                             select=False)):
+            return False
+        _leave_torn(path, text)
+        return True
 
     # -- service fault points (repro.service) --------------------------------
     def fire_torn_wal(self, fh, line: str) -> bool:
@@ -192,46 +191,35 @@ class FaultPlan:
         ``line`` to the open WAL handle — exactly the bytes a SIGKILL
         landing mid-append would leave — and tell the caller to die
         instead of completing the append."""
-        for index, fault in enumerate(self.faults):
-            if fault.kind != "torn_wal" or not self._selected(fault, WAL_KEY):
-                continue
-            if not self._claim(index, fault, WAL_KEY):
-                continue
-            fh.write(line[:max(1, len(line) // 2)])
-            fh.flush()
-            return True
-        return False
+        if not any(self._due({"torn_wal"}, WAL_KEY)):
+            return False
+        fh.write(line[:max(1, len(line) // 2)])
+        fh.flush()
+        return True
 
     def fire_crashed_snapshot(self, path: str, text: str) -> bool:
-        """If a crashed-snapshot fault is due, leave a truncated
-        (non-atomic, invalid-JSON) file at ``path`` — what a snapshot
-        writer dying mid-write through a naive writer would leave — and
-        tell the caller to skip the real write."""
-        for index, fault in enumerate(self.faults):
-            if fault.kind != "crashed_snapshot" \
-                    or not self._selected(fault, SNAPSHOT_KEY):
-                continue
-            if not self._claim(index, fault, SNAPSHOT_KEY):
-                continue
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text[:max(1, len(text) // 3)])
-            return True
-        return False
+        """If a crashed-snapshot fault is due, leave a truncated file at
+        ``path`` and tell the caller to skip the real write."""
+        if not any(self._due({"crashed_snapshot"}, SNAPSHOT_KEY)):
+            return False
+        _leave_torn(path, text)
+        return True
 
     def fire_slow_consumer(self) -> float:
         """Seconds the service's ingest consumer must stall before
         draining its next batch; 0.0 when no slow-consumer fault is due.
         The delay is returned (not slept here) so the async consumer can
         await it without blocking the event loop."""
-        total = 0.0
-        for index, fault in enumerate(self.faults):
-            if fault.kind != "slow_consumer" \
-                    or not self._selected(fault, CONSUMER_KEY):
-                continue
-            if not self._claim(index, fault, CONSUMER_KEY):
-                continue
-            total += fault.seconds
-        return total
+        return sum((fault.seconds for fault in
+                    self._due({"slow_consumer"}, CONSUMER_KEY)), 0.0)
+
+
+def _leave_torn(path: str, text: str) -> None:
+    """Write the first third of ``text`` over ``path`` in place: the
+    invalid JSON a writer dying mid-write through a *naive* (non-atomic)
+    writer leaves."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text[:max(1, len(text) // 3)])
 
 
 # -- the env-gated hook (the only thing hot paths touch) ----------------------

@@ -1,7 +1,8 @@
 """One shape walker for every JSON document the reproduction writes.
 
-Run reports, analysis / tables / shard reports, shard manifests and saved
-``StudyDataset`` payloads each declare their shape as a schema literal:
+Run reports, analysis / tables / shard reports, shard manifests, study
+checkpoints, service snapshots and saved ``StudyDataset`` payloads each
+declare their shape as a schema literal:
 
   ``Check``     a named leaf predicate (``COUNT``, ``NUMBER``, ...)
   ``{k: s}``    an object whose listed keys must be present (others may be)

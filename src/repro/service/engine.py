@@ -16,11 +16,12 @@ robustness envelope the service promises its callers:
   answered from the last snapshot's precomputed view, flagged
   ``degraded=True`` with ``stale_by_visits`` staleness — answered, not
   errored. A half-open probe closes the breaker when latency recovers.
-* **Durability** — visits are WAL-appended and fsync'd *before* they
-  mutate state or are acked (see ``wal``); periodic snapshots bound
-  replay. ``recover()`` rebuilds state through the same ``apply`` path
-  as live ingest, so a SIGKILL'd service replays to byte-identical
-  state (``state_bytes()`` is the comparison surface).
+* **Durability** — visits are WAL-appended, and each batch is fsync'd
+  once (group commit), *before* they mutate state or are acked (see
+  ``wal``); periodic snapshots bound replay. ``recover()`` rebuilds
+  state through the same ``apply`` path as live ingest, so a SIGKILL'd
+  service replays to byte-identical state (``state_bytes()`` is the
+  comparison surface).
 
 Fault hooks (``repro.resilience.faults``): ``torn_wal`` kills the
 service mid-append exactly as a SIGKILL would, ``crashed_snapshot``
@@ -35,6 +36,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from ..io import quarantine
 from ..obs import NULL_RECORDER
 from ..resilience import faults
 from ..vectors import get_vector
@@ -60,11 +62,10 @@ class ServiceConfig:
     breaker_threshold: float = 0.5  # miss fraction that trips
     breaker_cooldown_s: float = 0.5
     snapshot_every: int = 256       # applied visits between snapshots
-    sync_every: int = 1             # WAL fsync cadence (acks always sync)
 
     def __post_init__(self):
         for name in ("queue_limit", "batch_max", "breaker_window",
-                     "breaker_min_samples", "snapshot_every", "sync_every"):
+                     "breaker_min_samples", "snapshot_every"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) \
                     or value < 1:
@@ -222,7 +223,7 @@ class FingerprintService:
             try:
                 state = ServiceState.from_state(snapshot)
             except (KeyError, TypeError, ValueError) as exc:
-                self.snapshots.quarantine()
+                quarantine(self.snapshots.path)
                 problem = f"snapshot state rejected ({exc})"
         if state is not None and tuple(state.vectors) != self.vectors:
             raise ValueError(
@@ -263,8 +264,7 @@ class FingerprintService:
                 f"service in phase {self._phase!r} cannot start "
                 "(construct a fresh instance per run)")
         self.recover()
-        self.wal = WriteAheadLog(self.wal_path,
-                                 sync_every=self.config.sync_every)
+        self.wal = WriteAheadLog(self.wal_path)
         self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
         self._consumer = asyncio.create_task(self._consume())
         self._phase = "running"

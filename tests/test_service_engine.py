@@ -163,6 +163,38 @@ class TestIngestAndDetection:
         assert not miss.found
 
 
+class TestGroupCommit:
+    def test_one_wal_fsync_per_ingest_batch(self, tmp_path, visits,
+                                            monkeypatch):
+        """``batch_max`` is the group commit: appends only write and
+        flush, and the batch-boundary ``sync()`` every ack waits behind
+        is the one fsync per batch."""
+        recorder = Recorder()
+        service = FingerprintService(str(tmp_path / "svc"), STUDY["vectors"],
+                                     config=ServiceConfig(batch_max=8),
+                                     recorder=recorder)
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        async def go():
+            await service.start()  # creating the WAL syncs its directory
+            monkeypatch.setattr(os, "fsync", counting_fsync)
+            results = await asyncio.gather(*(service.ingest(v)
+                                             for v in visits))
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            await service.stop()
+            return results
+        results = asyncio.run(go())
+        assert all(isinstance(r, IngestAccepted) for r in results)
+        batches = [e for e in recorder.events if e["kind"] == "ingest.batch"]
+        assert sum(e["size"] for e in batches) == len(visits)
+        assert len(fsyncs) == len(batches) < len(visits)
+
+
 class TestBackpressure:
     def test_queue_full_sheds_typed_at_front_door(self, tmp_path, visits,
                                                   monkeypatch):
@@ -458,8 +490,7 @@ class TestMonotonicClockDiscipline:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"queue_limit": 0}, {"batch_max": -1}, {"sync_every": 0},
-        {"snapshot_every": 0}, {"ingest_deadline_s": 0.0},
+        {"queue_limit": 0}, {"batch_max": -1}, {"snapshot_every": 0}, {"ingest_deadline_s": 0.0},
         {"lookup_deadline_s": -1.0}, {"breaker_cooldown_s": 0.0},
         {"breaker_threshold": 0.0}, {"breaker_threshold": 1.5},
         {"breaker_window": 0}, {"breaker_min_samples": 0},
