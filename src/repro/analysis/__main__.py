@@ -5,17 +5,19 @@ Three modes, one deterministic contract:
   default   consume a ``StudyDataset`` JSON (as written by
             ``StudyDataset.save``, validated on load), collate every
             vector, and emit the analysis report.
-  --shard   consume one *shard manifest* (written by
-            ``run_study_sharded``), verify the shard's bytes against it,
-            and emit the shard's mergeable report — O(distinct eFPs),
-            not O(users).
-  --merge   consume shard reports (``shard_report_*.json``) covering a
-            full partition of the study and emit the merged analysis
-            report — byte-identical to what the default mode produces
-            from the monolithic dataset, in any merge order.
+  --tables  consume the same dataset and emit the paper's Tables 2-5
+            comparison report.
+  --merge   consume shard reports (``shard_report_*.json``, written by
+            ``run_study_sharded``) covering a full partition of the
+            study and emit the merged analysis report — byte-identical
+            to what the default mode produces from the monolithic
+            dataset, in any merge order.
 
+Every built report passes its own schema check before it is written.
 Output goes to ``--out`` via the crash-safe atomic writer, or to stdout.
 The same inputs always produce byte-identical report files.
+``python -m repro.obs.report`` checks (``--check``) and renders every
+report kind this CLI writes.
 
 ``--timings`` runs the pipeline under a live ``repro.obs`` recorder and
 prints phase spans (load/collate/entropy/combine) and collation counters
@@ -32,7 +34,7 @@ from ..io import atomic_write_text
 from ..obs import NULL_RECORDER, Recorder
 from ..population.dataset import StudyDataset
 from .report import (build_analysis_report, dumps_analysis_report,
-                     render_analysis_report, validate_analysis_report)
+                     validate_analysis_report)
 
 
 def _print_timings(recorder: Recorder) -> None:
@@ -46,7 +48,7 @@ def _print_timings(recorder: Recorder) -> None:
         print(f"  counter {name:<21} {value:g}", file=sys.stderr)
 
 
-def _emit(args, report: dict, validate, render) -> int:
+def _emit(args, report: dict, validate) -> int:
     """Self-check a built report against its own schema, then write it."""
     problems = validate(report)
     if problems:
@@ -59,36 +61,9 @@ def _emit(args, report: dict, validate, render) -> int:
     if args.out:
         atomic_write_text(args.out, text)
         print(f"wrote {args.out}", file=sys.stderr)
-    elif args.render:
-        print(render(report))
-    elif not args.check:
+    else:
         sys.stdout.write(text)
     return 0
-
-
-def _run_shard_mode(args, recorder) -> int:
-    from ..population.shards import (ShardIntegrityError,
-                                     dataset_from_records, load_shard)
-    from .shards import (build_shard_report, render_shard_report,
-                         validate_shard_report)
-    if len(args.paths) != 1:
-        print("error: --shard takes exactly one shard manifest path",
-              file=sys.stderr)
-        return 2
-    manifest_path = args.paths[0]
-    try:
-        with recorder.span("load"):
-            manifest, records = load_shard(manifest_path)
-            dataset = dataset_from_records(manifest, records)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShardIntegrityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with recorder.span("collate"):
-        report = build_shard_report(dataset, manifest)
-    return _emit(args, report, validate_shard_report, render_shard_report)
 
 
 def _run_merge_mode(args, recorder) -> int:
@@ -110,8 +85,7 @@ def _run_merge_mode(args, recorder) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit(args, merged, validate_analysis_report,
-                 render_analysis_report)
+    return _emit(args, merged, validate_analysis_report)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,14 +93,10 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.analysis",
         description="Collate fingerprint data and emit the deterministic "
                     "entropy/anonymity analysis report (monolithic "
-                    "dataset, single shard, or merged shard reports).")
+                    "dataset or merged shard reports).")
     parser.add_argument("paths", nargs="+",
-                        help="a StudyDataset JSON (default), one shard "
-                             "manifest (--shard), or shard report JSONs "
-                             "(--merge)")
-    parser.add_argument("--shard", action="store_true",
-                        help="treat the path as a shard manifest and emit "
-                             "that shard's mergeable report")
+                        help="a StudyDataset JSON (default, --tables) or "
+                             "shard report JSONs (--merge)")
     parser.add_argument("--merge", action="store_true",
                         help="merge shard reports covering the full study "
                              "into the monolithic analysis report")
@@ -136,23 +106,14 @@ def main(argv: list[str] | None = None) -> int:
                              "value, match scores, math-lib attribution)")
     parser.add_argument("--out", help="write the report here (atomic write); "
                                       "default: print JSON to stdout")
-    parser.add_argument("--check", action="store_true",
-                        help="build and validate only; print nothing on "
-                             "success unless --out is also given")
-    parser.add_argument("--render", action="store_true",
-                        help="print the human-readable tables instead of JSON")
     parser.add_argument("--timings", action="store_true",
                         help="print repro.obs spans/counters to stderr")
     args = parser.parse_args(argv)
-    if args.shard and args.merge:
-        parser.error("--shard and --merge are mutually exclusive")
-    if args.tables and (args.shard or args.merge):
+    if args.tables and args.merge:
         parser.error("--tables works on a monolithic dataset only")
 
     recorder = Recorder() if args.timings else NULL_RECORDER
-    if args.shard:
-        code = _run_shard_mode(args, recorder)
-    elif args.merge:
+    if args.merge:
         code = _run_merge_mode(args, recorder)
     else:
         code = _run_dataset_mode(args, parser, recorder)
@@ -184,14 +145,12 @@ def _run_dataset_mode(args, parser, recorder) -> int:
     if args.tables:
         return _run_tables_mode(args, dataset, recorder)
     report = build_analysis_report(dataset, recorder=recorder)
-    return _emit(args, report, validate_analysis_report,
-                 render_analysis_report)
+    return _emit(args, report, validate_analysis_report)
 
 
 def _run_tables_mode(args, dataset, recorder) -> int:
     from ..vectors.registry import UnknownVectorError
-    from .tables import (build_tables_report, render_tables_report,
-                         validate_tables_report)
+    from .tables import build_tables_report, validate_tables_report
     try:
         report = build_tables_report(dataset, recorder=recorder)
     except UnknownVectorError as exc:
@@ -199,7 +158,7 @@ def _run_tables_mode(args, dataset, recorder) -> int:
         # user-facing input problem, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit(args, report, validate_tables_report, render_tables_report)
+    return _emit(args, report, validate_tables_report)
 
 
 if __name__ == "__main__":  # pragma: no cover — exercised via CLI tests

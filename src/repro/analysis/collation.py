@@ -115,8 +115,10 @@ class VectorCollation:
 
     All arrays follow the dataset's canonical orders: ``codes`` rows and
     ``user_components`` follow ``user_ids``; ``efp_components`` follows
-    the interned eFP ids behind ``labels``. Component labels are dense
-    ints in first-appearance order of each component's smallest eFP.
+    the interned eFP ids behind ``labels``; ``edges`` holds the
+    deduplicated co-observation edges as interned-id pairs
+    (``series_edges``). Component labels are dense ints in
+    first-appearance order of each component's smallest eFP.
     """
 
     vector: str
@@ -125,11 +127,15 @@ class VectorCollation:
     codes: np.ndarray = field(repr=False)            # (users, iterations)
     efp_components: np.ndarray = field(repr=False)   # (n_efps,)
     user_components: np.ndarray = field(repr=False)  # (users,)
-    edge_count: int = 0
+    edges: np.ndarray = field(repr=False)            # (n_edges, 2)
 
     @property
     def efp_count(self) -> int:
         return len(self.labels)
+
+    @property
+    def edge_count(self) -> int:
+        return int(self.edges.shape[0])
 
     @property
     def component_count(self) -> int:
@@ -176,7 +182,7 @@ def collate_vector(dataset, vector: str, recorder=NULL_RECORDER) -> VectorCollat
         codes=codes,
         efp_components=efp_components,
         user_components=user_components,
-        edge_count=int(edges.shape[0]),
+        edges=edges,
     )
 
 

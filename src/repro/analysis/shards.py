@@ -48,7 +48,7 @@ import numpy as np
 
 from ..schema import ARRAY, COUNT, POSITIVE, STRING, STUDY, each
 from ..schema import problems as schema_problems
-from .collation import component_roots, series_edges
+from .collation import collate_vector, component_roots
 from .entropy import _round, distribution
 from .report import ANALYSIS_FORMAT, ANALYSIS_KIND, dumps_analysis_report
 
@@ -75,31 +75,23 @@ def build_shard_report(dataset, manifest: dict) -> dict:
     sections = {}
     first_codes = []
     for name in vectors:
-        codes, labels, _user_ids = dataset.intern(name)
-        edges = series_edges(codes)
         # local collation: the stability collapse is *computed* per shard
         # (never assumed), exactly like the monolithic path — a user's
         # own series connects all their eFPs, so local and global
         # components agree on every per-user collapse scalar
-        roots = component_roots(len(labels), edges)
-        if len(labels):
-            _, comp = np.unique(roots, return_inverse=True)
-        else:
-            comp = np.empty(0, dtype=np.int64)
-        s = np.sort(codes, axis=1)
-        raw_distinct = 1 + (s[:, 1:] != s[:, :-1]).sum(axis=1)
-        cs = np.sort(comp[codes], axis=1) if codes.size \
-            else np.empty_like(codes)
-        coll_distinct = 1 + (cs[:, 1:] != cs[:, :-1]).sum(axis=1)
+        col = collate_vector(dataset, name)
+        codes = col.codes
+        raw_distinct = col.raw_distinct_per_user()
+        coll_distinct = col.collated_distinct_per_user()
         fickle = raw_distinct > 1
         users = int(raw_distinct.shape[0])
         sections[name] = {
-            "labels": labels,
+            "labels": col.labels,
             "observations": np.bincount(
-                codes.ravel(), minlength=len(labels)).tolist(),
+                codes.ravel(), minlength=col.efp_count).tolist(),
             "first": np.bincount(
-                codes[:, 0], minlength=len(labels)).tolist(),
-            "edges": edges.tolist(),
+                codes[:, 0], minlength=col.efp_count).tolist(),
+            "edges": col.edges.tolist(),
             "stability": {
                 "users": users,
                 "raw_fickle_users": int(fickle.sum()),

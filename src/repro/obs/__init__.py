@@ -7,7 +7,7 @@ modules: ``report`` and ``events`` use the ``repro.schema`` walker, and
 ``repro.io``):
 
   recorder   span tracer (context-manager API, monotonic clocks, nesting),
-             counters, and mergeable exponential histograms, behind a
+             counters, and sparse exponential histograms, behind a
              ``Recorder`` / ``NullRecorder`` null-object pair — disabled
              observability costs a constant handful of no-op calls per
              study, never per render.
@@ -23,9 +23,9 @@ modules: ``report`` and ``events`` use the ``repro.schema`` walker, and
   trace      Chrome trace-event export of the span tree + event log
              (``python -m repro.obs.trace``), loadable in Perfetto.
 
-Metrics cross the ProcessPoolExecutor boundary as plain dicts: each pool
-worker returns a serializable per-render metrics snapshot next to its eFP
-and the parent merges them into its own ``Recorder`` (see
+Metrics cross the process-pool boundary as plain dicts: each pool worker
+returns a serializable metrics dict per render batch next to its eFPs,
+and the parent folds them into its own ``Recorder`` (see
 ``population.study``), so aggregate counters are identical at any worker
 count.
 """

@@ -4,9 +4,11 @@ The Recorder is the single mutable sink for everything the pipeline wants
 to measure. Spans use monotonic ``time.perf_counter`` timestamps relative
 to the recorder's epoch, nest through an explicit stack (so exports carry
 parent ids), and are recorded on close. Counters are plain float sums.
-Histograms are sparse base-2 exponential buckets anchored at 1 µs, which
-makes them mergeable by addition — the property the process-pool merge
-protocol relies on.
+Histograms are sparse base-2 exponential buckets anchored at 1 µs.
+Process-pool workers never touch the parent's recorder: each returns a
+plain metrics dict per batch, which the study driver folds in through
+the ordinary ``count``/``observe``/``record_node_profile``/``merge_event``
+calls (``repro.population.study._absorb_batch_metrics``).
 
 ``NullRecorder`` is the off switch: every method is a no-op and ``span``
 returns one shared, preallocated handle, so a disabled study performs a
@@ -94,20 +96,6 @@ class Histogram:
                 high = self.max if self.max is not None else midpoint
                 return min(max(midpoint, low), high)
         return self.max or 0.0
-
-    def merge(self, other: "Histogram | dict") -> None:
-        if isinstance(other, dict):
-            other = Histogram.from_dict(other)
-        if not other.count:
-            return
-        self.count += other.count
-        self.total += other.total
-        if self.min is None or (other.min is not None and other.min < self.min):
-            self.min = other.min
-        if self.max is None or (other.max is not None and other.max > self.max):
-            self.max = other.max
-        for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + n
 
     def to_dict(self) -> dict:
         return {
@@ -264,7 +252,7 @@ class Recorder:
             entry["seconds"] += float(spent)
             entry["calls"] += int(calls[label]) if calls else 1
 
-    # -- (de)serialization / merge -------------------------------------------
+    # -- serialization -------------------------------------------------------
     def snapshot(self) -> dict:
         """A JSON-serializable copy of everything recorded so far."""
         return {
@@ -278,26 +266,6 @@ class Recorder:
                 for stack, nodes in self.node_profile.items()
             },
         }
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold a worker snapshot in: counters/histograms/profiles add;
-        foreign spans are appended as-is (their clocks are not rebased)."""
-        for name, value in snap.get("counters", {}).items():
-            self.count(name, value)
-        for name, payload in snap.get("histograms", {}).items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = Histogram()
-            hist.merge(payload)
-        for stack, nodes in snap.get("node_profile", {}).items():
-            self.record_node_profile(
-                stack,
-                {label: entry["seconds"] for label, entry in nodes.items()},
-                {label: entry["calls"] for label, entry in nodes.items()},
-            )
-        self.spans.extend(dict(s) for s in snap.get("spans", []))
-        for event in snap.get("events", []):
-            self.merge_event(event)
 
 
 class NullRecorder:
@@ -339,9 +307,6 @@ class NullRecorder:
     def snapshot(self) -> dict:
         return {"enabled": False, "spans": [], "events": [], "counters": {},
                 "histograms": {}, "node_profile": {}}
-
-    def merge_snapshot(self, snap: dict) -> None:
-        pass
 
 
 NULL_RECORDER = NullRecorder()

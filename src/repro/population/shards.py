@@ -9,13 +9,15 @@ telemetry lifecycle), the same per-range step per shard (checkpoint
 resume, cache probe, supervised batched render — retry, bisection and
 chaos hooks included), the same assembler and the same run-report
 writer. Each shard's per-user series then streams to disk instead of
-staying in memory:
+staying in memory, next to its analysis:
 
   shard_<start>_<stop>.jsonl           one compact JSON record per user
   shard_<start>_<stop>.manifest.json   the commit point: study
                                        fingerprint, shard range,
                                        ENGINE_VERSION, byte count,
                                        record count, sha256 of the data
+  shard_report_<start>_<stop>.json     the shard's mergeable report
+  analysis.json                        every shard report, merged
 
 Peak RSS is O(shard_size + distinct classes), independent of the total
 user count — the render cache is shared across shards, so the classes a
@@ -37,8 +39,8 @@ chunk writer (complete file or no file), and the manifest is written
 and hashed. Mid-shard crashes resume from the shard's render checkpoint
 (stamped with the shard range, so one shard's checkpoint can never
 resume another's); a shard whose bytes no longer match its manifest is
-quarantined to ``*.corrupt`` and raises ``ShardIntegrityError`` (or is
-transparently re-rendered when encountered during a resumed run).
+quarantined to ``*.corrupt`` (``verify_shard_data`` raises
+``ShardIntegrityError``), and the next run re-renders it.
 """
 from __future__ import annotations
 
@@ -87,37 +89,6 @@ def shard_ranges(user_count: int, shard_size: int) -> list[tuple[int, int]]:
     shard_size = _integer("shard_size", shard_size, 1)
     return [(start, min(start + shard_size, user_count))
             for start in range(0, user_count, shard_size)]
-
-
-def _validate_ranges(ranges, user_count: int) -> list[tuple[int, int]]:
-    """Validate explicit shard ranges: integer bounds (anything
-    ``operator.index`` accepts, never a bool) inside the population,
-    non-empty, non-overlapping. Returns them as ``int`` pairs sorted by
-    start. (Full-partition coverage is a *merge-time* requirement —
-    rendering a subset of shards is how distributed runs divide work.)"""
-    if not ranges:
-        raise ValueError("ranges must be non-empty")
-    cleaned = []
-    for r in ranges:
-        try:
-            start, stop = r
-        except (TypeError, ValueError):
-            raise ValueError(f"shard range {r!r} is not a (start, stop) "
-                             "pair") from None
-        start, stop = (_integer(f"shard range {r!r} bound", v, 0)
-                       for v in (start, stop))
-        if start >= stop:
-            raise ValueError(f"shard range ({start}, {stop}) is empty")
-        if stop > user_count:
-            raise ValueError(f"shard range ({start}, {stop}) falls outside "
-                             f"the population [0, {user_count})")
-        cleaned.append((start, stop))
-    cleaned.sort()
-    for (_, prev_stop), (start, stop) in zip(cleaned, cleaned[1:]):
-        if start < prev_stop:
-            raise ValueError(f"shard ranges overlap: ({start}, {stop}) "
-                             f"starts before {prev_stop}")
-    return cleaned
 
 
 def shard_stem(start: int, stop: int) -> str:
@@ -205,16 +176,9 @@ def load_manifest(manifest_path: str):
     manifest, problem = load_document(manifest_path, _MANIFEST,
                                       "shard manifest")
     if problem is not None:
-        quarantine(_paths_for_manifest(manifest_path).data)
+        quarantine(manifest_path.removesuffix(".manifest.json") + ".jsonl")
         raise ShardIntegrityError(f"{problem}; shard quarantined")
     return manifest
-
-
-def _paths_for_manifest(manifest_path: str) -> ShardPaths:
-    base = manifest_path[:-len(".manifest.json")] \
-        if manifest_path.endswith(".manifest.json") else manifest_path
-    return ShardPaths(data=base + ".jsonl", manifest=manifest_path,
-                      report="", checkpoint="")
 
 
 def verify_shard_data(paths: ShardPaths, manifest: dict) -> None:
@@ -283,22 +247,6 @@ def iter_shard_records(data_path: str):
             yield json.loads(line)
 
 
-def load_shard(manifest_path: str, study: dict | None = None):
-    """Load one completed shard: ``(manifest, records)``.
-
-    Verifies data integrity first (quarantining on failure) and, when
-    ``study`` is given, that the shard belongs to it.
-    """
-    manifest = load_manifest(manifest_path)
-    if manifest is None:
-        raise FileNotFoundError(f"no shard manifest at {manifest_path}")
-    paths = _paths_for_manifest(manifest_path)
-    verify_shard_data(paths, manifest)
-    if study is not None:
-        check_shard_study(manifest, study, manifest_path)
-    return manifest, list(iter_shard_records(paths.data))
-
-
 def dataset_from_records(manifest: dict, records: list[dict]) -> StudyDataset:
     """Rebuild one shard's (shard-sized) ``StudyDataset`` from records."""
     study = manifest["study"]
@@ -324,45 +272,6 @@ def dataset_from_records(manifest: dict, records: list[dict]) -> StudyDataset:
                         users=users, series=series)
 
 
-def combine_shards(manifest_paths: list[str],
-                   study: dict | None = None) -> StudyDataset:
-    """Reassemble the full monolithic dataset from a complete shard set.
-
-    A convenience for tests / small-scale verification — it holds the
-    whole population in memory, which is exactly what sharding exists to
-    avoid; production analysis goes through the mergeable shard reports
-    instead.
-    """
-    loaded = [load_shard(path, study) for path in manifest_paths]
-    loaded.sort(key=lambda pair: pair[0]["shard"]["start"])
-    if not loaded:
-        raise ValueError("no shards to combine")
-    base = loaded[0][0]["study"]
-    expect = 0
-    for manifest, _ in loaded:
-        check_shard_study(manifest, base, "combine_shards input")
-        if manifest["shard"]["start"] != expect:
-            raise ValueError(
-                f"shards do not form a partition: expected a shard starting "
-                f"at {expect}, got {manifest['shard']['start']}")
-        expect = manifest["shard"]["stop"]
-    if expect != base["user_count"]:
-        raise ValueError(
-            f"shards cover [0, {expect}) but the study has "
-            f"{base['user_count']} users")
-    users = []
-    vectors = tuple(base["vectors"])
-    series: dict[str, dict[str, list[str]]] = {v: {} for v in vectors}
-    for manifest, records in loaded:
-        part = dataset_from_records(manifest, records)
-        users.extend(part.users)
-        for vector in vectors:
-            series[vector].update(part.series[vector])
-    return StudyDataset(seed=base["seed"], user_count=len(users),
-                        iterations=base["iterations"], vectors=vectors,
-                        users=users, series=series)
-
-
 # -- the sharded driver -------------------------------------------------------
 
 @dataclass
@@ -374,17 +283,12 @@ class ShardResult:
     paths: ShardPaths
     resumed: bool = False
     requarantined: bool = False
-    classes: int = 0
 
 
 @dataclass
 class ShardedStudy:
     """What ``run_study_sharded`` returns: where everything landed."""
     out_dir: str
-    user_count: int
-    iterations: int
-    vectors: tuple[str, ...]
-    seed: int
     shards: list[ShardResult] = field(default_factory=list)
     merged_report_path: str | None = None
 
@@ -394,48 +298,41 @@ class ShardedStudy:
     def shard_report_paths(self) -> list[str]:
         return [s.paths.report for s in self.shards]
 
-    def to_dataset(self) -> StudyDataset:
-        """Reassemble the monolithic dataset (small scales only)."""
-        study = study_fingerprint(self.seed, self.user_count,
-                                  self.iterations, self.vectors)
-        return combine_shards(self.manifest_paths(), study)
 
-
-def run_study_sharded(user_count: int, shard_size: int | None,
-                      out_dir: str, *, iterations: int = 30,
+def run_study_sharded(user_count: int, shard_size: int, out_dir: str, *,
+                      iterations: int = 30,
                       vectors: tuple[str, ...] = ("dc", "fft", "hybrid"),
-                      seed: int = 2021,
-                      ranges: list[tuple[int, int]] | None = None,
-                      cache: RenderCache | None = None,
+                      seed: int = 2021, cache: RenderCache | None = None,
                       workers: int | None = None, recorder=None,
                       report_path: str | None = None,
                       checkpoint_every: int = _CHECKPOINT_EVERY,
                       retry_policy=None, retry_budget: int | None = None,
                       event_log_path: str | None = None,
-                      progress=False, resume: bool = True,
-                      analyze: bool = True) -> ShardedStudy:
+                      progress=False) -> ShardedStudy:
     """Render the study sharded, streaming results to ``out_dir``.
 
     Arguments mirror ``run_study`` (same front door, so the same
     validation, defaults, supervision/chaos/telemetry semantics per
-    shard and the same run-report shape), plus:
+    shard and the same run-report shape), plus ``shard_size``, a
+    positive integer: the population ``[0, user_count)`` is partitioned
+    into ``ceil(user_count / shard_size)`` ranges of that many users
+    (the last takes the remainder).
 
-    ``shard_size``: users per shard; the population ``[0, user_count)``
-    is partitioned into ``ceil(user_count / shard_size)`` ranges. Pass
-    ``ranges`` (a list of non-overlapping ``(start, stop)`` ranges) to
-    render an explicit subset instead — how a distributed run divides
-    shards between machines — in which case ``shard_size`` is ignored
-    and may be None.
-    ``resume``: a shard whose manifest already exists (same study
-    fingerprint, same ENGINE_VERSION, data bytes intact) is skipped; a
-    shard whose data fails its integrity check is quarantined to
-    ``*.corrupt`` and re-rendered; a manifest from a *different* study
-    or engine version raises ``ValueError`` naming the field.
-    Mid-shard crashes resume from the shard's render checkpoint.
-    ``analyze``: also write each shard's mergeable analysis report
-    (``shard_report_*.json``) and, when the rendered ranges form the
-    full partition, the merged analysis report (``analysis.json``) —
-    byte-identical to what the monolithic path produces.
+    A shard whose manifest already exists (same study fingerprint, same
+    ENGINE_VERSION, data bytes intact) is resumed, not rendered; a shard
+    whose data fails its integrity check is quarantined to ``*.corrupt``
+    and re-rendered; a manifest from a *different* study or engine
+    version raises ``ValueError`` naming the field. Mid-shard crashes
+    resume from the shard's render checkpoint. Every shard's mergeable
+    analysis report (``shard_report_*.json``) is written, or rebuilt
+    when a resumed shard's is missing or unsound, and so is the merged
+    analysis report (``analysis.json``), byte-identical to what the
+    monolithic path produces.
+
+    The run report's ``workload.grid_items`` covers the whole study,
+    resumed shards included; ``distinct_classes`` counts only the
+    classes of the shards this run planned (a resumed shard is never
+    planned).
 
     The render cache is shared across shards, so equivalence classes
     are rendered once per *study*, not once per shard. Peak memory is
@@ -444,9 +341,7 @@ def run_study_sharded(user_count: int, shard_size: int | None,
     """
     # resolve the shard geometry before the front door opens the event
     # log: a rejected call must leave no file (and no quarantine) behind
-    population = _integer("user_count", user_count, 1)
-    ranges = (shard_ranges(population, shard_size) if ranges is None
-              else _validate_ranges(ranges, population))
+    ranges = shard_ranges(_integer("user_count", user_count, 1), shard_size)
     with _study_run(user_count, iterations, vectors, seed, cache=cache,
                     workers=workers, recorder=recorder,
                     report_path=report_path, event_log_path=event_log_path,
@@ -454,9 +349,7 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                     retry_policy=retry_policy, retry_budget=retry_budget,
                     progress=progress) as run:
         recorder = run.recorder
-        result = ShardedStudy(out_dir=out_dir, user_count=run.user_count,
-                              iterations=run.iterations, vectors=run.vectors,
-                              seed=run.seed)
+        result = ShardedStudy(out_dir=out_dir)
         recorder.event("study.start", users=run.user_count,
                        iterations=run.iterations, vectors=list(run.vectors),
                        seed=run.seed, workers=run.workers, sharded=True,
@@ -473,7 +366,6 @@ def run_study_sharded(user_count: int, shard_size: int | None,
 
         tally = _Tally.start(checkpointing=True)
         seen_classes: set[str] = set()
-        grid_items = 0
         rendered_classes = 0
         shard_reports: list[dict] = []
         with _phase(recorder, "render", shards=len(ranges)) as render_span:
@@ -482,12 +374,10 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                                     paths=ShardPaths.in_dir(out_dir, start,
                                                             stop))
                 result.shards.append(shard)
-                manifest = (_committed_manifest(recorder, shard, study)
-                            if resume else None)
+                manifest = _committed_manifest(recorder, shard, study)
                 if manifest is not None:
-                    if analyze:
-                        shard_reports.append(
-                            _ensure_shard_report(shard.paths, manifest))
+                    shard_reports.append(
+                        _ensure_shard_report(shard.paths, manifest))
                     continue
 
                 recorder.event("shard.start", shard=index, start=start,
@@ -497,9 +387,7 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                     devices = sample_population_slice(run.user_count,
                                                       run.seed, start, stop)
                     grids, classes = _plan(run, devices, first_index=start)
-                    grid_items += sum(grid.size for grid in grids.values())
                     seen_classes.update(key for key, _ in classes)
-                    shard.classes = len(classes)
                     efps, _, misses = _render_range(
                         run, tally, grids, classes, shard.paths.checkpoint,
                         dict(study, shard=[start, stop]))
@@ -513,9 +401,8 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                                            stop, dataset)
                     with suppress(OSError):  # the manifest supersedes it
                         os.remove(shard.paths.checkpoint)
-                    if analyze:
-                        shard_reports.append(_build_and_write_shard_report(
-                            shard.paths, manifest, dataset))
+                    shard_reports.append(_build_and_write_shard_report(
+                        shard.paths, manifest, dataset))
                 recorder.count("shard.completed")
                 recorder.event("shard.end", shard=index, start=start,
                                stop=stop, records=manifest["data"]["records"],
@@ -525,21 +412,16 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                 del devices, grids, classes, efps, dataset
 
         with _phase(recorder, "assemble"):
-            is_partition = ranges[0][0] == 0 \
-                and ranges[-1][1] == run.user_count \
-                and all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-            if analyze and is_partition:
-                from ..analysis.shards import (dumps_shard_or_merged,
-                                               merge_shard_reports)
-                merged = merge_shard_reports(shard_reports)
-                merged_path = os.path.join(out_dir, "analysis.json")
-                atomic_write_text(merged_path, dumps_shard_or_merged(merged))
-                result.merged_report_path = merged_path
-        recorder.event("study.end", grid_items=grid_items,
+            from ..analysis.shards import (dumps_shard_or_merged,
+                                           merge_shard_reports)
+            merged = merge_shard_reports(shard_reports)
+            result.merged_report_path = os.path.join(out_dir, "analysis.json")
+            atomic_write_text(result.merged_report_path,
+                              dumps_shard_or_merged(merged))
+        recorder.event("study.end", grid_items=run.grid_items,
                        distinct_classes=len(seen_classes),
                        rendered=rendered_classes, shards=len(ranges))
         _write_report(run, tally, render_span.duration_s,
-                      grid_items=grid_items,
                       distinct_classes=len(seen_classes), shards=len(ranges))
         return result
 

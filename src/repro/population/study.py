@@ -394,6 +394,11 @@ class _StudyRun:
     def measuring(self) -> bool:
         return self.recorder.enabled
 
+    @property
+    def grid_items(self) -> int:
+        """Every (user, iteration, vector) item the study covers."""
+        return self.user_count * self.iterations * len(self.vectors)
+
 
 @dataclass
 class _Tally:
@@ -693,7 +698,8 @@ def _write_report(run: _StudyRun, tally: _Tally, render_s: float,
             if render_s > 0 else None,
         }
     workload = {"users": run.user_count, "iterations": run.iterations,
-                "vectors": list(run.vectors), "seed": run.seed, **workload}
+                "vectors": list(run.vectors), "seed": run.seed,
+                "grid_items": run.grid_items, **workload}
     report = build_report(recorder, workload, cache_stats=run.cache.stats(),
                           pool=pool, resilience=resilience,
                           events_path=run.event_log_path)
@@ -770,9 +776,8 @@ def run_study(user_count: int, iterations: int = 30,
                     vectors=list(run.vectors)) as plan_span:
             devices = sample_population(run.user_count, run.seed)
             grids, classes = _plan(run, devices)
-            grid_items = sum(grid.size for grid in grids.values())
             if run.measuring:
-                plan_span.set(grid_items=grid_items,
+                plan_span.set(grid_items=run.grid_items,
                               distinct_classes=len(classes))
         tally = _Tally.start(checkpointing=checkpoint_path is not None)
         fingerprint = study_fingerprint(run.seed, run.user_count,
@@ -782,8 +787,8 @@ def run_study(user_count: int, iterations: int = 30,
                                               checkpoint_path, fingerprint)
         with _phase(recorder, "assemble"):
             dataset = _assemble(run, devices, grids, classes, efps)
-        recorder.event("study.end", grid_items=grid_items,
+        recorder.event("study.end", grid_items=run.grid_items,
                        distinct_classes=len(classes), rendered=rendered)
         _write_report(run, tally, render_span.duration_s,
-                      grid_items=grid_items, distinct_classes=len(classes))
+                      distinct_classes=len(classes))
         return dataset

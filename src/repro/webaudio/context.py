@@ -93,15 +93,6 @@ class OfflineAudioContext:
         from .script_processor import ScriptProcessorNode
         return ScriptProcessorNode(self, buffer_size, script)
 
-    @staticmethod
-    def create_periodic_wave(real, imag):
-        from .oscillator import PeriodicWave
-        return PeriodicWave(real, imag)
-
-    @property
-    def current_time(self) -> float:
-        return self.length / self.sample_rate if self._rendered_batch is not None else 0.0
-
     # -- rendering ----------------------------------------------------------
     def start_rendering(self) -> AudioBuffer:
         """Render and return the (channels, length) buffer; batch size 1 only."""

@@ -31,13 +31,6 @@ class AudioNode:
         destination._inputs[input].append(self)
         return destination
 
-    def disconnect(self, destination: "AudioNode" | None = None) -> None:
-        for node in self.context._nodes:
-            for port in node._inputs:
-                if destination is None or node is destination:
-                    while self in port:
-                        port.remove(self)
-
     def sources(self) -> list["AudioNode"]:
         return [s for port in self._inputs for s in port]
 

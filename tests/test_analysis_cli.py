@@ -53,15 +53,15 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert validate_analysis_report(payload) == []
 
-    def test_render_mode(self, dataset_path, capsys):
-        assert analysis_main([dataset_path, "--render"]) == 0
-        out = capsys.readouterr().out
-        assert "== analysis report ==" in out
-        assert "diversity" in out and "stability" in out
-
-    def test_check_mode_is_quiet(self, dataset_path, capsys):
-        assert analysis_main([dataset_path, "--check"]) == 0
-        assert capsys.readouterr().out == ""
+    @pytest.mark.parametrize("flag", ["--shard", "--render", "--check"])
+    def test_checking_and_rendering_are_not_its_modes(self, dataset_path,
+                                                      flag, capsys):
+        """The CLI builds and writes reports; `python -m repro.obs.report`
+        checks and renders them, and shard reports come from the driver."""
+        with pytest.raises(SystemExit) as exited:
+            analysis_main([dataset_path, flag])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_timings_go_to_stderr_not_report(self, dataset_path, tmp_path,
                                              capsys):
@@ -105,7 +105,9 @@ class TestObsReportDispatch:
 
     def test_renders_tables(self, report_path, capsys):
         assert report_main([report_path]) == 0
-        assert "== analysis report ==" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "== analysis report ==" in out
+        assert "diversity" in out and "stability" in out
 
     def test_tampered_stability_rejected(self, report_path, tmp_path, capsys):
         """The validator enforces the collation invariant itself, not just
@@ -163,11 +165,6 @@ class TestTablesCli:
         assert payload["kind"] == "repro.analysis.tables"
         assert validate_tables_report(payload) == []
 
-    def test_tables_render_mode(self, battery_dataset, capsys):
-        assert analysis_main([battery_dataset, "--tables", "--render"]) == 0
-        out = capsys.readouterr().out
-        assert "tables report" in out and "additive value" in out
-
     def test_obs_report_dispatches_on_tables_kind(self, battery_dataset,
                                                   tmp_path, capsys):
         out = tmp_path / "tables.json"
@@ -177,7 +174,8 @@ class TestTablesCli:
         assert report_main([str(out), "--check"]) == 0
         assert capsys.readouterr().out == ""
         assert report_main([str(out)]) == 0
-        assert "tables report" in capsys.readouterr().out
+        rendered = capsys.readouterr().out
+        assert "tables report" in rendered and "additive value" in rendered
 
     def test_obs_report_rejects_bad_schema_version(self, battery_dataset,
                                                    tmp_path, capsys):
@@ -210,4 +208,4 @@ class TestTablesCli:
 
     def test_tables_excludes_shard_modes(self, battery_dataset, capsys):
         with pytest.raises(SystemExit):
-            analysis_main([battery_dataset, "--tables", "--shard"])
+            analysis_main([battery_dataset, "--tables", "--merge"])

@@ -21,6 +21,7 @@ from repro.analysis.tables import (MATCH_SPLITS, TABLES_FORMAT, TABLES_KIND,
                                    dumps_tables_report, match_score,
                                    render_tables_report,
                                    validate_tables_report)
+from repro.obs.report import main as report_main
 from repro.vectors import FULL_BATTERY, UnknownVectorError
 
 
@@ -219,7 +220,8 @@ class TestZeroUserStudy:
         out = tmp_path / "tables.json"
         assert analysis_main([str(path), "--tables", "--out", str(out)]) == 0
         assert out.exists()
-        assert analysis_main([str(path), "--tables", "--render"]) == 0
+        capsys.readouterr()
+        assert report_main([str(out)]) == 0
         assert "table 2" in capsys.readouterr().out
 
 
