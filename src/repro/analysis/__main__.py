@@ -76,7 +76,11 @@ def _run_merge_mode(args, recorder) -> int:
         except FileNotFoundError:
             print(f"error: no shard report at {path}", file=sys.stderr)
             return 2
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # a directory, no permission
+            print(f"error: cannot read {path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+        except ValueError as exc:  # not JSON, not UTF-8
             print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
             return 2
     try:
@@ -132,6 +136,9 @@ def _run_dataset_mode(args, parser, recorder) -> int:
             dataset = StudyDataset.load(path)
     except FileNotFoundError:
         print(f"error: no dataset at {path}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a directory, no permission
+        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: {path} is not valid JSON: {exc}",

@@ -369,6 +369,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"error: no report at {args.path}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a directory, no permission
+        print(f"error: cannot read {args.path}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     except ValueError as exc:  # not JSON, not UTF-8, an oversized integer
         print(f"error: {args.path} is not valid JSON: {exc}", file=sys.stderr)
         return 2

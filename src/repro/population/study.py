@@ -59,7 +59,6 @@ prints a live heartbeat to stderr.
 from __future__ import annotations
 
 import os
-import string
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -75,7 +74,8 @@ from ..platform.stacks import AudioStack
 from ..resilience import (RetryBudget, RetryPolicy, StudyExecutionError,
                           SupervisedExecutor, load_checkpoint,
                           study_fingerprint, write_checkpoint)
-from ..resilience.faults import CORRUPT_EFP, render_fault
+from ..resilience.faults import CORRUPT_EFP, render_faults
+from ..vectors.base import is_efp
 from ..vectors.registry import get_vector
 from .cache import RenderCache
 from .dataset import StudyDataset
@@ -102,8 +102,6 @@ _MEASURE_NODES = 2  # wall-clock + per-node profile
 #: default checkpoint cadence: completed render jobs between snapshots
 _CHECKPOINT_EVERY = 16
 
-_HEX_DIGITS = frozenset(string.hexdigits.lower())
-
 
 def _render_group(job: tuple[str, AudioStack, list, int]):
     """Pool worker: render one (vector, stack) batch group in a single
@@ -111,13 +109,14 @@ def _render_group(job: tuple[str, AudioStack, list, int]):
 
     Returns ``(pairs, metrics)`` where pairs is ``[(key, efp), ...]`` in
     member order and metrics is None unless the job asked to be measured.
-    The chaos hook fires per member key: a crash/hang selected for any
-    member takes the whole group (that is what bisection is for); a
-    corrupt fault poisons only the selected member's row.
+    The chaos hook reads the fault plan once per job and fires for every
+    member key in order: a crash/hang selected for any member takes the
+    whole group (that is what bisection is for); a corrupt fault poisons
+    only the selected member's row.
     """
     vector_name, stack, members, measure = job
     keys = [key for key, _ in members]
-    corrupt_rows = [i for i, key in enumerate(keys) if render_fault(key)]
+    corrupt_rows = render_faults(keys)
     start = time.perf_counter()
     with (profile_nodes() if measure >= _MEASURE_NODES
           else nullcontext()) as profiler:
@@ -151,11 +150,16 @@ def _group_jobs(keyed_classes, measuring: bool):
     within a group), so the job list — and with it the profiled set and
     every aggregate counter — is identical at any worker count. When
     measuring, every batch is timed and the first batch per (vector,
-    stack) pair also carries the per-node profiler.
+    stack) pair also carries the per-node profiler. Each distinct stack
+    object is keyed once, not once per class.
     """
     groups: dict[tuple[str, str], tuple[str, AudioStack, list]] = {}
+    stack_keys: dict[int, str] = {}  # stack object id -> its key
     for key, (vector_name, stack, path) in keyed_classes:
-        entry = groups.setdefault((vector_name, stack.cache_key()),
+        stack_key = stack_keys.get(id(stack))
+        if stack_key is None:
+            stack_key = stack_keys[id(stack)] = stack.cache_key()
+        entry = groups.setdefault((vector_name, stack_key),
                                   (vector_name, stack, []))
         entry[2].append((key, path))
     jobs = []
@@ -170,19 +174,15 @@ def _group_jobs(keyed_classes, measuring: bool):
 
 # -- supervision plumbing: validate / split / name render jobs ----------------
 
-def _valid_efp(value) -> bool:
-    """eFPs are 32-char lowercase hex md5 digests; anything else is a
-    corrupted worker return."""
-    return isinstance(value, str) and len(value) == 32 \
-        and set(value) <= _HEX_DIGITS
-
-
 def _validate_group_result(job, result) -> bool:
+    """A job's result is valid when it has one pair per member, in member
+    order, each carrying a well-formed eFP; anything else is a corrupted
+    worker return."""
     pairs, _metrics = result
     members = job[2]
     if len(pairs) != len(members):
         return False
-    return all(key == member_key and _valid_efp(efp)
+    return all(key == member_key and is_efp(efp)
                for (key, efp), (member_key, _) in zip(pairs, members))
 
 

@@ -15,7 +15,8 @@ Four cooperating pieces:
   faults      the seed-deterministic, env-gated (``$REPRO_FAULTS``)
               fault-injection plan — worker crash, hang, corrupted
               return, render delay, torn checkpoint write — that chaos
-              tests and the chaos benchmark drive recovery paths with.
+              tests and the chaos benchmark drive recovery paths with;
+              render workers read it once per job (``render_faults``).
 
 The invariant the whole package defends: whenever recovery succeeds, the
 final dataset is bit-identical to a fault-free run's.
@@ -25,13 +26,13 @@ from .checkpoint import (CHECKPOINT_FORMAT, CHECKPOINT_KIND,  # noqa: F401
                          load_checkpoint, study_fingerprint, write_checkpoint)
 from .errors import SimulatedWorkerCrash, StudyExecutionError  # noqa: F401
 from .executor import SupervisedExecutor  # noqa: F401
-from .faults import CORRUPT_EFP, Fault, FaultPlan, render_fault  # noqa: F401
+from .faults import CORRUPT_EFP, Fault, FaultPlan, render_faults  # noqa: F401
 from .policy import RetryBudget, RetryPolicy  # noqa: F401
 
 __all__ = [
     "SupervisedExecutor", "RetryPolicy", "RetryBudget",
     "StudyExecutionError", "SimulatedWorkerCrash",
-    "Fault", "FaultPlan", "CORRUPT_EFP", "render_fault",
+    "Fault", "FaultPlan", "CORRUPT_EFP", "render_faults",
     "load_checkpoint", "write_checkpoint", "study_fingerprint",
     "CHECKPOINT_KIND", "CHECKPOINT_FORMAT",
 ]

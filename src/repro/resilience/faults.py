@@ -7,9 +7,9 @@ render delay (chaos pacing), a torn checkpoint write — plus the service
 fault points (``repro.service``): a WAL append torn mid-record, a
 snapshot writer crashing mid-write, and a slow ingest consumer. Plans are
 env-gated: ``run_study`` and its pool workers consult ``$REPRO_FAULTS``
-(a path to a saved plan) on each render, so production runs pay one env
-lookup and nothing else, while chaos tests flip faults on without
-touching any call site.
+(a path to a saved plan) once per render job, so production runs pay one
+env lookup per job and nothing else, while chaos tests flip faults on
+without touching any call site.
 
 Determinism has two halves:
 
@@ -239,11 +239,14 @@ def active_plan() -> FaultPlan | None:
     return plan
 
 
-def render_fault(key: str) -> bool:
-    """Hook called by the render workers per class key. Returns True when
-    the caller must corrupt its result (simulating a bad return)."""
+def render_faults(keys) -> list[int]:
+    """Hook called by the render workers once per job: fires each class
+    key's render faults in order and returns the indices of the keys
+    whose results the caller must corrupt (simulating a bad return)."""
     plan = active_plan()
-    return plan.fire_render_fault(key) if plan is not None else False
+    if plan is None:
+        return []
+    return [i for i, key in enumerate(keys) if plan.fire_render_fault(key)]
 
 
 def torn_checkpoint(path: str, text: str) -> bool:

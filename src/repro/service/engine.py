@@ -40,13 +40,12 @@ from ..io import quarantine
 from ..obs import NULL_RECORDER
 from ..resilience import faults
 from ..vectors import get_vector
+from ..vectors.base import is_efp
 from .errors import (SHED_DEADLINE, SHED_QUEUE_FULL, SHED_STOPPING,
                      IngestAccepted, IngestShed, LookupResult,
                      MalformedVisitError, ServiceCrashed, ServiceStopped)
 from .state import ServiceState
 from .wal import SNAPSHOT_NAME, WAL_NAME, SnapshotStore, WriteAheadLog, read_wal
-
-_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 @dataclass(frozen=True)
@@ -313,8 +312,7 @@ class FingerprintService:
                 raise MalformedVisitError(
                     "efps", f"vector {vector!r} is registered but not served "
                     f"here (serving {sorted(self._served)})")
-            if not (isinstance(efp, str) and len(efp) == 32
-                    and set(efp) <= _HEX_DIGITS):
+            if not is_efp(efp):
                 raise MalformedVisitError(
                     "efps", f"{vector!r} value must be a 32-char lowercase "
                     "hex digest")

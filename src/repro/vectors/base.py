@@ -24,6 +24,7 @@ are keyed once, not once per user.
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 
@@ -35,18 +36,29 @@ from ..webaudio import OfflineAudioContext
 RENDER_LENGTH = 5000
 
 
+_EFP = re.compile("[0-9a-f]{32}")
+
+
 def digest(payload) -> str:
     """eFP digest: md5 over the exact bytes of the rendered features."""
     if isinstance(payload, np.ndarray):
-        if payload.dtype == np.float64 and payload.flags.c_contiguous:
-            data = payload.tobytes()  # same bytes, no copy/dispatch
-        else:
-            data = np.ascontiguousarray(payload, dtype=np.float64).tobytes()
+        # md5 reads a C-contiguous float64 array through its buffer: the
+        # same bytes as ``tobytes()``, without the copy
+        data = (payload if payload.dtype == np.float64
+                and payload.flags.c_contiguous
+                else np.ascontiguousarray(payload, dtype=np.float64))
     elif isinstance(payload, str):
         data = payload.encode("utf-8")
     else:
         data = repr(payload).encode("utf-8")
     return hashlib.md5(data).hexdigest()
+
+
+def is_efp(value) -> bool:
+    """True for a well-formed eFP: a ``digest``, 32 lowercase hex digits.
+    Anything else reaching a consumer is a corrupted render or a
+    malformed visit."""
+    return isinstance(value, str) and _EFP.fullmatch(value) is not None
 
 
 class AudioVector:

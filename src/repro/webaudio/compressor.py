@@ -1,16 +1,20 @@
 """DynamicsCompressorNode: spec-style soft-knee curve with attack/release
-envelope smoothing — fully vectorized per 128-frame block.
+envelope smoothing — fully vectorized, whole buffer at once.
 
 The envelope follower is the classic one-pole recursion
-``y[n] = a*y[n-1] + (1-a)*x[n]``. Per block we pick attack vs release from
-the block peak (one scalar comparison per *block*, never per sample) and
-evaluate the recursion in closed form:
+``y[n] = a*y[n-1] + (1-a)*x[n]``. Per 128-frame block the quantum loop
+picks attack vs release from the block peak (one scalar comparison per
+*block*, never per sample) and evaluates the recursion in closed form:
 
     y[n] = a^(n+1) * y0 + (1-a) * a^n * cumsum(x[k] / a^k)
 
 which is exact, branch-free and pure NumPy. The coefficients derived from
 the spec's attack/release times satisfy a >= 0.99 at audio sample rates, so
 ``a^-127`` stays ~e and the scaled cumulative sum is numerically safe.
+The fused kernel keeps that block structure without walking the blocks in
+NumPy: peaks and both coefficients' scaled cumsums come from whole-buffer
+passes over a (blocks, 128) view, and only the state at each block
+boundary steps through the recursion, in Python floats.
 
 All transcendental steps (exp for the coefficients, log10 for dB
 conversion, pow for the makeup gain) run through the platform stack's math
@@ -129,14 +133,56 @@ class DynamicsCompressorNode(AudioNode):
         self._set_reduction(gain_db)
         return x * gain_lin[:, None, :]
 
-    def process_buffer(self, inputs, length):
-        """Fused path: block-sequential envelope scan (the only genuinely
-        sequential state), then ONE whole-buffer dB/curve/gain pipeline.
+    def _scan_blocks(self, blocks: np.ndarray,
+                     env: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_scan_block`` over every block of a (rows, k, n) view, from
+        the (rows,) state ``env``: returns the (rows, k * n) envelope and
+        the state after the last block, every float equal to a
+        block-by-block scan's.
 
-        The per-block scan consumes views of the whole-buffer level array
-        and the cached power tables, so every envelope float equals the
-        quantum loop's; the transcendental pipeline after it is elementwise
-        and therefore blocking-invariant.
+        A block's scan depends on the blocks before it only through its
+        start state and its attack/release pick. So the block peaks and
+        both coefficients' scaled cumsums come from whole-view passes;
+        the state alone walks the block boundaries, in Python floats
+        (attack when the block peak exceeds it, then the scan's own
+        expression at the block's last frame); and one elementwise pass
+        evaluates the scan from the picks and start states.
+        """
+        n = blocks.shape[-1]
+        coefs = (self._attack_coef, self._release_coef)
+        tables = [self._pow_table(coef, n) for coef in coefs]
+        scans = [np.cumsum(blocks / table, axis=-1) for table in tables]
+        att, rel = coefs
+        p_att, p_rel = float(tables[0][-1]), float(tables[1][-1])
+        picks, starts, state = [], [], []
+        for peaks, s_atts, s_rels, y in zip(blocks.max(axis=-1).tolist(),
+                                            scans[0][..., -1].tolist(),
+                                            scans[1][..., -1].tolist(),
+                                            env.tolist()):
+            picks.append([])
+            starts.append([])
+            for peak, s_att, s_rel in zip(peaks, s_atts, s_rels):
+                pick = peak > y
+                picks[-1].append(pick)
+                starts[-1].append(y)
+                a, p, s = (att, p_att, s_att) if pick else (rel, p_rel, s_rel)
+                y = (a * p) * y + (1.0 - a) * p * s
+            state.append(y)
+
+        attack = np.array(picks)[..., None]
+        a = np.where(attack, att, rel)
+        apow = np.where(attack, *tables)
+        scan = (a * apow) * np.array(starts)[..., None] \
+            + (1.0 - a) * apow * np.where(attack, *scans)
+        return scan.reshape(blocks.shape[0], -1), np.array(state)
+
+    def process_buffer(self, inputs, length):
+        """Fused path: the whole-buffer envelope (``_scan_blocks``), then
+        ONE whole-buffer dB/curve/gain pipeline.
+
+        The envelope reproduces the quantum loop's block-sequential scan
+        float for float; the transcendental pipeline after it is
+        elementwise and therefore blocking-invariant.
 
         When the input is row-uniform (a batch broadcast — jitter only
         bites at the analyser readout, so inside a render it always is)
@@ -154,13 +200,18 @@ class DynamicsCompressorNode(AudioNode):
         env0 = self._envelope[:1] if uniform else self._envelope
 
         level = np.abs(mix_to_channels(work, 1)[:, 0, :])    # (rows, length)
-        env = np.empty_like(level)
+        # the full quanta in one view, then a partial last block with its
+        # own power tables, exactly as process_block gets them
+        full = length - length % quantum
         state = env0
-        for frame0 in range(0, length, quantum):
-            n = min(quantum, length - frame0)
-            block = self._scan_block(level[:, frame0:frame0 + n], state)
-            state = block[:, -1].copy()
-            env[:, frame0:frame0 + n] = block
+        pieces = []
+        for lo, hi in ((0, full), (full, length)):
+            if hi > lo:
+                blocks = level[:, lo:hi].reshape(len(level), -1,
+                                                 min(quantum, hi - lo))
+                piece, state = self._scan_blocks(blocks, state)
+                pieces.append(piece)
+        env = np.concatenate(pieces, axis=-1) if len(pieces) > 1 else pieces[0]
         self._envelope = np.broadcast_to(state, (batch,)).copy() if uniform else state
 
         gain_db, gain_lin = self._gain_pipeline(env, math)

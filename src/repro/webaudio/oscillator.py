@@ -1,5 +1,6 @@
 """OscillatorNode: band-limited additive synthesis through the stack's
-math backend, evaluated per 128-frame block with no per-sample loops.
+math backend, with no per-sample loops: the quantum loop evaluates one
+128-frame block at a time, the fused kernel the whole buffer at once.
 
 Harmonic series (all through math.sin so ulp-level library differences
 propagate into every waveform):
@@ -19,6 +20,16 @@ from .node import AudioNode
 from .param import AudioParam
 
 _MAX_HARMONICS = 128
+
+
+def _harmonic_count(nyquist: float, fundamental: float) -> int:
+    """How many harmonics the band-limited series of ``fundamental`` has
+    room for below ``nyquist`` (0 for a non-positive fundamental, which
+    renders silence). A series depends on its fundamental only through
+    this count, so blocks with equal counts synthesize the same series."""
+    if fundamental <= 0:
+        return 0
+    return min(_MAX_HARMONICS, max(1, int(nyquist / fundamental)))
 
 
 class PeriodicWave:
@@ -87,11 +98,11 @@ class OscillatorNode(AudioNode):
         if wave is None:
             raise ValueError(
                 'oscillator type "custom" requires set_periodic_wave()')
-        if fundamental <= 0:
+        count = _harmonic_count(nyquist, fundamental)
+        if count == 0:
             zero = np.array([0.0])
             return np.array([1.0]), zero, zero
-        kmax = min(_MAX_HARMONICS, max(1, int(nyquist / fundamental)),
-                   wave.real.shape[0] - 1)
+        kmax = min(count, wave.real.shape[0] - 1)
         orders = np.arange(1, kmax + 1, dtype=np.float64)
         return orders, wave.imag[1:kmax + 1], wave.real[1:kmax + 1]
 
@@ -118,9 +129,9 @@ class OscillatorNode(AudioNode):
 
     def _harmonics(self, nyquist: float, fundamental: float):
         """(orders, amplitudes) of the band-limited series for self.type."""
-        if fundamental <= 0:
+        kmax = _harmonic_count(nyquist, fundamental)
+        if kmax == 0:
             return np.array([1.0]), np.array([0.0])
-        kmax = min(_MAX_HARMONICS, max(1, int(nyquist / fundamental)))
         if self.type == "sine":
             return np.array([1.0]), np.array([1.0])
         if self.type == "square":
@@ -169,69 +180,80 @@ class OscillatorNode(AudioNode):
         # signal is row-uniform: compute it once, hand out a read-only view
         return np.broadcast_to(np.where(active, signal, 0.0), (batch, 1, n))
 
-    def _template_signal(self, length: int) -> np.ndarray:
-        """The automation-free whole-buffer signal, on one row.
+    def _buffer_signal(self, length: int) -> np.ndarray:
+        """``_block_signal`` for every quantum block of the buffer at once,
+        on one row, whether or not the params are automated. Advances
+        ``self._phase`` past the last block.
 
-        Automation-free params are block-position independent, so one
-        128-frame increment template reproduces every quantum block (the
-        final, possibly partial block is a prefix of it — cumsum is
-        prefix-stable). Per-block phase starts still walk the quantum
-        loop's exact update, ``(phase + sum(inc)) % 2pi`` per block, so
-        every phase value — and therefore every sin evaluation — is the
-        same float the quantum loop produces.
+        Each param is evaluated once, over the buffer padded to whole
+        blocks: ``AudioParam.values`` is elementwise in the frame index,
+        so every frame gets the float a per-block call gives it. Then,
+        block by block as ``_block_signal`` does it, over a (blocks, 128)
+        view: the detune factor scales only the blocks with some non-zero
+        detune; the phase increments are summed per block (a partial last
+        block over its own frames) and cumulated per block; the carried
+        phase walks the block starts in Python floats with the quantum
+        loop's ``(phase + sum) % 2pi``; and each block's harmonic count
+        comes from its first frequency. The frames are then synthesized
+        in one call per distinct count.
         """
         fs = self.context.sample_rate
         math = self.context.config.math
         quantum = RENDER_QUANTUM_FRAMES
+        blocks = -(-length // quantum)
+        freq = self.frequency.values(0, blocks * quantum, fs)
+        detune = self.detune.values(0, blocks * quantum, fs)
+        detune[length:] = 0.0  # padding must not mark the last block detuned
+        if detune.any():
+            detuned = np.repeat(detune.reshape(blocks, quantum).any(axis=-1),
+                                quantum)
+            freq = np.where(detuned, freq * math.pow(2.0, detune / 1200.0),
+                            freq)
 
-        freq = self.frequency.values(0, quantum, fs)
-        detune = self.detune.values(0, quantum, fs)
-        if np.any(detune):
-            freq = freq * math.pow(2.0, detune / 1200.0)
-        inc = 2.0 * np.pi * freq / fs
-        block_cumsum = np.cumsum(inc)
-
-        nblocks = -(-length // quantum)
-        last_n = length - (nblocks - 1) * quantum
-        full_sum = float(np.sum(inc))
-        starts = np.empty(nblocks, dtype=np.float64)
+        inc = np.multiply(2.0 * np.pi, freq).reshape(blocks, quantum)
+        inc /= fs
+        sums = inc.sum(axis=-1).tolist()
+        if length % quantum:
+            sums[-1] = float(np.sum(inc[-1, :length % quantum]))
+        starts = []
         phase = self._phase
-        for b in range(nblocks):
-            starts[b] = phase
-            s = full_sum if (b < nblocks - 1 or last_n == quantum) \
-                else float(np.sum(inc[:last_n]))
-            phase = (phase + s) % (2.0 * np.pi)
+        for block_sum in sums:
+            starts.append(phase)
+            phase = (phase + block_sum) % (2.0 * np.pi)
         self._phase = phase
-        # (start + cumsum) - inc: the quantum loop's exact phase expression,
-        # evaluated for all blocks at once and trimmed to the buffer
-        phases = ((starts[:, None] + block_cumsum[None, :]) - inc[None, :])
+        # (start + cumsum) - inc: the quantum loop's exact phase expression
+        phases = np.cumsum(inc, axis=-1)
+        phases += np.array(starts)[:, None]
+        phases -= inc
         phases = phases.reshape(-1)[:length]
 
-        return self._synthesize(math, phases, fs / 2.0, float(freq[0]))
+        nyquist = fs / 2.0
+        firsts = freq[::quantum].tolist()
+        count_of = {first: _harmonic_count(nyquist, first)
+                    for first in dict.fromkeys(firsts)}
+        counts = [count_of[first] for first in firsts]
+        if counts.count(counts[0]) == blocks:
+            return self._synthesize(math, phases, nyquist, firsts[0])
+        frame_counts = np.repeat(counts, quantum)[:length]
+        signal = np.empty(length, dtype=np.float64)
+        for count in dict.fromkeys(counts):
+            frames = frame_counts == count
+            signal[frames] = self._synthesize(
+                math, phases[frames], nyquist, firsts[counts.index(count)])
+        return signal
 
     def process_buffer(self, inputs, length):
-        """Fused path: synthesize the entire buffer on one row, broadcast.
-
-        Automation-free params take the 128-frame template
-        (``_template_signal``). Automated ``frequency`` / ``detune``
-        values change from block to block — and with them the harmonic
-        count, chosen from each block's first frequency — so the signal
-        walks the quantum loop's blocks through ``_block_signal``, the
-        very kernel ``process_block`` runs.
-        """
+        """Fused path: synthesize the entire buffer on one row
+        (``_buffer_signal``), broadcast."""
         batch = self.context.batch_size
         if self._start_frame is None:
             return np.zeros((batch, 1, length), dtype=np.float64)
-        if self.frequency._events or self.detune._events:
-            quantum = RENDER_QUANTUM_FRAMES
-            signal = np.concatenate([
-                self._block_signal(frame0, min(quantum, length - frame0))
-                for frame0 in range(0, length, quantum)])
-        else:
-            signal = self._template_signal(length)
-
-        frames = np.arange(length)
-        active = frames >= self._start_frame
-        if self._stop_frame is not None:
-            active &= frames < self._stop_frame
-        return np.broadcast_to(np.where(active, signal, 0.0), (batch, 1, length))
+        signal = self._buffer_signal(length)
+        # started at frame 0 and never stopped: every frame is active
+        if self._start_frame > 0 or self._stop_frame is not None:
+            frames = np.arange(length)
+            active = frames >= self._start_frame
+            if self._stop_frame is not None:
+                active &= frames < self._stop_frame
+            signal = np.where(active, signal, 0.0)
+        return np.broadcast_to(signal, (batch, 1, length))

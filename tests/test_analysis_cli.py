@@ -82,6 +82,22 @@ class TestCli:
         assert analysis_main([str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("merge", [False, True])
+    def test_directory_path_fails_naming_it(self, tmp_path, capsys, merge):
+        argv = ["--merge"] if merge else []
+        assert analysis_main(argv + [str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_utf8_shard_report_fails_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "shard_report_0.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        assert analysis_main(["--merge", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert len(err.splitlines()) == 1
+
     def test_inconsistent_dataset_fails_with_field(self, dataset_path,
                                                    tmp_path, capsys):
         payload = json.loads(open(dataset_path).read())

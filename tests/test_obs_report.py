@@ -182,6 +182,14 @@ class TestCLI:
         bad.write_text("{not json")
         assert report_main([str(bad), "--check"]) == 2
 
+    @pytest.mark.parametrize("check", [False, True])
+    def test_directory_path_fails_naming_it(self, tmp_path, capsys, check):
+        argv = [str(tmp_path)] + (["--check"] if check else [])
+        assert report_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1
+
     def test_schema_violation_fails(self, tmp_path, report_and_cache, capsys):
         report = copy.deepcopy(report_and_cache[0])
         del report["phases"]

@@ -170,8 +170,27 @@ _ONE_FRAME_TAIL = dict(
     sink_gain=(1.0, ()), taps=[], jitters=[None])
 
 
+#: an automated oscillator whose detune is non-zero in some blocks only
+#: and whose harmonic count falls from 7 to 2 along a frequency ramp, on
+#: a math backend whose pow(2, 0) is not 1
+_DETUNED_SWEEP = dict(
+    _ONE_FRAME_TAIL, length=5000,
+    oscillators=[dict(
+        wave="triangle", coefficients=None, start=0.0, stop=None,
+        frequency=(3000.0, (("linear", 9000.0, 5000 / 44100, 0.01),)),
+        detune=(0.0, (("set", 40.0, 1000 / 44100, 0.01),
+                      ("set", 0.0, 2600 / 44100, 0.01))))])
+
+
 @given(render_graphs())
 @example(_ONE_FRAME_TAIL)
+@example(_DETUNED_SWEEP)
+@example(dict(_DETUNED_SWEEP, length=20 * 128 + 1,
+              oscillators=[dict(_DETUNED_SWEEP["oscillators"][0],
+                                wave="custom",
+                                coefficients=((0.0,) * 9, (0.0, 1.0, -0.5,
+                                                           0.25, 0.1, 0.3,
+                                                           -0.2, 0.05, 0.7)))]))
 @example(dict(_ONE_FRAME_TAIL, merger_ports=9, ports=[1, 4, 7],
               oscillators=[_tone("sine", 733.0), _tone("sine", 2911.0),
                            _tone("sine", 9001.0)]))
