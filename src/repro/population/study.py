@@ -159,8 +159,9 @@ def _group_jobs(keyed_classes, measuring: bool):
         stack_key = stack_keys.get(id(stack))
         if stack_key is None:
             stack_key = stack_keys[id(stack)] = stack.cache_key()
-        entry = groups.setdefault((vector_name, stack_key),
-                                  (vector_name, stack, []))
+        entry = groups.get((vector_name, stack_key))
+        if entry is None:
+            entry = groups[vector_name, stack_key] = (vector_name, stack, [])
         entry[2].append((key, path))
     jobs = []
     for vector_name, stack, members in groups.values():
@@ -176,14 +177,11 @@ def _group_jobs(keyed_classes, measuring: bool):
 
 def _validate_group_result(job, result) -> bool:
     """A job's result is valid when it has one pair per member, in member
-    order, each carrying a well-formed eFP; anything else is a corrupted
-    worker return."""
+    order, each carrying a well-formed eFP (each distinct one checked
+    once); anything else is a corrupted worker return."""
     pairs, _metrics = result
-    members = job[2]
-    if len(pairs) != len(members):
-        return False
-    return all(key == member_key and is_efp(efp)
-               for (key, efp), (member_key, _) in zip(pairs, members))
+    return ([key for key, _ in pairs] == _group_job_keys(job)
+            and all(map(is_efp, {efp for _, efp in pairs})))
 
 
 def _group_job_keys(job) -> list[str]:

@@ -2,8 +2,10 @@
 
 ``render_batch`` is the one render path: it renders a (vector, stack)
 group's B jitter paths in one graph build and one engine pass, and
-``render`` is its batch of one. An audio vector supplies only its graph
-(``_build``) and inherits one of the two readouts the battery uses:
+``render`` is its batch of one. It is the one place a batch is
+deduplicated: it renders, reads out and digests each distinct canonical
+path once and gives every row its path's eFP. An audio vector supplies
+only its graph (``_build``) and inherits one of the two readouts:
 
 - ``AnalyserVector``: the AnalyserNode's frequency data, with each row's
   jitter path applied at the readout (fft, hybrid, merged, am, fm);
@@ -95,14 +97,18 @@ class AudioVector:
 
     def render_batch(self, stack, jitter_paths) -> list[str]:
         """Batched pure render: one graph build + one engine pass for all
-        paths of a (vector, stack) group. Returns one eFP per path; batch
-        rows never interact, so each equals the path rendered alone
-        (pinned by tests)."""
-        if not jitter_paths:
+        paths of a (vector, stack) group, one row per distinct canonical
+        path in first-seen order. Returns one eFP per path; batch rows
+        never interact, so each equals the path rendered alone (pinned)."""
+        first: dict[str, int] = {}  # canonical path -> its rendered row
+        inverse = [first.setdefault(self.canonical_path(p), len(first))
+                   for p in jitter_paths]
+        if not first:
             return []
-        jitters = [parse_path(self.canonical_path(p)) if self.uses_analyser
-                   else None for p in jitter_paths]
-        return [digest(f) for f in self._features_batch(stack, jitters)]
+        jitters = [parse_path(p) if self.uses_analyser else None
+                   for p in first]
+        efps = [digest(f) for f in self._features_batch(stack, jitters)]
+        return [efps[i] for i in inverse]
 
     def _features_batch(self, stack, jitters):
         """Fallback: one row at a time."""
@@ -149,7 +155,7 @@ class SampleSumVector(AudioVector):
 
     def _features_batch(self, stack, jitters):
         batch, _ = _render(self, stack, len(jitters))
-        # per-row 1-D sums: each row's feature is the same 500-element
-        # pairwise reduction at any batch size
+        # the path is ignored, so ``render_batch`` sends one row: one
+        # 500-element pairwise sum per batch, the same at any batch size
         return [f"{np.sum(np.abs(batch[b, 0, 4500:5000])):.17g}"
                 for b in range(batch.shape[0])]

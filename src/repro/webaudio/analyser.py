@@ -11,9 +11,10 @@ The readout is where batch rows diverge, and it is the only place jitter
 enters the engine: the render loop is jitter-independent, so a batched
 render accumulates one shared history, and
 ``get_float_frequency_data_batch`` applies each row's jitter path
-(readout offset and transform) once per distinct path, finishing with
-ONE batched FFT over those rows — the FFT kernel's per-stage Python
-overhead is paid once per batch instead of once per class. An active
+(readout offset and transform), finishing with ONE batched FFT over the
+rows — the FFT kernel's per-stage Python overhead is paid once per batch
+instead of once per class. ``AudioVector.render_batch`` sends one row per
+distinct path, so the readout keeps no dedup of its own. An active
 profiler gets that FFT's time under ``fft:<backend>``; the readout runs
 after ``start_rendering_batch`` returns, so no node's time includes it.
 """
@@ -34,7 +35,6 @@ class AnalyserNode(AudioNode):
         super().__init__(context)
         self._fft_size = 2048
         self._history: list[np.ndarray] = []  # (B, n) mono blocks
-        self._history_len = 0
 
     @property
     def fft_size(self) -> int:
@@ -53,7 +53,6 @@ class AnalyserNode(AudioNode):
     def process_block(self, inputs, frame0, n):
         block = inputs[0]
         self._history.append(mix_to_channels(block, 1)[:, 0, :].copy())
-        self._history_len += n
         return block  # pass-through
 
     def process_buffer(self, inputs, length):
@@ -64,7 +63,6 @@ class AnalyserNode(AudioNode):
         # downmix and the readout
         block = inputs[0]
         self._history.append(mix_to_channels(block, 1)[:, 0, :])
-        self._history_len += length
         return block
 
     # -- readout ------------------------------------------------------------
@@ -95,15 +93,13 @@ class AnalyserNode(AudioNode):
 
     def get_float_frequency_data_batch(self, jitters) -> np.ndarray:
         """The frequency readout: ``jitters[b]`` is row b's JitterPath
-        (None for the reference path). Returns (B, bins) dB data.
+        (None for the reference path). Returns (B, bins) dB data, one row
+        per jitter given, repeats included.
 
-        Rows with equal paths read byte-identical FFT inputs: the render
-        loop is jitter-independent, so every history row holds the same
-        values and readouts only diverge here. Window, jitter, FFT and dB
-        conversion run once per *distinct* path (``JitterPath`` is a
-        frozen dataclass, so equal paths are equal keys), then scatter to
-        every row that took it. A row's FFT never depends on which other
-        rows are present, so each row equals the path read alone.
+        The render loop is jitter-independent, so every history row holds
+        the same values and readouts only diverge here; a row's FFT never
+        depends on which other rows are present, so each row equals the
+        path read alone.
 
         The readout is not smoothed over time: an offline context is read
         once, after rendering, and the Web Audio spec returns the same
@@ -115,12 +111,10 @@ class AnalyserNode(AudioNode):
                 f"got {len(jitters)}")
         cfg = self.context.config
         math = cfg.math
-        distinct: dict = {}
-        inverse = [distinct.setdefault(j, len(distinct)) for j in jitters]
         frames = self._time_domain_batch(
-            [j.readout_offset if j is not None else 0 for j in distinct]
+            [j.readout_offset if j is not None else 0 for j in jitters]
         ) * self._blackman(math)
-        for row, jitter in enumerate(distinct):
+        for row, jitter in enumerate(jitters):
             if jitter is not None:
                 frames[row] = jitter.transform(frames[row])
         profiler = current_node_profiler()
@@ -132,5 +126,4 @@ class AnalyserNode(AudioNode):
             # reports split Analyser bookkeeping from FFT kernel time
             profiler.add(f"fft:{cfg.fft.name}", time.perf_counter() - start)
         magnitude = np.abs(spectrum) / self._fft_size
-        db = 20.0 * math.log10(np.maximum(magnitude, 1e-40))
-        return db[inverse] if len(distinct) < len(jitters) else db
+        return 20.0 * math.log10(np.maximum(magnitude, 1e-40))

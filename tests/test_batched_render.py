@@ -4,20 +4,29 @@ The whole batching optimisation rests on one invariant: a batch row is
 *bit-identical* to the same path rendered alone (``render``, a batch of
 one) — same digests, same dataset bytes, at any batch composition,
 batch split, worker count, or FFT backend. These tests pin that
-invariant. The study-level serial reference is the same driver at
+invariant, and that ``render_batch`` reads each distinct path out once.
+The study-level serial reference is the same driver at
 ``_MAX_BATCH = 1``: one row per engine pass.
 """
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.population.study as study_mod
 from repro import RenderCache, run_study
-from repro.platform import AudioStack
-from repro.platform.jitter import sample_path, sample_repertoire
+from repro.platform import AudioStack, default_stack_pool
+from repro.platform.jitter import (PATHS, parse_path, sample_path,
+                                   sample_repertoire)
 from repro.vectors import AUDIO_VECTORS, FULL_BATTERY, get_vector
 from repro.webaudio.fft import FFT_BACKENDS, get_fft_backend
 
 BACKENDS = sorted(FFT_BACKENDS)
+_STACKS = sorted({row[0] for row in default_stack_pool()},
+                 key=lambda stack: stack.cache_key())
 
 
 def _random_paths(rng, count):
@@ -59,6 +68,44 @@ class TestBatchedDigestsMatchSerial:
         together = vector.render_batch(stack, paths)[2]
         shuffled = vector.render_batch(stack, paths[::-1])[2]
         assert alone == together == shuffled
+
+
+@st.composite
+def _repeated_paths(draw):
+    """1-5 distinct draws from ``PATHS`` plus None (None and the
+    reference path share a canonical path), each taken 1-4 times, in a
+    random order."""
+    distinct = draw(st.lists(st.sampled_from(PATHS + (None,)), min_size=1,
+                             max_size=5, unique=True))
+    rows = [path for path in distinct
+            for _ in range(draw(st.integers(1, 4)))]
+    return draw(st.permutations(rows))
+
+
+@given(name=st.sampled_from(sorted(AUDIO_VECTORS) + ["mathjs"]),
+       stack=st.sampled_from(_STACKS), backend=st.sampled_from(BACKENDS),
+       paths=_repeated_paths())
+def test_batch_renders_each_distinct_path_once(name, stack, backend, paths):
+    """Every row equals its path rendered alone, while the readout sees
+    each distinct canonical path exactly once, in first-seen order."""
+    vector = get_vector(name)
+    stack = vector.stack_of(SimpleNamespace(
+        stack=replace(stack, fft_backend=backend), user_id="u0"))
+    alone = {path: vector.render(stack, path) for path in set(paths)}
+    seen = []
+    features_batch = vector._features_batch
+
+    def spy(stack, jitters):
+        seen.append(list(jitters))
+        return features_batch(stack, jitters)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vector, "_features_batch", spy)
+        batched = vector.render_batch(stack, paths)
+    assert batched == [alone[path] for path in paths]
+    canonical = dict.fromkeys(vector.canonical_path(p) for p in paths)
+    assert seen == [[parse_path(p) if vector.uses_analyser else None
+                     for p in canonical]]
 
 
 class TestBatchedFFTBitIdentity:

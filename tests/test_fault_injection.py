@@ -7,11 +7,12 @@ import json
 
 import pytest
 
+import repro.population.study as study_mod
 from repro import (FaultPlan, Recorder, RenderCache, StudyExecutionError,
                    run_study)
 from repro.obs import validate_report
 from repro.resilience import CORRUPT_EFP, Fault, RetryPolicy
-from repro.resilience.faults import ENV_VAR
+from repro.resilience.faults import ENV_VAR, render_faults
 
 STUDY = dict(user_count=6, iterations=4, vectors=("dc", "fft", "hybrid"),
              seed=11)
@@ -109,6 +110,54 @@ class TestRecoveryDeterminism:
                             retry_policy=POLICY, **STUDY)
         assert dataset == clean_dataset
         assert recorder.counters["retry.corrupt_returns"] == 1
+
+
+class TestCacheOffDuplicateRows:
+    """With the cache off every grid item is a row, so a job repeats a
+    class key once per iteration that took it; ``render_batch`` hands
+    every repeat the same eFP, and a corrupt fault poisons one row."""
+
+    @pytest.fixture(scope="class")
+    def cold(self):
+        mp = pytest.MonkeyPatch()
+        mp.delenv(ENV_VAR, raising=False)
+        try:
+            return run_study(workers=0, cache=RenderCache(disabled=True),
+                             **STUDY)
+        finally:
+            mp.undo()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_corrupt_duplicate_is_rejected_and_recovered(
+            self, clean, cold, monkeypatch, tmp_path, workers):
+        _, keys = clean
+        # dc ignores the jitter path: its key repeats every iteration of
+        # every user on its stack
+        poison = next(key for key in keys if key.startswith("dc|"))
+        _install(monkeypatch, tmp_path, [
+            Fault(kind="corrupt", keys=(poison,), times=1),
+        ])
+        fired = []
+        if workers == 0:
+            def spy(job_keys):
+                rows = render_faults(job_keys)
+                fired.append((job_keys.count(poison), rows))
+                return rows
+            monkeypatch.setattr(study_mod, "render_faults", spy)
+        recorder = Recorder()
+        dataset = run_study(workers=workers, recorder=recorder,
+                            cache=RenderCache(disabled=True),
+                            retry_policy=POLICY, **STUDY)
+        assert _dataset_bytes(dataset, tmp_path, "chaos.json") == \
+            _dataset_bytes(cold, tmp_path, "cold.json")
+        assert recorder.counters["retry.corrupt_returns"] == 1
+        assert recorder.counters.get("retry.quarantined", 0) == 0
+        if workers == 0:
+            # the poisoned job held several rows of the key; one fired
+            poisoned = [(count, rows) for count, rows in fired if rows]
+            assert len(poisoned) == 1
+            count, rows = poisoned[0]
+            assert count >= STUDY["iterations"] and len(rows) == 1
 
 
 class TestUnrecoverable:
