@@ -11,7 +11,7 @@ Top-level convenience surface; the layers live in:
   repro.obs         observability: span tracer, metrics, node profiler,
                     run reports (zero-dependency, off by default)
   repro.resilience  fault-tolerant supervised execution: retry/backoff,
-                    batch bisection, checkpoint-resume, fault injection
+                    batch bisection, fault injection
 """
 
 from .analysis import build_analysis_report, collate  # noqa: F401

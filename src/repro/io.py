@@ -4,9 +4,9 @@ trusts goes through here.
 Two shapes of file cover them all, and this module is the one place that
 decides what a torn or malformed one is, and where it goes:
 
-* **Whole JSON documents** — study datasets, checkpoints, run / analysis
-  reports, shard manifests, service snapshots. ``atomic_write_chunks`` is
-  the one writer: it streams to a same-directory temp file, flushes and
+* **Whole JSON documents** — study datasets, run / analysis reports,
+  shard manifests, service snapshots. ``atomic_write_chunks`` is the
+  one writer: it streams to a same-directory temp file, flushes and
   fsyncs it, renames it over the target with ``os.replace``, then fsyncs
   the *containing directory* (the rename lives in the directory entry;
   until that is synced a power loss can resurface the old file). Readers

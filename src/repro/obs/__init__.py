@@ -15,7 +15,7 @@ modules: ``report`` and ``events`` use the ``repro.schema`` walker, and
              a contextvar so the engine's hot loop stays untouched when
              profiling is off.
   events     the crash-safe append-only JSONL event log: the *sequence* of
-             retries, rebuilds, checkpoint writes and shard quarantines
+             retries, rebuilds, shard resumes and shard quarantines
              that aggregates throw away (see ``repro.obs.events``).
   progress   the opt-in stderr heartbeat for long runs (``ProgressMeter``).
   report     the machine-readable run report: build/validate/render, plus

@@ -1,8 +1,8 @@
 """repro.obs.events — the crash-safe, append-only study event log.
 
 Where the recorder keeps *aggregates* (spans, counters, histograms), the
-event log keeps the *sequence*: every retry, pool rebuild, checkpoint
-write, cache miss and batch render lands as one JSONL line the
+event log keeps the *sequence*: every retry, pool rebuild, shard
+commit, cache miss and batch render lands as one JSONL line the
 moment it happens. That ordering is exactly what aggregate metrics throw
 away — and exactly what debugging a sharded million-user run (or proving
 the measurement infrastructure did not perturb the fingerprints it
@@ -12,7 +12,7 @@ Data model
 ----------
 One event is one flat JSON object:
 
-    {"schema": 1, "seq": 12, "kind": "checkpoint.write",
+    {"schema": 1, "seq": 12, "kind": "job.retry",
      "t_wall_s": 1754650000.12, "t_mono_s": 3.5041, "pid": 4242, ...}
 
 ``schema`` versions the record shape, ``kind`` is drawn from the closed
@@ -67,9 +67,6 @@ EVENT_KINDS = frozenset({
     "phase.start", "phase.end",
     # render cache
     "cache.miss",
-    # checkpointing
-    "checkpoint.write", "checkpoint.torn_write", "checkpoint.resume",
-    "checkpoint.corrupt_quarantine",
     # supervised execution
     "job.failed", "job.retry", "job.bisected", "job.quarantined",
     "pool.rebuild", "pool.inline_fallback",

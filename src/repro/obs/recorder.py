@@ -48,16 +48,17 @@ class Histogram:
     def bucket_upper_bound(cls, index: int) -> float:
         return cls.BASE_S * (2.0 ** index)
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (one call for a batch's rows)."""
         value = float(value)
-        self.count += 1
-        self.total += value
+        self.count += count
+        self.total += value * count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
         index = self.bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        self.buckets[index] = self.buckets.get(index, 0) + count
 
     @property
     def mean(self) -> float:
@@ -237,11 +238,11 @@ class Recorder:
     def count(self, name: str, value: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, count: int = 1) -> None:
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = Histogram()
-        hist.observe(value)
+        hist.observe(value, count)
 
     # -- per-node profiles ---------------------------------------------------
     def record_node_profile(self, stack_key: str, seconds: dict,
@@ -297,7 +298,7 @@ class NullRecorder:
     def count(self, name: str, value: float = 1) -> None:
         pass
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, count: int = 1) -> None:
         pass
 
     def record_node_profile(self, stack_key: str, seconds: dict,

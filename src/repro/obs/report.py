@@ -44,11 +44,10 @@ def build_report(recorder, workload: dict, cache_stats: dict | None = None,
     """Assemble the report document from a recorder plus run context.
 
     ``resilience`` is the supervised-execution summary produced by
-    ``run_study`` (``repro.resilience.SupervisedExecutor.summary()`` plus
-    the checkpoint bookkeeping); its ``retry`` / ``degraded`` /
-    ``checkpoint`` members become top-level report sections so dashboards
-    and the CI schema check see recovery activity next to the latency
-    data it perturbed.
+    ``run_study`` (``repro.resilience.SupervisedExecutor.summary()``);
+    its ``retry`` / ``degraded`` members become top-level report sections
+    so dashboards and the CI schema check see recovery activity next to
+    the latency data it perturbed.
 
     ``events_path`` names the JSONL event-log sidecar the run streamed
     its events to (see ``repro.obs.events``). The report embeds only the
@@ -86,7 +85,6 @@ def build_report(recorder, workload: dict, cache_stats: dict | None = None,
         "pool": dict(pool) if pool is not None else None,
         "retry": resilience.get("retry"),
         "degraded": resilience.get("degraded"),
-        "checkpoint": resilience.get("checkpoint"),
         "events": events,
     }
 
@@ -95,8 +93,6 @@ def build_report(recorder, workload: dict, cache_stats: dict | None = None,
 
 _RETRY_FIELDS = ("attempts", "retries", "timeouts", "crashes",
                  "worker_errors", "corrupt_returns", "bisections")
-_CHECKPOINT_FIELDS = ("writes", "torn_writes", "resumed_classes",
-                      "corrupt_recoveries")
 
 #: the histogram bucket keys ``Histogram.to_dict`` can emit
 _BUCKET_KEYS = frozenset(str(i) for i in range(Histogram.MAX_BUCKET + 1))
@@ -121,24 +117,18 @@ REPORT_SCHEMA = {
                     "quarantined": [STRING],
                     "budget": {"limit": NUMBER, "spent": NUMBER}}),
     "degraded": maybe({"pool_rebuilds": NUMBER, "inline_fallback": BOOL}),
-    "checkpoint": maybe({"enabled": BOOL,
-                         **dict.fromkeys(_CHECKPOINT_FIELDS, NUMBER)}),
     "events": maybe({"path": maybe(STRING), "count": COUNT,
                      "kinds": each(COUNT), "pid": COUNT}),
 }
 
 #: the resilience contract: the supervised executor writes its summary
-#: both as counters and as the retry/degraded/checkpoint sections, and
-#: the two views must agree — (section, field, counter)
+#: both as counters and as the retry/degraded sections, and the two
+#: views must agree — (section, field, counter)
 _RESTATED = (
     *(("retry", field, f"retry.{field}") for field in
       ("attempts", "retries", "timeouts", "crashes", "corrupt_returns",
        "bisections")),
     ("degraded", "pool_rebuilds", "degraded.pool_rebuilds"),
-    ("checkpoint", "writes", "checkpoint.writes"),
-    ("checkpoint", "torn_writes", "checkpoint.torn_writes"),
-    ("checkpoint", "resumed_classes", "checkpoint.resumed_classes"),
-    ("checkpoint", "corrupt_recoveries", "checkpoint.corrupt"),
 )
 
 
@@ -330,10 +320,6 @@ def render_report(payload: dict) -> str:
     if degraded:
         out.append("degraded: " + ", ".join(f"{k}={v}"
                                             for k, v in degraded.items()))
-    checkpoint = payload.get("checkpoint")
-    if checkpoint and checkpoint.get("enabled"):
-        out.append("checkpoint: " + ", ".join(f"{k}={v}"
-                                              for k, v in checkpoint.items()))
     out.append("")
     return "\n".join(out)
 

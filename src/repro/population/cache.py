@@ -8,8 +8,9 @@ strings, so the cache is tiny even at paper scale: at seed 2021 the
 the full 11-vector battery.
 
 It is an in-memory LRU (OrderedDict move-to-end) and reads nothing from
-outside the program; crash-safe progress across runs is the study
-checkpoint's job (``run_study(checkpoint_path=...)``).
+outside the program; crash-safe progress across runs is the sharded
+driver's job: a rerun resumes its committed shards
+(``repro.population.shards``).
 """
 from __future__ import annotations
 

@@ -88,12 +88,6 @@ class StudyDataset:
         per-user array in the analysis layer follows."""
         return [u["id"] for u in self.users]
 
-    def iter_user_series(self, vector: str):
-        """Yield ``(user_id, [eFP per iteration])`` in canonical user order."""
-        series = self.series[vector]
-        for uid in self.user_ids():
-            yield uid, series[uid]
-
     def intern(self, vector: str) -> tuple[np.ndarray, list[str], list[str]]:
         """Integer-intern one vector's series for vectorized analysis.
 

@@ -5,11 +5,11 @@ the paper's 2,093 users, not at the north star's millions.
 ``run_study_sharded`` partitions the population into deterministic,
 independently seeded shards and runs them one at a time on the driver
 core in ``repro.population.study``: the same front door (validation,
-telemetry lifecycle), the same per-range step per shard (checkpoint
-resume, cache probe, supervised batched render — retry, bisection and
-chaos hooks included), the same assembler and the same run-report
-writer. Each shard's per-user series then streams to disk instead of
-staying in memory, next to its analysis:
+telemetry lifecycle), the same per-range step per shard (cache probe,
+supervised batched render — retry, bisection and chaos hooks included),
+the same assembler and the same run-report writer. Each shard's per-user
+series then streams to disk instead of staying in memory, next to its
+analysis:
 
   shard_<start>_<stop>.jsonl           one compact JSON record per user
   shard_<start>_<stop>.manifest.json   the commit point: study
@@ -36,30 +36,29 @@ both the RSS bound and that bit-identity.
 Crash safety: each shard's data file is written through the atomic
 chunk writer (complete file or no file), and the manifest is written
 *after* the data — a manifest on disk is proof its shard is complete
-and hashed. Mid-shard crashes resume from the shard's render checkpoint
-(stamped with the shard range, so one shard's checkpoint can never
-resume another's); a shard whose bytes no longer match its manifest is
-quarantined to ``*.corrupt`` (``verify_shard_data`` raises
-``ShardIntegrityError``), and the next run re-renders it.
+and hashed. Committed shards are the one resume mechanism: a run killed
+mid-shard loses only that shard's work, and its rerun resumes every
+committed shard (a manifest stamped with another study, engine or shard
+range raises) and renders the rest. A shard whose bytes no longer match
+its manifest is quarantined to ``*.corrupt`` (``verify_shard_data``
+raises ``ShardIntegrityError``), and the next run re-renders it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 from ..io import (atomic_write_chunks, atomic_write_json, atomic_write_text,
                   load_document, quarantine)
-from ..resilience import study_fingerprint
 from ..schema import COUNT, STRING, STUDY
 from ..webaudio import ENGINE_VERSION
 from .cache import RenderCache
 from .dataset import StudyDataset
 from .sampler import _integer, sample_population_slice
-from .study import (_CHECKPOINT_EVERY, _Tally, _assemble, _phase, _plan,
-                    _render_range, _study_run, _write_report)
+from .study import (_Tally, _assemble, _phase, _plan, _render_range,
+                    _study_run, _write_report)
 
 SHARD_KIND = "repro.study.shard"
 SHARD_FORMAT = 1
@@ -101,7 +100,6 @@ class ShardPaths:
     data: str
     manifest: str
     report: str
-    checkpoint: str
 
     @classmethod
     def in_dir(cls, out_dir: str, start: int, stop: int) -> "ShardPaths":
@@ -109,10 +107,18 @@ class ShardPaths:
         report = os.path.join(
             out_dir, f"shard_report_{start:08d}_{stop:08d}.json")
         return cls(data=stem + ".jsonl", manifest=stem + ".manifest.json",
-                   report=report, checkpoint=stem + ".ckpt")
+                   report=report)
 
 
 # -- shard data format --------------------------------------------------------
+
+def study_fingerprint(seed: int, user_count: int, iterations: int,
+                      vectors) -> dict:
+    """The study a manifest is stamped with; ``check_shard_study``
+    refuses a manifest whose stamp differs from the run's."""
+    return {"seed": seed, "user_count": user_count,
+            "iterations": iterations, "vectors": list(vectors)}
+
 
 def _record_lines(dataset: StudyDataset, start: int):
     """One compact, deterministic JSONL line per user.
@@ -292,12 +298,6 @@ class ShardedStudy:
     shards: list[ShardResult] = field(default_factory=list)
     merged_report_path: str | None = None
 
-    def manifest_paths(self) -> list[str]:
-        return [s.paths.manifest for s in self.shards]
-
-    def shard_report_paths(self) -> list[str]:
-        return [s.paths.report for s in self.shards]
-
 
 def run_study_sharded(user_count: int, shard_size: int, out_dir: str, *,
                       iterations: int = 30,
@@ -305,7 +305,6 @@ def run_study_sharded(user_count: int, shard_size: int, out_dir: str, *,
                       seed: int = 2021, cache: RenderCache | None = None,
                       workers: int | None = None, recorder=None,
                       report_path: str | None = None,
-                      checkpoint_every: int = _CHECKPOINT_EVERY,
                       retry_policy=None, retry_budget: int | None = None,
                       event_log_path: str | None = None,
                       progress=False) -> ShardedStudy:
@@ -322,12 +321,12 @@ def run_study_sharded(user_count: int, shard_size: int, out_dir: str, *,
     ENGINE_VERSION, data bytes intact) is resumed, not rendered; a shard
     whose data fails its integrity check is quarantined to ``*.corrupt``
     and re-rendered; a manifest from a *different* study or engine
-    version raises ``ValueError`` naming the field. Mid-shard crashes
-    resume from the shard's render checkpoint. Every shard's mergeable
-    analysis report (``shard_report_*.json``) is written, or rebuilt
-    when a resumed shard's is missing or unsound, and so is the merged
-    analysis report (``analysis.json``), byte-identical to what the
-    monolithic path produces.
+    version, or stamped with another shard's range, raises ``ValueError``
+    naming the field. A run killed mid-shard re-renders only that shard.
+    Every shard's mergeable analysis report (``shard_report_*.json``) is
+    written, or rebuilt when a resumed shard's is missing or unsound, and
+    so is the merged analysis report (``analysis.json``), byte-identical
+    to what the monolithic path produces.
 
     The run report's ``workload.grid_items`` covers the whole study,
     resumed shards included; ``distinct_classes`` counts only the
@@ -345,7 +344,6 @@ def run_study_sharded(user_count: int, shard_size: int, out_dir: str, *,
     with _study_run(user_count, iterations, vectors, seed, cache=cache,
                     workers=workers, recorder=recorder,
                     report_path=report_path, event_log_path=event_log_path,
-                    checkpoint_every=checkpoint_every,
                     retry_policy=retry_policy, retry_budget=retry_budget,
                     progress=progress) as run:
         recorder = run.recorder
@@ -364,7 +362,7 @@ def run_study_sharded(user_count: int, shard_size: int, out_dir: str, *,
             study = study_fingerprint(run.seed, run.user_count,
                                       run.iterations, run.vectors)
 
-        tally = _Tally.start(checkpointing=True)
+        tally = _Tally()
         seen_classes: set[str] = set()
         rendered_classes = 0
         shard_reports: list[dict] = []
@@ -388,9 +386,8 @@ def run_study_sharded(user_count: int, shard_size: int, out_dir: str, *,
                                                       run.seed, start, stop)
                     grids, classes = _plan(run, devices, first_index=start)
                     seen_classes.update(key for key, _ in classes)
-                    efps, _, misses = _render_range(
-                        run, tally, grids, classes, shard.paths.checkpoint,
-                        dict(study, shard=[start, stop]))
+                    efps, _, misses = _render_range(run, tally, grids,
+                                                    classes)
                     rendered_classes += misses
                     if run.measuring:
                         shard_span.set(users=stop - start,
@@ -399,8 +396,6 @@ def run_study_sharded(user_count: int, shard_size: int, out_dir: str, *,
                     dataset = _assemble(run, devices, grids, classes, efps)
                     manifest = write_shard(shard.paths, study, index, start,
                                            stop, dataset)
-                    with suppress(OSError):  # the manifest supersedes it
-                        os.remove(shard.paths.checkpoint)
                     shard_reports.append(_build_and_write_shard_report(
                         shard.paths, manifest, dataset))
                 recorder.count("shard.completed")

@@ -17,17 +17,14 @@ three phases:
                 is, per vector, a (users, iterations) grid of integer
                 class ids, plus one class table holding each class's
                 (vector, stack, path) and cache key.
-  2. RENDER   — resolve every class to its eFP: resume from the
-                checkpoint, probe the cache once per class,
-                and render the misses grouped by (vector, stack), up to
+  2. RENDER   — resolve every class to its eFP: probe the cache once per
+                class, and render the misses grouped by (vector, stack), up to
                 ``_MAX_BATCH`` rows per engine pass (each row bit-identical
                 to rendering it alone, pinned by tests). Groups run under a
                 ``repro.resilience.SupervisedExecutor``: per-job deadlines,
                 capped deterministic retries, bisection down to the poison
                 class, inline fallback when the pool dies, and a retry
                 budget that ends in a structured ``StudyExecutionError``.
-                With ``checkpoint_path`` set, renders are crash-safely
-                checkpointed, so a killed run resumes byte-identically.
   3. ASSEMBLE — per vector, map class ids to eFP codes (one pass over
                 the class table) and index the grid with that map: array
                 work, no per-item lookup. The dataset keeps the codes;
@@ -43,7 +40,8 @@ one core — the front door ``_study_run``, the per-range step
 ``_render_range``, ``_assemble`` and ``_write_report`` — so the argument
 rules, the telemetry lifecycle and the report shape each live in one
 place. The monolithic driver runs each phase once over the whole
-population; the sharded driver runs the same helpers once per shard.
+population; the sharded driver runs the same helpers once per shard,
+and its committed shards are what a killed run resumes from.
 
 Observability (repro.obs) is off by default: the null recorder takes no
 per-render calls and the dataset is bit-identical either way. With a
@@ -51,10 +49,10 @@ per-render calls and the dataset is bit-identical either way. With a
 batch is timed, the first batch per (vector, stack) also runs under the
 per-node profiler, and pool workers ship their measurements and events
 home next to the eFPs, so aggregate counters are identical at any worker
-count. The supervisor and checkpointing add ``retry.*`` / ``degraded.*``
-/ ``checkpoint.*`` counters and report sections. ``event_log_path``
-streams the event sequence to a crash-safe JSONL sidecar; ``progress``
-prints a live heartbeat to stderr.
+count. The supervisor adds ``retry.*`` / ``degraded.*`` counters and
+report sections. ``event_log_path`` streams the event sequence to a
+crash-safe JSONL sidecar; ``progress`` prints a live heartbeat to
+stderr.
 """
 from __future__ import annotations
 
@@ -71,9 +69,7 @@ from ..obs import (EventLog, NULL_RECORDER, ProgressMeter, Recorder,
                    make_event, profile_nodes)
 from ..platform.jitter import PATHS, draw_path_codes
 from ..platform.stacks import AudioStack
-from ..resilience import (RetryBudget, RetryPolicy, StudyExecutionError,
-                          SupervisedExecutor, load_checkpoint,
-                          study_fingerprint, write_checkpoint)
+from ..resilience import RetryBudget, RetryPolicy, SupervisedExecutor
 from ..resilience.faults import CORRUPT_EFP, render_faults
 from ..vectors.base import is_efp
 from ..vectors.registry import get_vector
@@ -98,9 +94,6 @@ _MAX_BATCH = 256
 _MEASURE_OFF = 0    # bare render, metrics slot is None
 _MEASURE_TIME = 1   # wall-clock the render
 _MEASURE_NODES = 2  # wall-clock + per-node profile
-
-#: default checkpoint cadence: completed render jobs between snapshots
-_CHECKPOINT_EVERY = 16
 
 
 def _render_group(job: tuple[str, AudioStack, list, int]):
@@ -206,10 +199,11 @@ def _absorb_batch_metrics(recorder, metrics: dict) -> None:
     """Fold one batch-group metrics snapshot into the parent recorder.
 
     Per-vector latency histograms keep one observation per *render* (the
-    batch wall clock amortized over its rows), so their counts still equal
-    the render count; the batch-level cost lands in ``render.batch_size``
-    and ``render.batch_wall_s.<vector>`` — together they show the
-    amortization directly.
+    batch wall clock amortized over its rows, observed once with the
+    batch's row count), so their counts still equal the render count; the
+    batch-level cost lands in ``render.batch_size`` and
+    ``render.batch_wall_s.<vector>`` — together they show the amortization
+    directly.
     """
     size = metrics["batch_size"]
     wall = metrics["wall_s"]
@@ -218,9 +212,7 @@ def _absorb_batch_metrics(recorder, metrics: dict) -> None:
     recorder.count("render.batches")
     recorder.observe("render.batch_size", size)
     recorder.observe(f"render.batch_wall_s.{vector}", wall)
-    amortized = wall / size
-    for _ in range(size):
-        recorder.observe(f"render.latency_s.{vector}", amortized)
+    recorder.observe(f"render.latency_s.{vector}", wall / size, size)
     recorder.observe("pool.task_wall_s", wall)
     for event in metrics.get("events", ()):
         recorder.merge_event(event)
@@ -381,7 +373,6 @@ class _StudyRun:
     recorder: object
     #: the most processes a render step may pool (0 or 1 = inline)
     workers: int
-    checkpoint_every: int
     retry_policy: RetryPolicy | None
     retry_budget: int | None
     report_path: str | None
@@ -402,22 +393,15 @@ class _StudyRun:
 class _Tally:
     """What a run's render steps add up to; the run report reads it."""
 
-    checkpoint: dict  # the report's "checkpoint" section
     summaries: list[dict] = field(default_factory=list)  # one per supervisor
     jobs: int = 0
     workers: int = 0  # the largest pool a render step used (<= 1: inline)
 
-    @classmethod
-    def start(cls, checkpointing: bool) -> "_Tally":
-        return cls(checkpoint={"enabled": checkpointing, "writes": 0,
-                               "torn_writes": 0, "resumed_classes": 0,
-                               "corrupt_recoveries": 0})
-
 
 @contextmanager
 def _study_run(user_count, iterations, vectors, seed, *, cache, workers,
-               recorder, report_path, event_log_path, checkpoint_every,
-               retry_policy, retry_budget, progress):
+               recorder, report_path, event_log_path, retry_policy,
+               retry_budget, progress):
     """The front door both drivers share, and the one place their
     common argument rules live (the sharded driver checks its own shard
     geometry before entering, so that too fails before any side effect).
@@ -444,7 +428,6 @@ def _study_run(user_count, iterations, vectors, seed, *, cache, workers,
     seed = _integer("seed", seed, 0)
     workers = (os.cpu_count() or 1) if workers is None \
         else _integer("workers", workers, 0)
-    checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
     if retry_budget is not None:
         retry_budget = _integer("retry_budget", retry_budget, 0)
     for i, name in enumerate(vectors):
@@ -463,9 +446,9 @@ def _study_run(user_count, iterations, vectors, seed, *, cache, workers,
     run = _StudyRun(
         user_count=user_count, iterations=iterations, vectors=vectors,
         seed=seed, cache=cache, recorder=recorder, workers=workers,
-        checkpoint_every=checkpoint_every, retry_policy=retry_policy,
-        retry_budget=retry_budget, report_path=report_path,
-        event_log_path=event_log_path, progress=progress)
+        retry_policy=retry_policy, retry_budget=retry_budget,
+        report_path=report_path, event_log_path=event_log_path,
+        progress=progress)
     event_log = None
     if event_log_path is not None and recorder.enabled:
         event_log = EventLog(event_log_path)
@@ -490,52 +473,30 @@ def _phase(recorder, name: str, **attrs):
     recorder.event("phase.end", phase=name)
 
 
-def _render_range(run: _StudyRun, tally: _Tally, grids, classes,
-                  checkpoint_path, fingerprint) -> tuple[list[str], int, int]:
-    """The per-range step both drivers share: resume, then probe, then
-    render one planned range of the population.
+def _render_range(run: _StudyRun, tally: _Tally, grids,
+                  classes) -> tuple[list[str], int, int]:
+    """The per-range step both drivers share: probe, then render one
+    planned range of the population.
 
-    Misses render as supervised batch groups, checkpointed every
-    ``run.checkpoint_every`` completed jobs when ``checkpoint_path`` is
-    set, and go into the cache. With the cache disabled the probe
-    degrades to the honest baseline: one real render per grid item, in
-    grid order (user by user, each user's vectors in run order), charged
-    through the miss-counter API so benchmark speedups isolate the
-    cache. Returns ``(efps, rendered, misses)``: one eFP per class id
-    (from the checkpoint, the probe or the renderer), the number of
-    classes rendered or resumed, and the number of renders sent to the
+    Misses render as supervised batch groups and go into the cache. With
+    the cache disabled the probe degrades to the honest baseline: one
+    real render per grid item, in grid order (user by user, each user's
+    vectors in run order), charged through the miss-counter API so
+    benchmark speedups isolate the cache. Returns ``(efps, rendered,
+    misses)``: one eFP per class id (from the probe or the renderer), the
+    number of classes rendered, and the number of renders sent to the
     renderer.
     """
     recorder, cache = run.recorder, run.cache
-    resumed: dict[str, str] = {}
-    if checkpoint_path is not None:
-        loaded, problem = load_checkpoint(checkpoint_path, fingerprint)
-        if problem is not None:
-            tally.checkpoint["corrupt_recoveries"] += 1
-            recorder.count("checkpoint.corrupt")
-            recorder.event("checkpoint.corrupt_quarantine", problem=problem)
-        # only classes this plan wants can be resumed; an ENGINE_VERSION
-        # bump changes every stack key, so a stale checkpoint resumes
-        # nothing (and everything re-renders)
-        planned = {key for key, _ in classes}
-        resumed = {key: efp for key, efp in loaded.items() if key in planned}
-        if resumed:
-            tally.checkpoint["resumed_classes"] = len(resumed)
-            recorder.count("checkpoint.resumed_classes", len(resumed))
-            recorder.event("checkpoint.resume", classes=len(resumed))
-
     found: dict[str, str] = {}  # probe hits: class key -> eFP
     if cache.disabled:
         items = np.stack([grids[name] for name in run.vectors], axis=1)
-        keyed = [classes[cid] for cid in items.ravel().tolist()
-                 if classes[cid][0] not in resumed]
+        keyed = [classes[cid] for cid in items.ravel().tolist()]
         cache.record_miss(len(keyed))
     else:
         with recorder.span("probe"):
             keyed = []
             for key, spec in classes:
-                if key in resumed:
-                    continue
                 efp = cache.get(key)
                 if efp is None:
                     keyed.append((key, spec))
@@ -558,46 +519,19 @@ def _render_range(run: _StudyRun, tally: _Tally, grids, classes,
         meter = ProgressMeter(total_jobs=len(jobs),
                               total_classes=len(keyed), stream=stream)
 
-    rendered: dict[str, str] = dict(resumed)
+    rendered: dict[str, str] = {}
     completed_jobs = 0
-
-    def _checkpoint() -> None:
-        if write_checkpoint(checkpoint_path, fingerprint, rendered,
-                            completed_jobs):
-            tally.checkpoint["writes"] += 1
-            recorder.count("checkpoint.writes")
-            recorder.event("checkpoint.write", completed_jobs=completed_jobs)
-        else:
-            tally.checkpoint["torn_writes"] += 1
-            recorder.count("checkpoint.torn_writes")
-            recorder.event("checkpoint.torn_write",
-                           completed_jobs=completed_jobs)
-
-    try:
-        for pairs, metrics in supervisor.run(jobs):
-            rendered.update(pairs)
-            if metrics is not None:
-                _absorb_batch_metrics(recorder, metrics)
-            completed_jobs += 1
-            if checkpoint_path is not None \
-                    and completed_jobs % run.checkpoint_every == 0:
-                _checkpoint()
-            if meter is not None:
-                meter.update(completed_jobs,
-                             len(rendered) - len(resumed),
-                             retries=supervisor.retries,
-                             hit_rate=cache.hit_rate)
-    except StudyExecutionError:
-        # persist everything that DID render before surfacing the
-        # failure: a later run with the stack fixed resumes from here
-        if checkpoint_path is not None:
-            _checkpoint()
-        raise
-    if checkpoint_path is not None:
-        _checkpoint()
+    for pairs, metrics in supervisor.run(jobs):
+        rendered.update(pairs)
+        if metrics is not None:
+            _absorb_batch_metrics(recorder, metrics)
+        completed_jobs += 1
+        if meter is not None:
+            meter.update(completed_jobs, len(rendered),
+                         retries=supervisor.retries, hit_rate=cache.hit_rate)
     if meter is not None:
-        meter.finish(len(rendered) - len(resumed),
-                     retries=supervisor.retries, hit_rate=cache.hit_rate)
+        meter.finish(len(rendered), retries=supervisor.retries,
+                     hit_rate=cache.hit_rate)
     if not cache.disabled:
         for key, efp in rendered.items():
             cache.put(key, efp)
@@ -643,7 +577,7 @@ def _assemble(run: _StudyRun, devices: list[Device], grids, classes,
                         interned=interned)
 
 
-def _merge_resilience(summaries: list[dict], checkpoint_info: dict) -> dict:
+def _merge_resilience(summaries: list[dict]) -> dict:
     """Fold per-range supervisor summaries into one report-shaped block
     (sums match the recorder's counters, which also accumulated across
     ranges — the report validator cross-checks exactly that)."""
@@ -662,8 +596,7 @@ def _merge_resilience(summaries: list[dict], checkpoint_info: dict) -> dict:
             "degraded": {"pool_rebuilds": sum(d["pool_rebuilds"]
                                               for d in degraded),
                          "inline_fallback": any(d["inline_fallback"]
-                                                for d in degraded)},
-            "checkpoint": checkpoint_info}
+                                                for d in degraded)}}
 
 
 def _write_report(run: _StudyRun, tally: _Tally, render_s: float,
@@ -678,8 +611,8 @@ def _write_report(run: _StudyRun, tally: _Tally, render_s: float,
         return
     from ..obs.report import build_report  # deferred: only report users pay for it
     recorder = run.recorder
-    resilience = (_merge_resilience(tally.summaries, tally.checkpoint)
-                  if tally.summaries else {"checkpoint": tally.checkpoint})
+    resilience = (_merge_resilience(tally.summaries) if tally.summaries
+                  else None)
     pool = None
     if run.measuring:
         busy = recorder.histograms.get("pool.task_wall_s")
@@ -711,16 +644,14 @@ def run_study(user_count: int, iterations: int = 30,
               seed: int = 2021, cache: RenderCache | None = None,
               workers: int | None = None, recorder=None,
               report_path: str | None = None,
-              checkpoint_path: str | None = None,
-              checkpoint_every: int = _CHECKPOINT_EVERY,
               retry_policy: RetryPolicy | None = None,
               retry_budget: int | None = None,
               event_log_path: str | None = None,
               progress=False) -> StudyDataset:
     """Run the synthetic study and return its dataset.
 
-    ``user_count``, ``iterations`` and ``checkpoint_every`` are positive
-    integers, and ``seed``, ``workers`` and ``retry_budget`` (the last two
+    ``user_count`` and ``iterations`` are positive integers, and
+    ``seed``, ``workers`` and ``retry_budget`` (the last two
     unless None) non-negative ones (any ``operator.index`` value, never a
     bool); ``vectors`` is a non-empty sequence of distinct
     vector names (not a bare string). Anything else raises a
@@ -736,11 +667,6 @@ def run_study(user_count: int, iterations: int = 30,
     recorder.
     ``report_path``: write a machine-readable run report (see repro.obs)
     here after the study completes.
-    ``checkpoint_path``: crash-safely checkpoint rendered eFPs here every
-    ``checkpoint_every`` completed render jobs; if the file already holds
-    a checkpoint of *this* study, its classes are not re-rendered
-    (resume). A checkpoint of a different study raises; a torn/corrupt
-    one is quarantined to ``<path>.corrupt`` and the run starts cold.
     ``retry_policy`` / ``retry_budget``: supervision knobs (see
     ``repro.resilience``); defaults retry failed or hung render jobs with
     capped deterministic backoff and give up — raising
@@ -756,13 +682,14 @@ def run_study(user_count: int, iterations: int = 30,
     ETA — to stderr (or the stream) while the render phase runs. Off by
     default and costs nothing when off.
     Results are bit-identical regardless of worker count, cache state,
-    batch size, observability, checkpoint resume, or any fault recovery
-    that succeeds.
+    batch size, observability, or any fault recovery that succeeds. A
+    run that must survive being killed goes through
+    ``repro.population.shards.run_study_sharded``, whose rerun resumes
+    every committed shard.
     """
     with _study_run(user_count, iterations, vectors, seed, cache=cache,
                     workers=workers, recorder=recorder,
                     report_path=report_path, event_log_path=event_log_path,
-                    checkpoint_every=checkpoint_every,
                     retry_policy=retry_policy, retry_budget=retry_budget,
                     progress=progress) as run:
         recorder = run.recorder
@@ -777,12 +704,9 @@ def run_study(user_count: int, iterations: int = 30,
             if run.measuring:
                 plan_span.set(grid_items=run.grid_items,
                               distinct_classes=len(classes))
-        tally = _Tally.start(checkpointing=checkpoint_path is not None)
-        fingerprint = study_fingerprint(run.seed, run.user_count,
-                                        run.iterations, run.vectors)
+        tally = _Tally()
         with _phase(recorder, "render") as render_span:
-            efps, rendered, _ = _render_range(run, tally, grids, classes,
-                                              checkpoint_path, fingerprint)
+            efps, rendered, _ = _render_range(run, tally, grids, classes)
         with _phase(recorder, "assemble"):
             dataset = _assemble(run, devices, grids, classes, efps)
         recorder.event("study.end", grid_items=run.grid_items,

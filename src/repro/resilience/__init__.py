@@ -1,6 +1,6 @@
 """repro.resilience — fault-tolerant execution for the study pipeline.
 
-Four cooperating pieces:
+Three cooperating pieces:
 
   executor    ``SupervisedExecutor``: individual job submission with
               per-job deadlines, retry with capped exponential backoff +
@@ -10,20 +10,18 @@ Four cooperating pieces:
               instead of ``BrokenProcessPool`` or a hang.
   policy      ``RetryPolicy`` (the knobs) and ``RetryBudget`` (the
               run-wide cap that bounds total retry work).
-  checkpoint  crash-safe progress snapshots keyed by render-class key,
-              resumed by ``run_study(checkpoint_path=...)``.
   faults      the seed-deterministic, env-gated (``$REPRO_FAULTS``)
               fault-injection plan — worker crash, hang, corrupted
-              return, render delay, torn checkpoint write — that chaos
-              tests and the chaos benchmark drive recovery paths with;
-              render workers read it once per job (``render_faults``).
+              return, render delay — that chaos tests and the chaos
+              benchmark drive recovery paths with; render workers read
+              it once per job (``render_faults``).
 
 The invariant the whole package defends: whenever recovery succeeds, the
-final dataset is bit-identical to a fault-free run's.
+final dataset is bit-identical to a fault-free run's. Surviving a killed
+process is the sharded driver's job: its committed shards are what a
+rerun resumes (``repro.population.shards``).
 """
 
-from .checkpoint import (CHECKPOINT_FORMAT, CHECKPOINT_KIND,  # noqa: F401
-                         load_checkpoint, study_fingerprint, write_checkpoint)
 from .errors import SimulatedWorkerCrash, StudyExecutionError  # noqa: F401
 from .executor import SupervisedExecutor  # noqa: F401
 from .faults import CORRUPT_EFP, Fault, FaultPlan, render_faults  # noqa: F401
@@ -33,6 +31,4 @@ __all__ = [
     "SupervisedExecutor", "RetryPolicy", "RetryBudget",
     "StudyExecutionError", "SimulatedWorkerCrash",
     "Fault", "FaultPlan", "CORRUPT_EFP", "render_faults",
-    "load_checkpoint", "write_checkpoint", "study_fingerprint",
-    "CHECKPOINT_KIND", "CHECKPOINT_FORMAT",
 ]

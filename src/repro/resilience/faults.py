@@ -3,7 +3,7 @@
 A ``FaultPlan`` is a seed-deterministic description of *which* render
 class keys misbehave and *how*: worker crash (``os._exit`` mid-render),
 hang (sleep past the supervisor's deadline), corrupted return value,
-render delay (chaos pacing), a torn checkpoint write — plus the service
+render delay (chaos pacing) — plus the service
 fault points (``repro.service``): a WAL append torn mid-record, a
 snapshot writer crashing mid-write, and a slow ingest consumer. Plans are
 env-gated: ``run_study`` and its pool workers consult ``$REPRO_FAULTS``
@@ -41,7 +41,7 @@ from .errors import SimulatedWorkerCrash
 
 ENV_VAR = "REPRO_FAULTS"
 
-FAULT_KINDS = ("crash", "hang", "corrupt", "delay", "torn_checkpoint",
+FAULT_KINDS = ("crash", "hang", "corrupt", "delay",
                # service fault points (repro.service): a WAL append torn
                # mid-record, a snapshot writer crashing mid-write, and a
                # consumer that drains its ingest queue too slowly
@@ -148,13 +148,12 @@ class FaultPlan:
                 continue
         return False
 
-    def _due(self, kinds, key: str, select: bool = True):
+    def _due(self, kinds, key: str):
         """The faults of ``kinds`` firing on this occurrence of ``key``,
-        lazily: each is selected for ``key`` (any key when ``select`` is
-        off) and has an unfired occurrence, which yielding it claims."""
+        lazily: each is selected for ``key`` and has an unfired
+        occurrence, which yielding it claims."""
         return (fault for index, fault in enumerate(self.faults)
-                if fault.kind in kinds
-                and (not select or self._selected(fault, key))
+                if fault.kind in kinds and self._selected(fault, key)
                 and self._claim(index, fault, key))
 
     # -- firing --------------------------------------------------------------
@@ -175,16 +174,6 @@ class FaultPlan:
                 os._exit(13)
         return corrupt
 
-    def fire_torn_checkpoint(self, path: str, text: str) -> bool:
-        """If a torn-checkpoint fault is due (on any checkpoint write),
-        leave a truncated file at ``path`` and tell the caller to skip
-        the real write."""
-        if not any(self._due({"torn_checkpoint"}, "checkpoint",
-                             select=False)):
-            return False
-        _leave_torn(path, text)
-        return True
-
     # -- service fault points (repro.service) --------------------------------
     def fire_torn_wal(self, fh, line: str) -> bool:
         """If a torn-WAL fault is due, write a truncated fragment of
@@ -198,11 +187,14 @@ class FaultPlan:
         return True
 
     def fire_crashed_snapshot(self, path: str, text: str) -> bool:
-        """If a crashed-snapshot fault is due, leave a truncated file at
-        ``path`` and tell the caller to skip the real write."""
+        """If a crashed-snapshot fault is due, write the first third of
+        ``text`` over ``path`` in place — the invalid JSON a writer dying
+        mid-write through a *naive* (non-atomic) writer leaves — and tell
+        the caller to skip the real write."""
         if not any(self._due({"crashed_snapshot"}, SNAPSHOT_KEY)):
             return False
-        _leave_torn(path, text)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text[:max(1, len(text) // 3)])
         return True
 
     def fire_slow_consumer(self) -> float:
@@ -212,14 +204,6 @@ class FaultPlan:
         await it without blocking the event loop."""
         return sum((fault.seconds for fault in
                     self._due({"slow_consumer"}, CONSUMER_KEY)), 0.0)
-
-
-def _leave_torn(path: str, text: str) -> None:
-    """Write the first third of ``text`` over ``path`` in place: the
-    invalid JSON a writer dying mid-write through a *naive* (non-atomic)
-    writer leaves."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text[:max(1, len(text) // 3)])
 
 
 # -- the env-gated hook (the only thing hot paths touch) ----------------------
@@ -247,13 +231,6 @@ def render_faults(keys) -> list[int]:
     if plan is None:
         return []
     return [i for i, key in enumerate(keys) if plan.fire_render_fault(key)]
-
-
-def torn_checkpoint(path: str, text: str) -> bool:
-    """Hook called by the checkpoint writer. True = a torn file was left
-    at ``path`` and the real write must be skipped."""
-    plan = active_plan()
-    return plan.fire_torn_checkpoint(path, text) if plan is not None else False
 
 
 def torn_wal(fh, line: str) -> bool:

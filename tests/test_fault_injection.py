@@ -219,7 +219,7 @@ class TestChaosReport:
         assert retry["quarantined"] == []
         assert report["degraded"] == {"pool_rebuilds": 0,
                                       "inline_fallback": False}
-        assert report["checkpoint"]["enabled"] is False
+        assert "checkpoint" not in report
 
     def test_validator_rejects_section_counter_drift(self, tmp_path):
         report_path = tmp_path / "report.json"
@@ -246,8 +246,3 @@ class TestStudyInputValidation:
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError, match="workers"):
             run_study(user_count=1, iterations=1, vectors=("dc",), workers=-1)
-
-    def test_rejects_bad_checkpoint_cadence(self):
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            run_study(user_count=1, iterations=1, vectors=("dc",),
-                      checkpoint_every=0)

@@ -1,8 +1,8 @@
 """The crash-safe file layer (``repro.io``) through its callers.
 
-One table drives the kinded-document loader through all three
-documents that use it — checkpoint, service snapshot, shard manifest —
-over the four ways such a file goes wrong. Hypothesis properties then
+One table drives the kinded-document loader through both documents
+that use it — service snapshot, shard manifest — over the four ways
+such a file goes wrong. Hypothesis properties then
 cut each append-only JSONL log (the service WAL, the study event log) at
 *any* byte offset, not a few hand-picked ones: reopening keeps exactly
 the complete lines, quarantines the rest, and a service recovered from
@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from repro.obs import EventLog, make_event, read_events
 from repro.population import ShardIntegrityError
-from repro.population.shards import SHARD_KIND, SHARD_FORMAT, load_manifest
-from repro.resilience import load_checkpoint, study_fingerprint, write_checkpoint
+from repro.population.shards import (SHARD_FORMAT, SHARD_KIND, load_manifest,
+                                     study_fingerprint)
 from repro.service import (FingerprintService, ServiceState, SnapshotStore,
                            WriteAheadLog, read_wal)
 from repro.service.wal import SNAPSHOT_NAME, WAL_NAME
@@ -50,16 +50,7 @@ def _applied(records) -> ServiceState:
     return state
 
 
-# -- one loader, three documents ----------------------------------------------
-
-def _write_checkpoint(path):
-    write_checkpoint(path, STUDY, {"k": "e" * 32}, completed_jobs=1)
-
-
-def _load_checkpoint(path):
-    rendered, problem = load_checkpoint(path, STUDY)
-    return rendered or None, problem
-
+# -- one loader, two documents ------------------------------------------------
 
 def _write_snapshot(path):
     SnapshotStore(path).write(ServiceState(VECTORS).state_dict(), 0)
@@ -89,14 +80,16 @@ def _load_manifest(path):
 #: name the problem must carry, writer, loader -> (payload, problem), and
 #: the field damages that keep the file valid JSON of the right kind
 DOCUMENTS = {
-    "checkpoint": ("checkpoint", _write_checkpoint, _load_checkpoint,
-                   [("rendered", {"k": 1}), ("study", ["seed", 7])]),
     "snapshot": ("snapshot", _write_snapshot, _load_snapshot,
                  [("wal_offset", -5), ("wal_offset", True),
                   ("state", None)]),
     "manifest": ("shard manifest", _write_manifest, _load_manifest,
                  [("data", {"file": "shard.jsonl", "bytes": "12",
-                            "sha256": "0" * 64, "records": 3})]),
+                            "sha256": "0" * 64, "records": 3}),
+                  ("study", ["seed", 7]), ("format", True),
+                  ("engine_version", None),
+                  ("shard", {"index": 0, "start": 0, "stop": -3,
+                             "users": 3})]),
 }
 
 
@@ -146,14 +139,6 @@ def test_loader_quarantines_what_it_cannot_trust(tmp_path, document, case,
     assert ("unreadable" if case == "not_json" else "malformed") in problem
     assert not os.path.exists(path)
     assert os.path.exists(path + ".corrupt")
-
-
-def test_checkpoint_of_another_study_raises_and_stays(tmp_path):
-    path = str(tmp_path / "study.ckpt")
-    write_checkpoint(path, dict(STUDY, seed=8), {"k": "e" * 32}, 1)
-    with pytest.raises(ValueError, match="seed"):
-        load_checkpoint(path, STUDY)
-    assert os.listdir(tmp_path) == ["study.ckpt"]
 
 
 @pytest.mark.parametrize("offset", [-5, True])

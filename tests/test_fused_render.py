@@ -152,9 +152,10 @@ class TestFusedOrder:
             analyser = ctx.create_analyser()
             gain = ctx.create_gain()
             osc.frequency.set_value_at_time(300.0, 0.0)
-            osc.frequency.exponential_ramp_to_value_at_time(3000.0, 0.1)
+            osc.frequency.linear_ramp_to_value_at_time(3000.0, 0.1)
             osc.detune.linear_ramp_to_value_at_time(-700.0, 0.08)
-            gain.gain.set_target_at_time(0.25, 0.02, 0.01)
+            gain.gain.set_value_at_time(1.0, 0.02)
+            gain.gain.linear_ramp_to_value_at_time(0.25, 0.05)
             osc.connect(comp).connect(analyser).connect(gain) \
                 .connect(ctx.destination)
             osc.start(0.0)

@@ -156,6 +156,21 @@ class TestBatchMetrics:
         assert [(e["kind"], e["seq"]) for e in parent.events] \
             == [("render.batch", 0)]
 
+    def test_batch_latency_is_observed_once_with_its_row_count(self):
+        """The fold observes a batch's amortized latency in one call
+        carrying the row count, not once per row."""
+        calls = []
+
+        class Counting(Recorder):
+            def observe(self, name, value, count=1):
+                calls.append((name, count))
+                super().observe(name, value, count)
+
+        _absorb_batch_metrics(Counting(), _batch_metrics("fft", 64, 0.064))
+        assert [call for call in calls
+                if call[0] == "render.latency_s.fft"] \
+            == [("render.latency_s.fft", 64)]
+
 
 class TestNodeProfiler:
     def test_scoped_activation(self):
@@ -184,6 +199,7 @@ class TestNullRecorder:
             span.set(more=2)
         rec.count("n")
         rec.observe("lat", 1.0)
+        rec.observe("lat", 1.0, 3)
         rec.record_node_profile("s", {"Gain": 1.0})
         snap = rec.snapshot()
         assert snap["enabled"] is False
@@ -260,6 +276,19 @@ class TestHistogramProperties:
                 assert entry["calls"] == other["calls"]
                 assert entry["seconds"] == pytest.approx(other["seconds"],
                                                          rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batched_observation_equals_repeated_observations(self, seed):
+        """``observe(value, count)`` is ``count`` single observations:
+        count, min, max and buckets exactly, the sum within 1e-12."""
+        rng = random.Random(seed)
+        batched, repeated = Histogram(), Histogram()
+        for value in self._samples(seed, 50):
+            count = rng.randint(1, 217)
+            batched.observe(value, count)
+            for _ in range(count):
+                repeated.observe(value)
+        self._same(batched, repeated)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_json_round_trip_keeps_every_quantile(self, seed):

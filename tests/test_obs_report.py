@@ -279,14 +279,19 @@ class TestChaosReportCheck:
         assert "events sidecar: torn tail" in capsys.readouterr().err
 
 
-class TestRetiredCacheKinds:
-    """The render cache no longer has a disk tier, so the kinds only a
-    disk-backed cache emitted are unknown: refused at emit, and a log
-    holding one fails ``--check``."""
+class TestRetiredKinds:
+    """Kinds whose emitter is gone are unknown: refused at emit, and a
+    log holding one fails ``--check``. The render cache no longer has a
+    disk tier, and the study checkpoint is gone (committed shards are the
+    one resume mechanism)."""
 
     @pytest.mark.parametrize("kind", ["cache.disk_load",
                                       "cache.corrupt_quarantine",
-                                      "cache.stale_prune"])
+                                      "cache.stale_prune",
+                                      "checkpoint.write",
+                                      "checkpoint.torn_write",
+                                      "checkpoint.resume",
+                                      "checkpoint.corrupt_quarantine"])
     def test_log_holding_a_retired_kind_fails_check(self, kind, tmp_path,
                                                     capsys):
         assert kind not in EVENT_KINDS

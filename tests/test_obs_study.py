@@ -103,7 +103,7 @@ class SpyRecorder(NullRecorder):
     def count(self, name, value=1):
         SpyRecorder.counter_calls += 1
 
-    def observe(self, name, value):
+    def observe(self, name, value, count=1):
         SpyRecorder.observe_calls += 1
 
     def record_node_profile(self, stack_key, seconds, calls=None):

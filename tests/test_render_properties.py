@@ -21,22 +21,20 @@ from repro.webaudio import OfflineAudioContext, PeriodicWave
 _STACKS = sorted({row[0] for row in default_stack_pool()},
                  key=lambda stack: stack.cache_key())
 _WAVES = ("sine", "square", "sawtooth", "triangle", "custom")
-_KINDS = ("set", "linear", "exponential", "target")
+_KINDS = ("set", "linear")
 _TAPS = ("oscillator", "hub", "compressor")
 
 
 @st.composite
 def _param(draw, low, high, duration, zero_ok=False, signed=True):
     """``(value, events)`` for one AudioParam, event times inside (or just
-    past) the buffer. One sign per param, and magnitudes kept away from
-    zero, so an exponential ramp never crosses zero (its base would be
-    negative, and every frame after it NaN)."""
+    past) the buffer. One sign per param, and magnitudes between ``low``
+    and ``high``."""
     magnitude = st.floats(low, high)
     sign = draw(st.sampled_from((1.0, -1.0) if signed else (1.0,)))
     value = 0.0 if zero_ok and draw(st.booleans()) else sign * draw(magnitude)
     events = tuple(
-        (kind, sign * draw(magnitude), draw(_time(duration)),
-         draw(st.floats(1e-3, 0.05)))
+        (kind, sign * draw(magnitude), draw(_time(duration)))
         for kind in draw(st.lists(st.sampled_from(_KINDS), max_size=3)))
     return value, events
 
@@ -102,15 +100,11 @@ def render_graphs(draw):
 def _automate(param, spec):
     value, events = spec
     param.value = value
-    for kind, target, time, time_constant in events:
+    for kind, target, time in events:
         if kind == "set":
             param.set_value_at_time(target, time)
-        elif kind == "linear":
-            param.linear_ramp_to_value_at_time(target, time)
-        elif kind == "exponential":
-            param.exponential_ramp_to_value_at_time(target, time)
         else:
-            param.set_target_at_time(target, time, time_constant)
+            param.linear_ramp_to_value_at_time(target, time)
 
 
 def _build(spec):
@@ -177,9 +171,9 @@ _DETUNED_SWEEP = dict(
     _ONE_FRAME_TAIL, length=5000,
     oscillators=[dict(
         wave="triangle", coefficients=None, start=0.0, stop=None,
-        frequency=(3000.0, (("linear", 9000.0, 5000 / 44100, 0.01),)),
-        detune=(0.0, (("set", 40.0, 1000 / 44100, 0.01),
-                      ("set", 0.0, 2600 / 44100, 0.01))))])
+        frequency=(3000.0, (("linear", 9000.0, 5000 / 44100),)),
+        detune=(0.0, (("set", 40.0, 1000 / 44100),
+                      ("set", 0.0, 2600 / 44100))))])
 
 
 @given(render_graphs())

@@ -49,9 +49,9 @@ def documents() -> dict:
                                 workers=0)
     with open(report_path, encoding="utf-8") as fh:
         run = json.load(fh)
-    with open(sharded.shard_report_paths()[0], encoding="utf-8") as fh:
+    with open(sharded.shards[0].paths.report, encoding="utf-8") as fh:
         shard = json.load(fh)
-    with open(sharded.manifest_paths()[0], encoding="utf-8") as fh:
+    with open(sharded.shards[0].paths.manifest, encoding="utf-8") as fh:
         manifest = json.load(fh)
     return {"root": root, "run": run, "dataset": dataset.to_dict(),
             "analysis": build_analysis_report(dataset),

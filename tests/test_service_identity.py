@@ -24,8 +24,8 @@ def dataset():
 
 def _stream_canonically(dataset, vector) -> IncrementalCollator:
     collator = IncrementalCollator(vector)
-    for uid, series in dataset.iter_user_series(vector):
-        for efp in series:
+    for uid in dataset.user_ids():
+        for efp in dataset.series[vector][uid]:
             collator.observe(uid, efp)
     return collator
 

@@ -48,9 +48,14 @@ def sharded(tmp_path_factory):
     return result
 
 
+def _report_paths(result) -> list[str]:
+    """Each shard's report path, in shard order."""
+    return [shard.paths.report for shard in result.shards]
+
+
 @pytest.fixture(scope="module")
 def shard_reports(sharded):
-    return [json.load(open(path)) for path in sharded.shard_report_paths()]
+    return [json.load(open(path)) for path in _report_paths(sharded)]
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +70,7 @@ def six_user_reports(tmp_path_factory):
     finally:
         mp.undo()
     reports = []
-    for path in result.shard_report_paths():
+    for path in _report_paths(result):
         with open(path, encoding="utf-8") as fh:
             reports.append(json.load(fh))
     return reports
@@ -185,13 +190,13 @@ class TestCLI:
                                            tmp_path):
         out = tmp_path / "merged.json"
         proc = self._run("repro.analysis", "--merge",
-                         *reversed(sharded.shard_report_paths()),
+                         *reversed(_report_paths(sharded)),
                          "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert out.read_text() == monolithic_bytes
 
     def test_merge_mode_rejects_gap(self, sharded):
-        paths = sharded.shard_report_paths()
+        paths = _report_paths(sharded)
         proc = self._run("repro.analysis", "--merge", paths[0], paths[2])
         assert proc.returncode == 2
         assert "partition" in proc.stderr

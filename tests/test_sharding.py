@@ -1,11 +1,17 @@
 """Sharded study pipeline: slice-sampler determinism, shard-size
 validation, crash-safe shard format (manifest commit point, torn-file
 quarantine), resume semantics (a resumed shard's report is reused when
-sound and rebuilt otherwise), and the headline invariant — a sharded
+sound and rebuilt otherwise, and a run SIGKILLed mid-shard resumes to
+the uninterrupted run's bytes), and the headline invariant — a sharded
 run reassembles to the byte-identical monolithic dataset."""
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,20 +20,48 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.population.shards as shards_mod
-from repro import run_study, run_study_sharded
+from repro import Recorder, run_study, run_study_sharded
 from repro.population import ShardIntegrityError, shard_ranges
 from repro.population.dataset import StudyDataset
 from repro.population.sampler import sample_population, sample_population_slice
+from repro.obs import read_events
 from repro.obs.report import STUDY_PHASES, validate_report
-from repro.population.shards import (check_shard_study, iter_shard_records,
-                                     load_manifest, verify_shard_data)
-from repro.resilience import load_checkpoint, study_fingerprint
+from repro.population.shards import (ShardPaths, check_shard_study,
+                                     iter_shard_records, load_manifest,
+                                     study_fingerprint, verify_shard_data)
+from repro.resilience import Fault, FaultPlan
 from repro.resilience.faults import ENV_VAR
 from repro.webaudio import ENGINE_VERSION
 
 STUDY = dict(iterations=5, vectors=("dc", "fft", "hybrid"), seed=7)
 USERS = 30
 SHARD = 9  # 30/9 -> shards of 9, 9, 9, 3
+
+REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+#: the files a sharded run leaves behind, by name pattern
+ARTEFACTS = ("shard_*.jsonl", "shard_*.manifest.json", "shard_report_*.json",
+             "analysis.json")
+
+
+def _artefacts(out_dir) -> dict[str, bytes]:
+    """Every shard file and the merged report in ``out_dir``, by name."""
+    return {path.name: path.read_bytes() for pattern in ARTEFACTS
+            for path in Path(out_dir).glob(pattern)}
+
+
+def _assert_same_artefacts(out_dir, clean_dir):
+    """``out_dir`` holds the same shard files and ``analysis.json`` as
+    ``clean_dir``, name for name and byte for byte."""
+    got, clean = _artefacts(out_dir), _artefacts(clean_dir)
+    assert sorted(got) == sorted(clean)
+    assert [name for name in clean if got[name] != clean[name]] == []
+
+
+def _paths_in(out_dir, shard) -> ShardPaths:
+    """Where ``shard`` of the module's run lives in a copy at ``out_dir``."""
+    return ShardPaths.in_dir(str(out_dir), shard.start, shard.stop)
 
 
 @pytest.fixture(autouse=True)
@@ -99,8 +133,9 @@ class TestShardGeometry:
         numpy = run_study_sharded(np.int64(10), np.int64(4),
                                   str(tmp_path / "np"), workers=0, **STUDY)
         assert len(plain.shards) == len(numpy.shards) == 3
-        for a, b in zip(plain.manifest_paths(), numpy.manifest_paths()):
-            assert open(a, "rb").read() == open(b, "rb").read()
+        for a, b in zip(plain.shards, numpy.shards):
+            assert open(a.paths.manifest, "rb").read() \
+                == open(b.paths.manifest, "rb").read()
 
     @pytest.mark.parametrize("geometry", [dict(shard_size=0),
                                           dict(shard_size=None)])
@@ -163,9 +198,14 @@ class TestShardedBitIdentity:
             assert os.path.getsize(shard.paths.data) \
                 == manifest["data"]["bytes"]
 
-    def test_shard_checkpoints_removed_after_commit(self, sharded):
-        for shard in sharded.shards:
-            assert not os.path.exists(shard.paths.checkpoint)
+    def test_committed_run_leaves_only_its_artefacts(self, sharded):
+        """Each shard leaves its data, manifest and report, and the run
+        its merged analysis: nothing else outlives the commit."""
+        expected = {"analysis.json"} | {
+            os.path.basename(path) for shard in sharded.shards
+            for path in (shard.paths.data, shard.paths.manifest,
+                         shard.paths.report)}
+        assert sorted(os.listdir(sharded.out_dir)) == sorted(expected)
 
     def test_resume_skips_completed_shards(self, sharded):
         before = open(sharded.merged_report_path).read()
@@ -173,6 +213,107 @@ class TestShardedBitIdentity:
                                   **STUDY)
         assert all(s.resumed for s in again.shards)
         assert open(again.merged_report_path).read() == before
+
+
+class TestKillResume:
+    def test_sigkill_mid_shard_then_resume(self, sharded, tmp_path):
+        """The real thing: a child running the sharded study, cache off
+        and every render slowed by a delay fault, is SIGKILLed once its
+        first shard commits. A fault-free rerun into the same directory
+        resumes the committed shards, renders the rest, and leaves every
+        shard file and ``analysis.json`` byte-identical to an
+        uninterrupted run's; its event log names each resumed shard. The
+        killed atomic write may leave a ``tmp*.tmp`` file, so the files
+        are compared by name."""
+        plan = FaultPlan(seed=1, faults=(
+            Fault(kind="delay", fraction=1.0, times=None, seconds=0.01),))
+        plan_path = plan.save(str(tmp_path / "slow.json"))
+        out = tmp_path / "shards"
+        script = tmp_path / "child.py"
+        script.write_text(textwrap.dedent(f"""
+            from repro import RenderCache, run_study_sharded
+            run_study_sharded({USERS}, {SHARD}, {str(out)!r}, workers=0,
+                              cache=RenderCache(disabled=True),
+                              iterations={STUDY['iterations']},
+                              vectors={STUDY['vectors']!r},
+                              seed={STUDY['seed']})
+        """))
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        env[ENV_VAR] = plan_path
+        child = subprocess.Popen([sys.executable, str(script)], env=env)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not list(out.glob("shard_*.manifest.json")):
+                if child.poll() is not None:
+                    pytest.fail("child exited before committing a shard")
+                if time.monotonic() > deadline:
+                    pytest.fail("child never committed a shard")
+                time.sleep(0.02)
+        finally:
+            child.kill()  # SIGKILL: mid-shard, once a manifest is seen
+            child.wait(timeout=30)
+        assert child.returncode == -signal.SIGKILL
+        assert not (out / "analysis.json").exists()
+
+        recorder = Recorder()
+        events_path = str(tmp_path / "events.jsonl")
+        run_study_sharded(USERS, SHARD, str(out), workers=0,
+                          recorder=recorder, event_log_path=events_path,
+                          **STUDY)
+        counters = recorder.counters
+        assert counters.get("shard.resumed", 0) >= 1
+        assert counters.get("shard.completed", 0) >= 1
+        events, problems = read_events(events_path)
+        kinds = [event["kind"] for event in events]
+        assert problems == []
+        assert kinds.count("shard.resume") == counters["shard.resumed"]
+        assert kinds.count("shard.end") == counters["shard.completed"]
+        _assert_same_artefacts(out, sharded.out_dir)
+
+    @pytest.mark.parametrize("committed", [0, 1, 2, 3, 4])
+    def test_rerun_resumes_exactly_the_committed_shards(self, committed,
+                                                        sharded, tmp_path):
+        """A kill at each shard boundary, laid out on a copy of the
+        module's run: the first ``committed`` shards keep their files; the
+        next has its data file but no manifest or report (the kill landed
+        between the data write and the commit); later shards and
+        ``analysis.json`` do not exist. The rerun resumes exactly the
+        committed shards, renders the rest (an uncommitted data file is
+        overwritten, neither trusted nor quarantined) and ends with the
+        uninterrupted run's bytes."""
+        out = tmp_path / "shards"
+        shutil.copytree(sharded.out_dir, out)
+        os.remove(out / "analysis.json")
+        for shard in sharded.shards[committed:]:
+            paths = _paths_in(out, shard)
+            os.remove(paths.manifest)
+            os.remove(paths.report)
+            if shard.index > committed:
+                os.remove(paths.data)
+
+        recorder = Recorder()
+        events_path = str(tmp_path / "events.jsonl")
+        again = run_study_sharded(USERS, SHARD, str(out), workers=0,
+                                  recorder=recorder,
+                                  event_log_path=events_path, **STUDY)
+        total = len(sharded.shards)
+        assert [shard.resumed for shard in again.shards] \
+            == [index < committed for index in range(total)]
+        assert not any(shard.requarantined for shard in again.shards)
+        counters = recorder.counters
+        assert counters.get("shard.resumed", 0) == committed
+        assert counters.get("shard.completed", 0) == total - committed
+        assert "shard.quarantined" not in counters
+        events, problems = read_events(events_path)
+        assert problems == []
+        assert [(event["shard"], event["records"]) for event in events
+                if event["kind"] == "shard.resume"] \
+            == [(shard.index, shard.stop - shard.start)
+                for shard in sharded.shards[:committed]]
+        assert [event["shard"] for event in events
+                if event["kind"] == "shard.start"] \
+            == list(range(committed, total))
+        _assert_same_artefacts(out, sharded.out_dir)
 
 
 class TestShardedRunReport:
@@ -314,6 +455,17 @@ class TestResumedShardReports:
         assert Path(path).read_bytes() == original
 
 
+#: ways a committed shard stops being trustworthy before a rerun:
+#: ``ShardPaths -> None`` damages it in place
+COMMIT_DAMAGE = {
+    "torn_manifest": lambda paths: Path(paths.manifest).write_bytes(
+        Path(paths.manifest).read_bytes()[:40]),
+    "foreign_manifest": lambda paths: _rewrite_json(
+        paths.manifest, lambda manifest: manifest.update(kind="other")),
+    "data_missing": lambda paths: os.remove(paths.data),
+}
+
+
 class TestShardIntegrity:
     def _shard_copy(self, sharded, tmp_path, index=1):
         """A private copy of one rendered shard (so module-scoped state
@@ -358,6 +510,28 @@ class TestShardIntegrity:
         assert os.path.exists(shard.paths.data + ".corrupt")
         assert open(again.merged_report_path).read() == before
 
+    @pytest.mark.parametrize("damage", sorted(COMMIT_DAMAGE))
+    def test_untrusted_commit_is_quarantined_and_rerendered(
+            self, damage, sharded, tmp_path):
+        """A shard whose commit point cannot be trusted (a torn or foreign
+        manifest, or a manifest whose data file is gone) is quarantined
+        and rendered again, never resumed; the rerun ends with the
+        uninterrupted run's bytes."""
+        out = tmp_path / "shards"
+        shutil.copytree(sharded.out_dir, out)
+        paths = _paths_in(out, sharded.shards[1])
+        COMMIT_DAMAGE[damage](paths)
+        recorder = Recorder()
+        again = run_study_sharded(USERS, SHARD, str(out), workers=0,
+                                  recorder=recorder, **STUDY)
+        redone = again.shards[1]
+        assert redone.requarantined and not redone.resumed
+        assert recorder.counters["shard.quarantined"] == 1
+        assert recorder.counters["shard.resumed"] == len(again.shards) - 1
+        assert recorder.counters["shard.completed"] == 1
+        assert os.path.exists(paths.manifest + ".corrupt")
+        _assert_same_artefacts(out, sharded.out_dir)
+
     def test_foreign_study_manifest_raises_named_field(self, sharded,
                                                        tmp_path):
         result, _ = self._shard_copy(sharded, tmp_path)
@@ -385,13 +559,18 @@ class TestShardIntegrity:
             with pytest.raises(ValueError, match=field):
                 check_shard_study(manifest, bad, "m")
 
-    def test_shard_checkpoint_cannot_resume_other_shard(self, tmp_path):
-        base = study_fingerprint(7, 30, 5, ("dc",))
-        from repro.resilience import write_checkpoint
-        path = str(tmp_path / "s.ckpt")
-        write_checkpoint(path, dict(base, shard=[0, 9]), {"k": "a" * 32}, 1)
-        with pytest.raises(ValueError, match="shard"):
-            load_checkpoint(path, dict(base, shard=[9, 18]))
+    def test_one_shards_files_never_resume_another(self, sharded, tmp_path):
+        """Shard 0's manifest and data, copied to shard 1's names, pass
+        every integrity check but name the wrong range: the run refuses
+        them rather than resume shard 1 with shard 0's users."""
+        result, shard = self._shard_copy(sharded, tmp_path)
+        first = result.shards[0]
+        shutil.copyfile(first.paths.manifest, shard.paths.manifest)
+        shutil.copyfile(first.paths.data, shard.paths.data)
+        with pytest.raises(ValueError, match=r"covers range \(0, 9\), "
+                                             r"expected \(9, 18\)"):
+            run_study_sharded(USERS, SHARD, result.out_dir, workers=0,
+                              **STUDY)
 
 
 class TestStreamingSave:

@@ -143,7 +143,6 @@ BAD_ARGUMENTS = [
     ("user_count", 2.5), ("user_count", True),
     ("iterations", True), ("iterations", 2.5), ("iterations", "3"),
     ("workers", 1.5), ("workers", False),
-    ("checkpoint_every", True), ("checkpoint_every", 2.0),
     ("seed", -1), ("seed", None), ("seed", 1.5),
     ("vectors", "dc"), ("vectors", 3),
     ("retry_budget", True), ("retry_budget", -1), ("retry_budget", 2.5),
@@ -172,8 +171,7 @@ def test_front_door_accepts_any_index_integer():
     """NumPy integers pass (``operator.index``) and come out as ``int``."""
     plain = run_study(3, iterations=2, vectors=("dc",), seed=7, workers=0)
     numpy = run_study(np.int64(3), iterations=np.int32(2), vectors=["dc"],
-                      seed=np.uint16(7), workers=np.int8(0),
-                      checkpoint_every=np.int64(4))
+                      seed=np.uint16(7), workers=np.int8(0))
     assert numpy == plain
     assert type(numpy.user_count) is int and type(numpy.iterations) is int
     assert type(numpy.seed) is int

@@ -207,21 +207,6 @@ class TestStudyEventStream:
         events, _ = read_events(path)
         assert len(events) > 0
 
-    def test_checkpoint_and_resume_events(self, tmp_path):
-        events_path = str(tmp_path / "events.jsonl")
-        ckpt = str(tmp_path / "ckpt.json")
-        run_study(cache=RenderCache(), workers=0, checkpoint_path=ckpt,
-                  checkpoint_every=2, event_log_path=events_path, **STUDY)
-        events, _ = read_events(events_path)
-        assert any(e["kind"] == "checkpoint.write" for e in events)
-        # second run resumes: same log appends a checkpoint.resume event
-        run_study(cache=RenderCache(), workers=0, checkpoint_path=ckpt,
-                  checkpoint_every=2, event_log_path=events_path, **STUDY)
-        events, problems = read_events(events_path)
-        assert problems == []
-        resumes = [e for e in events if e["kind"] == "checkpoint.resume"]
-        assert len(resumes) == 1 and resumes[0]["classes"] > 0
-
 
 class TestSigkillSurvival:
     def test_sigkill_mid_run_leaves_a_readable_log(self, tmp_path):
@@ -261,9 +246,8 @@ class TestChaosFaultAccounting:
     def test_event_sequence_accounts_for_every_injected_fault(
             self, monkeypatch, tmp_path):
         """Every fault the FaultPlan ledger proves fired must be visible
-        in the event sequence: crash/corrupt failures as job.failed (with
-        matching job.retry recoveries), torn checkpoint writes as
-        checkpoint.torn_write."""
+        in the event sequence: crash/corrupt failures as job.failed, with
+        matching job.retry recoveries."""
         events_path = str(tmp_path / "events.jsonl")
         probe_cache = RenderCache()
         run_study(cache=probe_cache, workers=0, **STUDY)
@@ -271,18 +255,15 @@ class TestChaosFaultAccounting:
         plan = FaultPlan(seed=7, faults=(
             Fault(kind="crash", keys=(keys[0],), times=1),
             Fault(kind="corrupt", keys=(keys[-1],), times=1),
-            Fault(kind="torn_checkpoint", times=1),
         ))
         plan_path = plan.save(str(tmp_path / "plan.json"))
         monkeypatch.setenv(ENV_VAR, plan_path)
-        run_study(cache=RenderCache(), workers=0,
-                  checkpoint_path=str(tmp_path / "ckpt.json"),
-                  checkpoint_every=2, event_log_path=events_path,
+        run_study(cache=RenderCache(), workers=0, event_log_path=events_path,
                   retry_policy=RetryPolicy(base_delay_s=0.005,
                                            max_delay_s=0.05),
                   **STUDY)
         fired = len(os.listdir(plan.ledger_dir))
-        assert fired == 3, "all three injected faults must have fired"
+        assert fired == 2, "both injected faults must have fired"
         events, problems = read_events(events_path)
         assert problems == []
         kinds = [e["kind"] for e in events]
@@ -290,7 +271,6 @@ class TestChaosFaultAccounting:
         assert len(failures) == 2  # one crash + one corrupt return
         assert {e["failure"] for e in failures} == {"crash", "corrupt"}
         assert kinds.count("job.retry") >= 2  # both recovered
-        assert kinds.count("checkpoint.torn_write") == 1
 
 
 class TestProgressMeter:
