@@ -386,13 +386,13 @@ def run_study_sharded(user_count: int, shard_size: int, out_dir: str, *,
                                                       run.seed, start, stop)
                     grids, classes = _plan(run, devices, first_index=start)
                     seen_classes.update(key for key, _ in classes)
-                    efps, _, misses = _render_range(run, tally, grids,
-                                                    classes)
-                    rendered_classes += misses
+                    efps, rendered = _render_range(run, tally, grids,
+                                                   classes)
+                    rendered_classes += rendered
                     if run.measuring:
                         shard_span.set(users=stop - start,
                                        distinct_classes=len(classes),
-                                       rendered=misses)
+                                       rendered=rendered)
                     dataset = _assemble(run, devices, grids, classes, efps)
                     manifest = write_shard(shard.paths, study, index, start,
                                            stop, dataset)

@@ -135,27 +135,36 @@ def _render_group(job: tuple[str, AudioStack, list, int]):
     return list(zip(keys, efps)), metrics
 
 
-def _group_jobs(keyed_classes, measuring: bool):
-    """Batch-group jobs: group classes by (vector, stack), split at
-    ``_MAX_BATCH`` rows, attach measure levels.
+def _group_jobs(classes, rows, measuring: bool):
+    """Batch-group jobs: group the rows (class ids into the class table
+    ``classes``) by (vector, stack), split at ``_MAX_BATCH`` rows, attach
+    measure levels.
 
-    Grouping preserves plan order (first-seen group order, member order
+    Grouping preserves row order (first-seen group order, member order
     within a group), so the job list — and with it the profiled set and
     every aggregate counter — is identical at any worker count. When
     measuring, every batch is timed and the first batch per (vector,
-    stack) pair also carries the per-node profiler. Each distinct stack
-    object is keyed once, not once per class.
+    stack) pair also carries the per-node profiler. Each distinct class
+    is resolved once, the first time a row names it: its group and its
+    one ``(key, path)`` member, which every later row of that class
+    appends again; each distinct stack object is keyed once.
     """
     groups: dict[tuple[str, str], tuple[str, AudioStack, list]] = {}
     stack_keys: dict[int, str] = {}  # stack object id -> its key
-    for key, (vector_name, stack, path) in keyed_classes:
-        stack_key = stack_keys.get(id(stack))
-        if stack_key is None:
-            stack_key = stack_keys[id(stack)] = stack.cache_key()
-        entry = groups.get((vector_name, stack_key))
-        if entry is None:
-            entry = groups[vector_name, stack_key] = (vector_name, stack, [])
-        entry[2].append((key, path))
+    slots: list = [None] * len(classes)  # class id -> (append, member)
+    for cid in rows:
+        slot = slots[cid]
+        if slot is None:
+            key, (vector_name, stack, path) = classes[cid]
+            stack_key = stack_keys.get(id(stack))
+            if stack_key is None:
+                stack_key = stack_keys[id(stack)] = stack.cache_key()
+            entry = groups.get((vector_name, stack_key))
+            if entry is None:
+                entry = groups[vector_name, stack_key] = (vector_name,
+                                                          stack, [])
+            slot = slots[cid] = (entry[2].append, (key, path))
+        slot[0](slot[1])
     jobs = []
     for vector_name, stack, members in groups.values():
         for lo in range(0, len(members), _MAX_BATCH):
@@ -474,36 +483,36 @@ def _phase(recorder, name: str, **attrs):
 
 
 def _render_range(run: _StudyRun, tally: _Tally, grids,
-                  classes) -> tuple[list[str], int, int]:
+                  classes) -> tuple[list[str], int]:
     """The per-range step both drivers share: probe, then render one
     planned range of the population.
 
-    Misses render as supervised batch groups and go into the cache. With
-    the cache disabled the probe degrades to the honest baseline: one
-    real render per grid item, in grid order (user by user, each user's
-    vectors in run order), charged through the miss-counter API so
-    benchmark speedups isolate the cache. Returns ``(efps, rendered,
-    misses)``: one eFP per class id (from the probe or the renderer), the
-    number of classes rendered, and the number of renders sent to the
-    renderer.
+    The rows to render are class ids: the probe's misses, which render
+    as supervised batch groups and go into the cache. With the cache
+    disabled the probe degrades to the honest baseline: one real render
+    per grid item, the grid's class ids in grid order (user by user, each
+    user's vectors in run order), charged through the miss-counter API so
+    benchmark speedups isolate the cache. Returns ``(efps, rendered)``:
+    one eFP per class id (from the probe or the renderer), and the number
+    of distinct classes rendered.
     """
     recorder, cache = run.recorder, run.cache
     found: dict[str, str] = {}  # probe hits: class key -> eFP
     if cache.disabled:
-        items = np.stack([grids[name] for name in run.vectors], axis=1)
-        keyed = [classes[cid] for cid in items.ravel().tolist()]
-        cache.record_miss(len(keyed))
+        rows = np.stack([grids[name] for name in run.vectors],
+                        axis=1).ravel().tolist()
+        cache.record_miss(len(rows))
     else:
         with recorder.span("probe"):
-            keyed = []
-            for key, spec in classes:
+            rows = []
+            for cid, (key, _) in enumerate(classes):
                 efp = cache.get(key)
                 if efp is None:
-                    keyed.append((key, spec))
+                    rows.append(cid)
                 else:
                     found[key] = efp
 
-    jobs = _group_jobs(keyed, run.measuring)
+    jobs = _group_jobs(classes, rows, run.measuring)
     workers = min(run.workers, len(jobs))  # a pool never outnumbers its jobs
     budget = (None if run.retry_budget is None
               else RetryBudget(run.retry_budget))
@@ -517,7 +526,7 @@ def _render_range(run: _StudyRun, tally: _Tally, grids,
     if run.progress:
         stream = run.progress if hasattr(run.progress, "write") else None
         meter = ProgressMeter(total_jobs=len(jobs),
-                              total_classes=len(keyed), stream=stream)
+                              total_classes=len(rows), stream=stream)
 
     rendered: dict[str, str] = {}
     completed_jobs = 0
@@ -541,7 +550,7 @@ def _render_range(run: _StudyRun, tally: _Tally, grids,
     if run.measuring:
         recorder.count("pool.jobs", len(jobs))
     found.update(rendered)
-    return [found[key] for key, _ in classes], len(rendered), len(keyed)
+    return [found[key] for key, _ in classes], len(rendered)
 
 
 def _assemble(run: _StudyRun, devices: list[Device], grids, classes,
@@ -706,7 +715,7 @@ def run_study(user_count: int, iterations: int = 30,
                               distinct_classes=len(classes))
         tally = _Tally()
         with _phase(recorder, "render") as render_span:
-            efps, rendered, _ = _render_range(run, tally, grids, classes)
+            efps, rendered = _render_range(run, tally, grids, classes)
         with _phase(recorder, "assemble"):
             dataset = _assemble(run, devices, grids, classes, efps)
         recorder.event("study.end", grid_items=run.grid_items,

@@ -4,21 +4,23 @@ Each backend computes the same DFT but rounds it differently, so their
 outputs agree with ``numpy.fft.fft`` only to within a backend-specific
 tolerance — the ulp-level divergence between real browsers' FFT
 libraries that the paper identifies as a causal factor of fingerprint
-diversity (§5). ``radix2`` and ``splitradix`` run one iterative kernel
-and differ only in the operand order of the butterfly's twiddle
-product; ``bluestein`` always takes the chirp-z path; ``numpy`` is the
-reference.
+diversity (§5). ``radix2`` and ``splitradix`` run one radix-2 kernel,
+in Stockham (autosort) order, and differ only in the operand order of
+the butterfly's twiddle product; ``bluestein`` always takes the chirp-z
+path; ``numpy`` is the reference.
 
 All backends accept arbitrary sizes: powers of two go through the
-iterative kernel, everything else through the Bluestein chirp-z
-transform built on it.
+radix-2 kernel, everything else through the Bluestein chirp-z
+transform built on it. The kernel computes the recursive radix-2
+kernel's values float for float (the tests keep that kernel as their
+oracle); its memory layout only decides where each value sits.
 
 Every backend transforms the LAST axis and accepts arbitrary leading
 (batch) axes: ``fft((B, n))`` computes B independent n-point DFTs in
 one call, with each row bit-identical to ``fft((n,))`` of that row —
 all stage arithmetic is elementwise, so adding a leading axis never
 reorders a single floating-point operation. The kernel's Python
-overhead (a few ufunc calls per stage, log2(n) stages) is paid once per
+overhead (three ufunc calls per stage, log2(n) stages) is paid once per
 *batch* instead of once per row.
 """
 from __future__ import annotations
@@ -33,13 +35,13 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-# Per-size constant tables (twiddle factors, bit-reversal permutations,
+# Per-size constant tables (twiddle factors, their per-stage tiles,
 # Bluestein chirps) are deterministic pure functions of the size, so caching
 # them returns the exact arrays the uncached code would rebuild — zero
 # effect on output bytes, large effect on per-call Python/alloc overhead.
 # Cached arrays are marked read-only; kernels only ever multiply by them.
 _TWIDDLE_CACHE: dict[int, np.ndarray] = {}
-_BITREV_CACHE: dict[int, np.ndarray] = {}
+_TILE_CACHE: dict[tuple[int, int, bool], np.ndarray] = {}
 
 
 def _twiddles(size: int) -> np.ndarray:
@@ -52,29 +54,47 @@ def _twiddles(size: int) -> np.ndarray:
     return tw
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    rev = _BITREV_CACHE.get(n)
-    if rev is not None:
-        return rev
-    levels = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for bit in range(levels):
-        rev |= ((idx >> bit) & 1) << (levels - 1 - bit)
-    rev.setflags(write=False)
-    _BITREV_CACHE[n] = rev
-    return rev
+def _twiddle_tile(size: int, reps: int, transposed: bool) -> np.ndarray:
+    """``_twiddles(size)`` as one stage's contiguous operand, cached:
+    ``(size//2, reps)``, each twiddle repeated along its row, for the
+    kernel's ``(L, m)`` layout; ``(reps, size//2)``, the table repeated
+    per row, for its ``transposed`` ``(m, L)`` layout. The values are the
+    table's own floats, only copied."""
+    tile = _TILE_CACHE.get((size, reps, transposed))
+    if tile is None:
+        tw = _twiddles(size)
+        tile = (np.tile(tw, reps).reshape(reps, size // 2) if transposed
+                else np.repeat(tw, reps).reshape(size // 2, reps))
+        tile.setflags(write=False)
+        _TILE_CACHE[size, reps, transposed] = tile
+    return tile
 
 
 def _fft_iterative_radix2(x: np.ndarray, twiddle_first: bool = False) -> np.ndarray:
-    """Iterative Cooley-Tukey decimation-in-time; vectorized per stage.
+    """Radix-2 decimation in time, in Stockham (autosort) order; each
+    stage is three whole-array ufunc calls.
 
     Transforms the last axis; leading axes are independent batch rows.
-    Stages ping-pong between two preallocated buffers with out-parameter
-    ufuncs — the same multiplies/adds/subtracts on the same values in the
-    same order as the textbook concatenate form, minus the per-stage
-    temporary allocations (which dominated wall time for analyser-sized
-    batches).
+    With ``m = n // L``, the stage at length ``L`` holds the length-``L``
+    DFTs of x's ``m`` stride-``m`` subsequences ``x[r::m]`` and combines
+    each pair ``r``, ``r + m/2`` (the even and odd halves of
+    ``x[r::m/2]``) into one length-``2L`` DFT: ``even + odd*tw`` and
+    ``even - odd*tw`` with ``tw = _twiddles(2L)``. That is the recursion
+    ``DFT(x) = combine(DFT(x[0::2]), DFT(x[1::2]))`` evaluated level by
+    level, with the recursive kernel's twiddle values, so every
+    intermediate value is the same float; only where it sits in memory
+    differs.
+
+    Layout: while ``2*L*L < n`` the DFTs are kept as ``(L, m)`` rows
+    (bin-major), so a stage reads ``m/2``-long runs and writes its two
+    outputs as two contiguous blocks; then one copy transposes them to
+    ``(m, L)`` (subsequence-major), where a stage's inputs are contiguous
+    blocks and its outputs ``L``-long runs. No stage runs an inner loop
+    shorter than ``sqrt(n/2)``. Stages ping-pong between two
+    buffers, and no ufunc's ``out`` overlaps an operand: numpy may pick
+    another inner loop for overlapping operands, and whether the loop
+    fuses the complex multiply's multiply-add is what separates the two
+    operand orders.
 
     ``twiddle_first`` swaps the operands of the butterfly's complex
     product (``tw * odd`` instead of ``odd * tw``). Where numpy's complex
@@ -84,26 +104,41 @@ def _fft_iterative_radix2(x: np.ndarray, twiddle_first: bool = False) -> np.ndar
     """
     n = x.shape[-1]
     lead = x.shape[:-1]
-    a = np.asarray(x, dtype=np.complex128)[..., _bit_reverse_indices(n)]
+    a = np.array(x, dtype=np.complex128)
     if n == 1:
         return a
-    out = np.empty_like(a)
-    scratch = np.empty_like(a)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = _twiddles(size)
-        av = a.reshape(*lead, n // size, size)
-        ov = out.reshape(*lead, n // size, size)
-        even, odd = av[..., :half], av[..., half:]
-        product = scratch.reshape(*lead, n // size, size)[..., :half]
+    b = np.empty_like(a)
+    scratch = np.empty((*lead, n // 2), dtype=np.complex128)
+    size = 1  # L: the length of the DFTs held in ``a``
+    transposed = False
+    while size < n:
+        m = n // size
+        half = m // 2
+        if not transposed and 2 * size * size >= n:
+            np.copyto(b.reshape(*lead, m, size),
+                      a.reshape(*lead, size, m).swapaxes(-1, -2))
+            a, b = b, a
+            transposed = True
+        if transposed:
+            y = a.reshape(*lead, m, size)
+            even, odd = y[..., :half, :], y[..., half:, :]
+            out = b.reshape(*lead, half, 2 * size)
+            low, high = out[..., :size], out[..., size:]
+            product = scratch.reshape(*lead, half, size)
+        else:
+            y = a.reshape(*lead, size, m)
+            even, odd = y[..., :half], y[..., half:]
+            out = b.reshape(*lead, 2 * size, half)
+            low, high = out[..., :size, :], out[..., size:, :]
+            product = scratch.reshape(*lead, size, half)
+        tw = _twiddle_tile(2 * size, half, transposed)
         if twiddle_first:
             np.multiply(tw, odd, out=product)
         else:
             np.multiply(odd, tw, out=product)
-        np.add(even, product, out=ov[..., :half])
-        np.subtract(even, product, out=ov[..., half:])
-        a, out = out, a
+        np.add(even, product, out=low)
+        np.subtract(even, product, out=high)
+        a, b = b, a
         size *= 2
     return a
 

@@ -21,6 +21,7 @@ from repro import RenderCache, run_study
 from repro.platform import AudioStack, default_stack_pool
 from repro.platform.jitter import (PATHS, parse_path, sample_path,
                                    sample_repertoire)
+from repro.population.sampler import sample_population
 from repro.vectors import AUDIO_VECTORS, FULL_BATTERY, get_vector
 from repro.webaudio.fft import FFT_BACKENDS, get_fft_backend
 
@@ -184,3 +185,47 @@ class TestGroupingNeverChangesTheDataset:
         serial = _serial_study(**kw)
         batched = run_study(cache=RenderCache(), workers=0, **kw)
         assert batched == serial
+
+
+def _group_jobs_per_row(keyed_classes, measuring):
+    """The grouping ``_group_jobs`` replaced: one ``(key, (vector, stack,
+    path))`` reference per row, keyed and looked up, and a new member
+    tuple built, for every row (the reference the class-at-a-time
+    grouping must equal)."""
+    groups = {}
+    for key, (vector_name, stack, path) in keyed_classes:
+        entry = groups.setdefault((vector_name, stack.cache_key()),
+                                  (vector_name, stack, []))
+        entry[2].append((key, path))
+    jobs = []
+    for vector_name, stack, members in groups.values():
+        for lo in range(0, len(members), study_mod._MAX_BATCH):
+            measure = (study_mod._MEASURE_OFF if not measuring else
+                       study_mod._MEASURE_NODES if lo == 0
+                       else study_mod._MEASURE_TIME)
+            jobs.append((vector_name, stack,
+                         members[lo:lo + study_mod._MAX_BATCH], measure))
+    return jobs
+
+
+@pytest.mark.parametrize("measuring", [False, True],
+                         ids=["no-recorder", "recorder"])
+@pytest.mark.parametrize("cache", ["off", "cold"])
+def test_group_jobs_equals_per_row_grouping(cache, measuring, monkeypatch):
+    """Grouping class ids job for job as the per-row grouping does: the
+    same jobs in the same order, with the same members and measure
+    levels, for the cache-off rows (every grid item, in grid order) and
+    a cold cache's misses (every class, in id order). Sub-batches of 3
+    rows split the larger groups."""
+    monkeypatch.setattr(study_mod, "_MAX_BATCH", 3)
+    run = SimpleNamespace(seed=5, iterations=6, vectors=FULL_BATTERY)
+    grids, classes = study_mod._plan(run, sample_population(40, 5))
+    if cache == "off":
+        rows = np.stack([grids[name] for name in run.vectors],
+                        axis=1).ravel().tolist()
+    else:
+        rows = list(range(len(classes)))
+    jobs = study_mod._group_jobs(classes, rows, measuring)
+    assert jobs == _group_jobs_per_row([classes[cid] for cid in rows],
+                                       measuring)
+    assert sum(len(job[2]) for job in jobs) == len(rows)

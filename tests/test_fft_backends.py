@@ -1,8 +1,10 @@
 """Property-style checks: every custom FFT backend matches numpy.fft.fft
 within its declared tolerance, on power-of-two sizes (native kernels) and
 non-power-of-two sizes (Bluestein chirp-z path), at fixed seeds. A
-hypothesis test pins ``SplitRadixFFT``'s iterative kernel byte for byte
-to the recursive kernel it replaced (``HYPOTHESIS_PROFILE=deep``
+hypothesis test pins the power-of-two kernel byte for byte to the
+recursive kernel, in both operand orders of the twiddle product
+(``Radix2FFT`` and ``SplitRadixFFT``), and ``BluesteinFFT`` is pinned to
+the chirp-z transform run on that oracle (``HYPOTHESIS_PROFILE=deep``
 searches longer; profiles are registered in the root ``conftest.py``).
 """
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.webaudio.fft import (FFT_BACKENDS, SplitRadixFFT, _twiddles,
-                                get_fft_backend)
+from repro.webaudio.fft import (FFT_BACKENDS, BluesteinFFT, Radix2FFT,
+                                SplitRadixFFT, _twiddles, get_fft_backend)
 
 POW2_SIZES = [8, 32, 128, 512, 2048]
 NON_POW2_SIZES = [3, 12, 100, 441, 1000]
@@ -91,10 +93,12 @@ def test_empty_input():
         assert get_fft_backend(name).fft(np.zeros(0)).shape == (0,)
 
 
-def _fft_recursive(x: np.ndarray) -> np.ndarray:
+def _fft_recursive(x: np.ndarray, twiddle_first: bool = True) -> np.ndarray:
     """The recursive radix-2 kernel ``SplitRadixFFT`` used to run: the
     reference the iterative kernel must reproduce byte for byte. Kept
-    here, as it was, as the test oracle."""
+    here, as it was, as the test oracle; ``twiddle_first=False`` swaps
+    the twiddle product's operands to ``odd * tw``, ``Radix2FFT``'s
+    order."""
     n = x.shape[-1]
     if n == 1:
         return x.astype(np.complex128)
@@ -102,30 +106,49 @@ def _fft_recursive(x: np.ndarray) -> np.ndarray:
         # unrolled base case: the exact ops of the two n == 1 leaves plus
         # the n == 2 combine, minus two Python frames per leaf pair
         even = x[..., 0::2].astype(np.complex128)
-        t = _twiddles(2) * x[..., 1::2].astype(np.complex128)
+        odd = x[..., 1::2].astype(np.complex128)
+        t = _twiddles(2) * odd if twiddle_first else odd * _twiddles(2)
         return np.concatenate([even + t, even - t], axis=-1)
-    even = _fft_recursive(x[..., ::2])
-    odd = _fft_recursive(x[..., 1::2])
-    t = _twiddles(n) * odd
+    even = _fft_recursive(x[..., ::2], twiddle_first)
+    odd = _fft_recursive(x[..., 1::2], twiddle_first)
+    t = _twiddles(n) * odd if twiddle_first else odd * _twiddles(n)
     return np.concatenate([even + t, even - t], axis=-1)
 
 
+@pytest.mark.parametrize("backend, twiddle_first",
+                         [(Radix2FFT(), False), (SplitRadixFFT(), True)],
+                         ids=["radix2", "splitradix"])
 @given(n=st.sampled_from([2 ** k for k in range(16)]),
-       lead=st.sampled_from([(), (1,), (3,), (2, 5)]),
+       lead=st.sampled_from([(), (1,), (3,), (2, 5), (14,)]),
        complex_input=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 @example(n=1, lead=(3,), complex_input=False, seed=0)
 @example(n=2, lead=(), complex_input=True, seed=1)
 @example(n=4, lead=(2, 5), complex_input=False, seed=2)
+@example(n=2048, lead=(14,), complex_input=False, seed=4)
 @example(n=32768, lead=(1,), complex_input=True, seed=3)
-def test_split_radix_equals_recursive_kernel(n, lead, complex_input, seed):
-    """``SplitRadixFFT`` runs the iterative kernel with the twiddle as the
-    product's first operand, which is exactly the recursive kernel's
-    arithmetic: same butterflies, same order, same bytes."""
+def test_pow2_kernel_equals_recursive_kernel(backend, twiddle_first, n, lead,
+                                             complex_input, seed):
+    """The iterative kernel evaluates the recursive kernel's butterflies
+    on the same values with the same twiddles, in the backend's operand
+    order (``odd * tw`` for ``radix2``, ``tw * odd`` for ``splitradix``):
+    same bytes, whatever its memory layout."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((*lead, n))
     if complex_input:
         x = x + 1j * rng.standard_normal(x.shape)
-    got = SplitRadixFFT().fft(x)
-    want = _fft_recursive(np.asarray(x, dtype=np.complex128))
+    got = backend.fft(x)
+    want = _fft_recursive(np.asarray(x, dtype=np.complex128), twiddle_first)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2048, 441])
+def test_bluestein_equals_chirp_z_on_the_oracle(n):
+    """``BluesteinFFT`` runs the power-of-two kernel in ``odd * tw`` order
+    inside its chirp-z transform, at a power-of-two n too: with that
+    kernel replaced by the recursive oracle, the transform gives the
+    same bytes."""
+    x = np.random.default_rng(n).standard_normal((3, n))
+    reference = BluesteinFFT()  # a fresh chirp cache, built on the oracle
+    reference._fft_pow2 = lambda a: _fft_recursive(a, twiddle_first=False)
+    assert BluesteinFFT().fft(x).tobytes() == reference.fft(x).tobytes()

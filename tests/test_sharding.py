@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.population.shards as shards_mod
-from repro import Recorder, run_study, run_study_sharded
+from repro import RenderCache, Recorder, run_study, run_study_sharded
 from repro.population import ShardIntegrityError, shard_ranges
 from repro.population.dataset import StudyDataset
 from repro.population.sampler import sample_population, sample_population_slice
@@ -366,6 +366,33 @@ class TestShardedRunReport:
             workload = json.loads(report_path.read_text())["workload"]
             grids.append((workload["grid_items"], end["grid_items"]))
         assert grids == [(9 * 5 * 3, 9 * 5 * 3)] * 2
+
+    @pytest.mark.parametrize("disabled, shard_size",
+                             [(True, 9), (False, 9), (False, 3)],
+                             ids=["cache-off", "shared-cache",
+                                  "shared-cache-3-shards"])
+    def test_study_end_counts_classes_rendered(self, tmp_path, disabled,
+                                               shard_size):
+        """``study.end``'s ``rendered`` counts the classes rendered, as
+        ``run_study``'s does, not the renders sent to the renderer: with
+        the cache off one shard of 9 users logs the study's 11 classes,
+        not its 90 grid items, and over one shared cache the shards'
+        classes add up to ``run_study``'s count."""
+        study = dict(iterations=5, vectors=("dc", "fft"), seed=7)
+        ends = []
+        for sharded_run in (False, True):
+            recorder = Recorder()
+            kw = dict(cache=RenderCache(disabled=disabled), workers=0,
+                      recorder=recorder, **study)
+            if sharded_run:
+                run_study_sharded(9, shard_size, str(tmp_path / "shards"),
+                                  **kw)
+            else:
+                run_study(9, **kw)
+            end, = (e for e in recorder.events if e["kind"] == "study.end")
+            ends.append((end["grid_items"], end["distinct_classes"],
+                         end["rendered"]))
+        assert ends == [(90, 11, 11)] * 2
 
     def test_report_names_the_largest_pool_a_shard_used(self, tmp_path):
         """Each shard pools min(workers, its jobs): here 2 for the first
