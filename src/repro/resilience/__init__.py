@@ -2,12 +2,14 @@
 
 Three cooperating pieces:
 
-  executor    ``SupervisedExecutor``: individual job submission with
+  executor    ``SupervisedExecutor``: worker processes it starts and
+              drives over one pipe each, one job per idle worker with
               per-job deadlines, retry with capped exponential backoff +
               deterministic jitter, batch bisection to corner poison
               classes, pool rebuild on crash/hang, inline fallback on
               repeated pool death, quarantine + ``StudyExecutionError``
-              instead of ``BrokenProcessPool`` or a hang.
+              instead of a dead pool or a hang, and every worker reaped
+              before ``run`` ends.
   policy      ``RetryPolicy`` (the knobs) and ``RetryBudget`` (the
               run-wide cap that bounds total retry work).
   faults      the seed-deterministic, env-gated (``$REPRO_FAULTS``)

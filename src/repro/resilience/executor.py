@@ -1,15 +1,16 @@
-"""SupervisedExecutor: the fault-tolerant replacement for bare
-``ProcessPoolExecutor.map`` in the study's RENDER phase.
+"""SupervisedExecutor: the fault-tolerant worker pool of the study's
+RENDER phase.
 
 Supervision model (one loop, four recovery paths):
 
-* **Individual submission + per-job deadlines.** Jobs are submitted one
-  future at a time (bounded in-flight backlog), each stamped with a
-  deadline on the supervisor's monotonic clock — every deadline and
-  backoff instant here flows through ``self._clock`` (``time.monotonic``
-  by default, injectable for tests), never ``time.time``, so a stepped
-  wall clock cannot fire deadlines early. ``map`` offers neither; with
-  it, one bad job aborts the whole iterator.
+* **One job per idle worker + per-job deadlines.** The supervisor starts
+  its worker processes itself, one duplex pipe each, and sends a job only
+  to an idle worker, so each deadline times that job's own run. It waits
+  on the busy workers' pipes and runs no thread. Every deadline and
+  backoff instant flows through ``self._clock`` (``time.monotonic`` by
+  default, injectable for tests), never ``time.time``, so a stepped wall
+  clock cannot fire deadlines early. One bad job fails alone: a worker's
+  exception comes back over its pipe as that job's error.
 * **Retry with capped exponential backoff.** A failed job re-enters the
   queue after a seed-deterministic jittered delay (``RetryPolicy``);
   every re-submission spends the run-wide ``RetryBudget``, so a
@@ -18,12 +19,15 @@ Supervision model (one loop, four recovery paths):
   cut in half: the poison member is cornered in O(log n) splits while its
   healthy siblings render normally, instead of the whole group dying
   together.
-* **Degradation.** A worker crash breaks the entire pool
-  (``BrokenProcessPool``) — the supervisor harvests whatever results
-  completed, charges the in-flight jobs, and rebuilds the pool. A hung
+* **Degradation.** A worker crash (EOF on its pipe, or a failed send to
+  it) takes the pool down: the supervisor harvests whatever results
+  arrived, charges the in-flight jobs, and starts a fresh pool. A hung
   worker (deadline overrun) gets its pool terminated the same way. Past
   ``max_pool_rebuilds`` the supervisor stops trusting pools entirely and
   renders inline in the supervising process.
+
+Every worker is reaped before ``run`` returns, raises or is closed: an
+idle one is sent the stop message, a busy one is terminated.
 
 Jobs that exhaust their attempts (or the budget) are *quarantined*: the
 run completes everything else, then raises ``StudyExecutionError`` naming
@@ -33,10 +37,11 @@ metrics, any worker count.
 """
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, \
-    ProcessPoolExecutor, wait
+from multiprocessing.connection import wait
 
 from ..obs import NULL_RECORDER
 from .errors import SimulatedWorkerCrash, StudyExecutionError
@@ -59,6 +64,45 @@ class _JobState:
         self.failures = 0
         self.not_before = 0.0
         self.token = token
+
+
+class _Worker:
+    """A pool process and the supervisor's end of its pipe; ``state`` is
+    the job it is running (None when idle), due at ``deadline``."""
+    __slots__ = ("process", "conn", "state", "deadline")
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+        self.state: _JobState | None = None
+        self.deadline = 0.0
+
+
+def _serve(worker, conn) -> None:
+    """A pool worker's loop: run ``worker`` on each ``(job,)`` received
+    over ``conn`` and send back ``(True, result)`` or ``(False,
+    exception)``, until the stop message ``None``."""
+    while (message := conn.recv()) is not None:
+        try:
+            reply = (True, worker(message[0]))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:
+            # the result or the exception will not pickle; pickling comes
+            # before the write, so nothing was sent
+            conn.send((False, pickle.PicklingError(repr(exc))))
+
+
+def _receive(conn):
+    """A worker's ``(ok, value)`` reply. EOF or OSError means the worker
+    died; a reply that will not unpickle arrives as an error."""
+    reply = conn.recv_bytes()
+    try:
+        return pickle.loads(reply)
+    except Exception as exc:
+        return False, exc
 
 
 class SupervisedExecutor:
@@ -199,8 +243,7 @@ class SupervisedExecutor:
         states.append(state)
 
     def _classify(self, exc: BaseException) -> str:
-        return "crash" if isinstance(exc, (BrokenExecutor, SimulatedWorkerCrash)) \
-            else "error"
+        return "crash" if isinstance(exc, SimulatedWorkerCrash) else "error"
 
     def _valid(self, state: _JobState, result) -> bool:
         if self._validator is None:
@@ -243,22 +286,50 @@ class SupervisedExecutor:
             yield result
 
     # -- pooled execution ----------------------------------------------------
-    def _new_pool(self) -> ProcessPoolExecutor | None:
+    def _new_pool(self, jobs: int) -> list[_Worker] | None:
+        """Start ``min(workers, jobs)`` worker processes, one pipe each;
+        None if one fails to start. They start in the default context
+        (fork on Linux), which is safe because the supervisor runs no
+        thread."""
+        pool: list[_Worker] = []
         try:
-            return ProcessPoolExecutor(max_workers=self.workers)
+            for _ in range(min(self.workers, jobs)):
+                conn, child = multiprocessing.Pipe()
+                process = multiprocessing.Process(
+                    target=_serve, args=(self._worker, child))
+                try:
+                    process.start()
+                finally:
+                    # the worker holds the only other copy of its end, so
+                    # its death reads as EOF on ``conn``
+                    child.close()
+                pool.append(_Worker(process, conn))
         except Exception:
+            self._stop_pool(pool)
             return None
+        return pool
 
-    def _rebuild_pool(self, pool) -> ProcessPoolExecutor | None:
+    def _stop_pool(self, pool: list[_Worker]) -> None:
+        """Reap every worker: an idle one gets the stop message, a busy or
+        dead one is terminated. Closing a pipe would not stop its worker:
+        every worker forked after it holds a copy of the parent's end."""
+        for w in pool:
+            if w.state is None:
+                try:
+                    w.conn.send(None)
+                    continue
+                except OSError:
+                    pass
+            w.process.terminate()
+        for w in pool:
+            w.process.join()
+            w.conn.close()
+
+    def _rebuild_pool(self, pool: list[_Worker],
+                      states: deque) -> list[_Worker] | None:
         """Tear down a broken/wedged pool; a fresh one, or None once the
         rebuild allowance is spent (inline fallback)."""
-        if pool is not None:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
+        self._stop_pool(pool)
         self._counts["pool_rebuilds"] += 1
         if self._measuring:
             self._recorder.count("degraded.pool_rebuilds")
@@ -266,97 +337,102 @@ class SupervisedExecutor:
                                  rebuilds=self._counts["pool_rebuilds"])
         if self._counts["pool_rebuilds"] > self.policy.max_pool_rebuilds:
             return None
-        return self._new_pool()
+        return self._new_pool(len(states))
+
+    def _dispatch(self, pool: list[_Worker], states: deque) -> bool:
+        """Send one ready job to each idle worker: no send can then block
+        on a busy worker, and each deadline times the job's own run. True
+        if a send found its worker dead."""
+        now = self._clock()
+        for w in pool:
+            if w.state is not None:
+                continue
+            state = self._pop_ready(states, now)
+            if state is None:
+                break
+            self._record_attempt()
+            try:
+                w.conn.send((state.job,))
+            except OSError:  # the worker has died
+                self._fail(state, "crash", states)
+                return True
+            except Exception:  # the job will not pickle
+                self._fail(state, "error", states)
+                continue
+            w.state = state
+            w.deadline = now + self.policy.job_deadline_s
+        return False
 
     def _run_pooled(self, states: deque):
-        pool = self._new_pool()
-        in_flight: dict = {}  # future -> (state, deadline)
+        pool = self._new_pool(len(states))
         try:
-            while states or in_flight:
-                if pool is None:
-                    # pool death past the rebuild allowance: drain what is
-                    # left inline, in this process
-                    if not self._inline_fallback:
-                        self._inline_fallback = True
-                        if self._measuring:
-                            self._recorder.count("degraded.inline_fallbacks")
-                            self._recorder.event("pool.inline_fallback")
-                    for _, (state, _) in in_flight.items():
-                        states.append(state)
-                    in_flight.clear()
-                    yield from self._run_inline(states)
-                    return
-
-                now = self._clock()
-                while states and len(in_flight) < 2 * self.workers:
-                    state = self._pop_ready(states, now)
-                    if state is None:
-                        break
-                    self._record_attempt()
-                    try:
-                        future = pool.submit(self._worker, state.job)
-                    except (BrokenExecutor, RuntimeError):
-                        self._fail(state, "crash", states)
-                        pool = self._rebuild_pool(pool)
-                        break
-                    in_flight[future] = (state, now + self.policy.job_deadline_s)
-                if pool is None or not in_flight:
-                    if states and not in_flight:
-                        # everything queued is backing off — wait it out
-                        now = self._clock()
-                        self._sleep(max(0.0, min(s.not_before
-                                                 for s in states) - now))
+            while pool is not None:
+                broken = self._dispatch(pool, states)
+                busy = {w.conn: w for w in pool if w.state is not None}
+                if not (busy or broken):
+                    if not states:
+                        return
+                    # everything queued is backing off — wait it out
+                    self._sleep(max(0.0, min(s.not_before for s in states)
+                                    - self._clock()))
                     continue
 
-                # wake at the earliest interesting instant: a job deadline
-                # or a backed-off job becoming ready for a free slot
-                wake_at = min(d for _, d in in_flight.values())
-                if states and len(in_flight) < 2 * self.workers:
-                    wake_at = min(wake_at,
-                                  min(s.not_before for s in states))
-                done, _ = wait(in_flight.keys(),
-                               timeout=max(0.0, wake_at - self._clock()),
-                               return_when=FIRST_COMPLETED)
+                if not broken:
+                    # wake at the earliest interesting instant: a job
+                    # deadline or a backed-off job becoming ready for an
+                    # idle worker
+                    wake_at = min(w.deadline for w in busy.values())
+                    if states and len(busy) < len(pool):
+                        wake_at = min(wake_at,
+                                      min(s.not_before for s in states))
+                    timeout = max(0.0, wake_at - self._clock())
+                    for conn in wait(list(busy), timeout):
+                        w = busy.pop(conn)
+                        state, w.state = w.state, None
+                        try:
+                            ok, value = _receive(conn)
+                        except (EOFError, OSError):  # the worker has died
+                            self._fail(state, "crash", states)
+                            broken = True
+                            continue
+                        if not ok:
+                            kind = self._classify(value)
+                            broken = broken or kind == "crash"
+                            self._fail(state, kind, states)
+                        elif not self._valid(state, value):
+                            self._fail(state, "corrupt", states)
+                        else:
+                            yield value
 
-                pool_broken = False
-                for future in done:
-                    state, _ = in_flight.pop(future)
-                    try:
-                        result = future.result()
-                    except Exception as exc:
-                        kind = self._classify(exc)
-                        pool_broken = pool_broken or kind == "crash"
-                        self._fail(state, kind, states)
-                        continue
-                    if not self._valid(state, result):
-                        self._fail(state, "corrupt", states)
-                        continue
-                    yield result
-
-                if pool_broken:
-                    # the pool died under the remaining in-flight jobs too:
-                    # charge them and start a fresh pool
-                    for future, (state, _) in in_flight.items():
-                        self._fail(state, "crash", states)
-                    in_flight.clear()
-                    pool = self._rebuild_pool(pool)
+                if broken:
+                    # the pool dies with the crashed worker: charge the jobs
+                    # still in flight and start a fresh pool
+                    for w in busy.values():
+                        self._fail(w.state, "crash", states)
+                    pool = self._rebuild_pool(pool, states)
                     continue
 
                 now = self._clock()
-                expired = [f for f, (_, deadline) in in_flight.items()
-                           if now >= deadline]
-                if expired:
-                    # a worker blew its deadline: presume it hung. There is
-                    # no cancelling a running task, so the whole pool goes;
-                    # the overdue jobs are charged, innocent in-flight
-                    # siblings are requeued free of charge.
-                    for future in expired:
-                        state, _ = in_flight.pop(future)
-                        self._fail(state, "timeout", states)
-                    for future, (state, _) in in_flight.items():
-                        states.append(state)
-                    in_flight.clear()
-                    pool = self._rebuild_pool(pool)
+                if any(now >= w.deadline for w in busy.values()):
+                    # a worker blew its deadline: presume it hung. A running
+                    # job cannot be cancelled, so the whole pool goes; the
+                    # overdue jobs are charged, innocent in-flight siblings
+                    # are requeued free of charge.
+                    for w in busy.values():
+                        if now >= w.deadline:
+                            self._fail(w.state, "timeout", states)
+                        else:
+                            states.append(w.state)
+                    pool = self._rebuild_pool(pool, states)
+
+            # pool death past the rebuild allowance: drain what is left
+            # inline, in this process
+            if not self._inline_fallback:
+                self._inline_fallback = True
+                if self._measuring:
+                    self._recorder.count("degraded.inline_fallbacks")
+                    self._recorder.event("pool.inline_fallback")
+            yield from self._run_inline(states)
         finally:
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                self._stop_pool(pool)

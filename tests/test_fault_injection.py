@@ -2,7 +2,7 @@
 hangs, and corrupted returns must be recovered bit-identically at any
 worker count, surface in the run report's retry/degraded sections, and —
 when unrecoverable — turn into StudyExecutionError naming the
-quarantined classes instead of a hang or BrokenProcessPool."""
+quarantined classes instead of a hang or a dead worker pool."""
 import json
 
 import pytest

@@ -10,6 +10,7 @@
    section.
 """
 import json
+import multiprocessing
 
 import pytest
 
@@ -17,10 +18,15 @@ from repro import RenderCache, run_study
 from repro.obs import NullRecorder, Recorder
 
 # 4 users x 2 iterations x 3 vectors = 24 grid items in 6 (vector, stack)
-# batch groups: more than one, so workers=2 really exercises the
-# ProcessPoolExecutor merge path.
+# batch groups: more than one, so workers=2 really starts two worker
+# processes and merges the metrics they send back over their pipes.
 POOLED = dict(user_count=4, iterations=2, vectors=("dc", "fft", "hybrid"),
               seed=5)
+
+
+def test_pooled_study_leaves_no_worker():
+    run_study(cache=RenderCache(disabled=True), workers=2, **POOLED)
+    assert multiprocessing.active_children() == []
 
 
 def _aggregates(recorder):

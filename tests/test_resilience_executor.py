@@ -1,14 +1,20 @@
 """SupervisedExecutor unit coverage: retry/backoff, validation, bisection,
-quarantine, budget, pool crash/hang recovery, inline fallback — all on
+quarantine, budget, pool crash/hang recovery, worker exceptions, inline
+fallback, reaping of every worker, and a randomised fault mix — all on
 synthetic workers, independent of the render pipeline."""
+import multiprocessing
 import os
+import tempfile
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import Recorder
-from repro.resilience import (RetryBudget, RetryPolicy, StudyExecutionError,
-                              SupervisedExecutor)
+from repro.resilience import (RetryBudget, RetryPolicy, SimulatedWorkerCrash,
+                              StudyExecutionError, SupervisedExecutor)
 
 #: fast knobs so failure paths converge in milliseconds
 FAST = RetryPolicy(base_delay_s=0.001, max_delay_s=0.005, job_deadline_s=10.0)
@@ -34,6 +40,42 @@ def _hang_once(job):
         open(marker, "w").close()
         time.sleep(seconds)
     return value * 2
+
+
+class _UnpicklableError(RuntimeError):
+    """Cannot cross a pipe: an attribute holds a lambda."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class _UnloadableError(RuntimeError):
+    """Pickles, but its ``args`` do not fit ``__init__``: unpickling it
+    raises ``TypeError``."""
+
+    def __init__(self, message):
+        super().__init__(message, "extra")
+
+
+def _raise_once(job):
+    """Pool worker: raises ``error(...)`` the first time each marker is
+    seen."""
+    value, marker, error = job
+    if marker and not os.path.exists(marker):
+        open(marker, "w").close()
+        raise error(f"injected failure for {value}")
+    return value * 2
+
+
+def _no_survivor(call):
+    """``call()``, which must return within a few seconds and leave no
+    worker process behind."""
+    start = time.monotonic()
+    result = call()
+    assert time.monotonic() - start < 10.0
+    assert multiprocessing.active_children() == []
+    return result
 
 
 class _FlakyInline:
@@ -158,9 +200,13 @@ class TestInline:
 
 
 class TestPooled:
-    def test_happy_path(self):
-        ex = SupervisedExecutor(_double, workers=2, policy=FAST)
-        assert sorted(ex.run(range(12))) == [2 * n for n in range(12)]
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_happy_path(self, workers):
+        # at 4, each later worker holds the parent's end of every earlier
+        # worker's pipe: closing that end would not stop its worker
+        ex = SupervisedExecutor(_double, workers=workers, policy=FAST)
+        results = _no_survivor(lambda: sorted(ex.run(range(12))))
+        assert results == [2 * n for n in range(12)]
         assert ex.summary()["degraded"]["pool_rebuilds"] == 0
 
     def test_recovers_from_worker_crash(self, tmp_path):
@@ -169,7 +215,8 @@ class TestPooled:
         marker = str(tmp_path / "crashed")
         jobs = [(n, marker if n == 3 else None) for n in range(8)]
         ex = SupervisedExecutor(_crash_once, workers=2, policy=FAST)
-        assert sorted(ex.run(jobs)) == [2 * n for n in range(8)]
+        results = _no_survivor(lambda: sorted(ex.run(jobs)))
+        assert results == [2 * n for n in range(8)]
         summary = ex.summary()
         assert summary["retry"]["crashes"] >= 1
         assert summary["degraded"]["pool_rebuilds"] >= 1
@@ -177,19 +224,60 @@ class TestPooled:
 
     def test_recovers_from_hung_worker(self, tmp_path):
         """A worker sleeping past its deadline is presumed hung: its pool
-        is torn down and the job retried on a fresh one."""
+        is torn down and the job retried on a fresh one, without waiting
+        out the 30s sleep."""
         marker = str(tmp_path / "hung")
         jobs = [(n, marker if n == 1 else None, 30.0) for n in range(4)]
         ex = SupervisedExecutor(
             _hang_once, workers=2,
             policy=RetryPolicy(job_deadline_s=1.0, base_delay_s=0.01))
-        start = time.monotonic()
-        assert sorted(ex.run(jobs)) == [2 * n for n in range(4)]
-        # recovery must not wait out the 30s sleep
-        assert time.monotonic() - start < 20.0
+        results = _no_survivor(lambda: sorted(ex.run(jobs)))
+        assert results == [2 * n for n in range(4)]
         summary = ex.summary()
         assert summary["retry"]["timeouts"] >= 1
         assert summary["degraded"]["pool_rebuilds"] >= 1
+
+    @pytest.mark.parametrize("error", [RuntimeError, _UnpicklableError,
+                                       _UnloadableError],
+                             ids=["picklable", "unpicklable", "unloadable"])
+    def test_worker_exception_is_an_error(self, tmp_path, error):
+        """An exception raised in a pool worker fails that job alone, even
+        one that cannot be pickled, or unpickled, on its way back: one
+        error, one retry, no rebuild."""
+        marker = str(tmp_path / "raised")
+        jobs = [(n, marker if n == 2 else None, error) for n in range(6)]
+        ex = SupervisedExecutor(_raise_once, workers=2, policy=FAST)
+        assert sorted(ex.run(jobs)) == [2 * n for n in range(6)]
+        summary = ex.summary()
+        assert summary["retry"]["worker_errors"] == 1
+        assert summary["retry"]["retries"] == 1
+        assert summary["degraded"]["pool_rebuilds"] == 0
+
+    def test_quarantine_reaps_the_pool(self):
+        worker = _FlakyInline(fail_jobs={2}, failures=99)
+        ex = SupervisedExecutor(worker, workers=2,
+                                policy=RetryPolicy(max_attempts=2,
+                                                   base_delay_s=0.001),
+                                keys_of=lambda job: [f"job-{job}"])
+
+        def run():
+            with pytest.raises(StudyExecutionError) as err:
+                list(ex.run(range(4)))
+            assert err.value.quarantined == ["job-2"]
+        _no_survivor(run)
+
+    def test_closing_the_run_reaps_busy_workers(self, tmp_path):
+        """A consumer that stops early closes the generator while jobs
+        still sleep in the pool: they are terminated, not waited for."""
+        markers = [str(tmp_path / f"m{n}") for n in range(4)]
+        jobs = [(0, None, 0.0)] + [(n, markers[n], 30.0) for n in (1, 2, 3)]
+        ex = SupervisedExecutor(_hang_once, workers=2, policy=FAST)
+
+        def run():
+            results = ex.run(jobs)
+            assert next(results) == 0
+            results.close()
+        _no_survivor(run)
 
     def test_falls_back_inline_after_repeated_pool_death(self, tmp_path):
         # one poison job, rebuild allowance zero: the first pool death
@@ -201,7 +289,69 @@ class TestPooled:
             _crash_once, workers=2,
             policy=RetryPolicy(max_pool_rebuilds=0, base_delay_s=0.001,
                                max_attempts=6))
-        assert sorted(ex.run(jobs)) == [2 * n for n in range(6)]
+        results = _no_survivor(lambda: sorted(ex.run(jobs)))
+        assert results == [2 * n for n in range(6)]
         summary = ex.summary()["degraded"]
         assert summary["inline_fallback"] is True
         assert summary["pool_rebuilds"] >= 1
+
+
+_FAULT_KINDS = ("clean", "crash", "raise", "corrupt")
+
+#: no quarantine under the drawn faults: a job fails once by its own fault
+#: and at most once more per pool death (max_pool_rebuilds + 1 = 4)
+CHAOS = RetryPolicy(max_attempts=8, base_delay_s=0.001, max_delay_s=0.005,
+                    job_deadline_s=30.0)
+
+
+def _faulty(job):
+    """Pool worker for the randomised mix: a faulty job misbehaves the
+    first time its marker is claimed and runs clean after. A crash is a
+    real ``os._exit`` in a pool worker and ``SimulatedWorkerCrash`` in
+    the supervising process (the inline fallback)."""
+    value, kind, marker = job
+    if kind != "clean" and not os.path.exists(marker):
+        open(marker, "w").close()
+        if kind == "crash":
+            if multiprocessing.parent_process() is None:
+                raise SimulatedWorkerCrash(f"injected crash for {value}")
+            os._exit(5)
+        if kind == "raise":
+            raise RuntimeError(f"injected failure for {value}")
+        return "corrupt"
+    return value * 2
+
+
+@given(drawn=st.lists(st.tuples(st.integers(-1000, 1000),
+                                st.sampled_from(_FAULT_KINDS)),
+                      min_size=1, max_size=40),
+       workers=st.sampled_from([2, 3]))
+def test_pooled_equals_inline_under_faults(drawn, workers):
+    """Any mix of crash-once, raise-once and corrupt-once jobs yields the
+    fault-free inline results, charges every fault that fired, and leaves
+    no worker behind. A raise-once or corrupt-once job in flight when a
+    crash takes its pool down is charged as a crash, so those two counts
+    are exact only in a run without crashes."""
+    with tempfile.TemporaryDirectory() as ledger:
+        jobs = [(value, kind, os.path.join(ledger, f"{i}.{kind}"))
+                for i, (value, kind) in enumerate(drawn)]
+        ex = SupervisedExecutor(
+            _faulty, workers=workers, policy=CHAOS,
+            validator=lambda job, result: result == job[0] * 2)
+        pooled = sorted(ex.run(jobs))
+        fired = Counter(name.split(".")[1] for name in os.listdir(ledger))
+    inline = SupervisedExecutor(_faulty, workers=0).run(
+        [(value, "clean", None) for value, _ in drawn])
+    assert pooled == sorted(inline)
+    assert multiprocessing.active_children() == []
+
+    retry = ex.summary()["retry"]
+    assert retry["crashes"] >= fired["crash"]
+    assert retry["worker_errors"] <= fired["raise"]
+    assert retry["corrupt_returns"] <= fired["corrupt"]
+    assert retry["crashes"] + retry["worker_errors"] \
+        + retry["corrupt_returns"] >= sum(fired.values())
+    if not fired["crash"]:
+        assert retry["worker_errors"] == fired["raise"]
+        assert retry["corrupt_returns"] == fired["corrupt"]
+        assert ex.summary()["degraded"]["pool_rebuilds"] == 0
