@@ -19,8 +19,9 @@ three phases:
                 (vector, stack, path) and cache key.
   2. RENDER   — resolve every class to its eFP: probe the cache once per
                 class, and render the misses grouped by (vector, stack), up to
-                ``_MAX_BATCH`` rows per engine pass (each row bit-identical
-                to rendering it alone, pinned by tests). Groups run under a
+                ``_MAX_BATCH`` rows per job and one engine pass per job
+                (each row bit-identical to rendering it alone, pinned by
+                tests). Groups run under a
                 ``repro.resilience.SupervisedExecutor``: per-job deadlines,
                 capped deterministic retries, bisection down to the poison
                 class, inline fallback when the pool dies, and a retry
@@ -84,10 +85,11 @@ _STUDY_STREAM = 0x57D  # per-user jitter streams, disjoint from the sampler's
 #: prefetched rng words and class keys) while keeping the array pass wide.
 _PLAN_BLOCK = 4096
 
-#: Batch rows per engine pass. Caps the working set of a batched render
-#: ((B, channels, 5000) float64 blocks plus the analyser history) while
-#: keeping the interpreter amortization; row results are independent, so
-#: splitting a group across sub-batches cannot change any eFP.
+#: Rows per render job. Caps a job's rows, the readout frames it windows
+#: and transforms (one ``fft_size`` row per distinct jitter path), and the
+#: unit a failed job is retried or bisected as, while keeping one graph
+#: build and one engine pass for many rows; row results are independent,
+#: so splitting a group across jobs cannot change any eFP.
 _MAX_BATCH = 256
 
 #: measure levels carried by each render job
@@ -98,7 +100,7 @@ _MEASURE_NODES = 2  # wall-clock + per-node profile
 
 def _render_group(job: tuple[str, AudioStack, list, int]):
     """Pool worker: render one (vector, stack) batch group in a single
-    batched engine pass. Top-level for pickling.
+    engine pass. Top-level for pickling.
 
     Returns ``(pairs, metrics)`` where pairs is ``[(key, efp), ...]`` in
     member order and metrics is None unless the job asked to be measured.
@@ -525,21 +527,22 @@ def _render_range(run: _StudyRun, tally: _Tally, grids,
     meter = None
     if run.progress:
         stream = run.progress if hasattr(run.progress, "write") else None
-        meter = ProgressMeter(total_jobs=len(jobs),
-                              total_classes=len(rows), stream=stream)
+        meter = ProgressMeter(total_jobs=len(jobs), total_rows=len(rows),
+                              stream=stream)
 
     rendered: dict[str, str] = {}
-    completed_jobs = 0
+    completed_jobs = rows_done = 0
     for pairs, metrics in supervisor.run(jobs):
         rendered.update(pairs)
         if metrics is not None:
             _absorb_batch_metrics(recorder, metrics)
         completed_jobs += 1
+        rows_done += len(pairs)
         if meter is not None:
-            meter.update(completed_jobs, len(rendered),
+            meter.update(completed_jobs, rows_done,
                          retries=supervisor.retries, hit_rate=cache.hit_rate)
     if meter is not None:
-        meter.finish(len(rendered), retries=supervisor.retries,
+        meter.finish(rows_done, retries=supervisor.retries,
                      hit_rate=cache.hit_rate)
     if not cache.disabled:
         for key, efp in rendered.items():

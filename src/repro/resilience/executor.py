@@ -27,7 +27,10 @@ Supervision model (one loop, four recovery paths):
   renders inline in the supervising process.
 
 Every worker is reaped before ``run`` returns, raises or is closed: an
-idle one is sent the stop message, a busy one is terminated.
+idle one is sent the stop message, a busy one is terminated. A worker
+whose supervising process is killed exits by itself: no process but the
+supervisor holds the supervisor's end of a worker's pipe, so the worker
+reads EOF.
 
 Jobs that exhaust their attempts (or the budget) are *quarantined*: the
 run completes everything else, then raises ``StudyExecutionError`` naming
@@ -78,21 +81,33 @@ class _Worker:
         self.deadline = 0.0
 
 
-def _serve(worker, conn) -> None:
+def _serve(worker, conn, inherited) -> None:
     """A pool worker's loop: run ``worker`` on each ``(job,)`` received
     over ``conn`` and send back ``(True, result)`` or ``(False,
-    exception)``, until the stop message ``None``."""
-    while (message := conn.recv()) is not None:
-        try:
-            reply = (True, worker(message[0]))
-        except Exception as exc:
-            reply = (False, exc)
-        try:
-            conn.send(reply)
-        except Exception as exc:
-            # the result or the exception will not pickle; pickling comes
-            # before the write, so nothing was sent
-            conn.send((False, pickle.PicklingError(repr(exc))))
+    exception)``, until the stop message ``None``.
+
+    ``inherited`` are the supervisor's ends of this worker's pipe and of
+    every earlier worker's, which the fork copied. They are closed first,
+    so that once the supervisor is gone no process holds its end: the
+    worker then reads EOF, or its reply meets a broken pipe, and it
+    exits quietly.
+    """
+    for end in inherited:
+        end.close()
+    try:
+        while (message := conn.recv()) is not None:
+            try:
+                reply = (True, worker(message[0]))
+            except Exception as exc:
+                reply = (False, exc)
+            try:
+                data = pickle.dumps(reply)
+            except Exception as exc:
+                # the result or the exception will not pickle
+                data = pickle.dumps((False, pickle.PicklingError(repr(exc))))
+            conn.send_bytes(data)
+    except (EOFError, OSError):
+        pass  # the supervisor is gone
 
 
 def _receive(conn):
@@ -295,13 +310,16 @@ class SupervisedExecutor:
         try:
             for _ in range(min(self.workers, jobs)):
                 conn, child = multiprocessing.Pipe()
+                inherited = [w.conn for w in pool] + [conn]
                 process = multiprocessing.Process(
-                    target=_serve, args=(self._worker, child))
+                    target=_serve, args=(self._worker, child, inherited))
                 try:
                     process.start()
                 finally:
                     # the worker holds the only other copy of its end, so
-                    # its death reads as EOF on ``conn``
+                    # its death reads as EOF on ``conn``; it closes its
+                    # copies of ``inherited``, so this process's death
+                    # reads as EOF in the worker
                     child.close()
                 pool.append(_Worker(process, conn))
         except Exception:
@@ -311,8 +329,8 @@ class SupervisedExecutor:
 
     def _stop_pool(self, pool: list[_Worker]) -> None:
         """Reap every worker: an idle one gets the stop message, a busy or
-        dead one is terminated. Closing a pipe would not stop its worker:
-        every worker forked after it holds a copy of the parent's end."""
+        dead one is terminated, so none outlives the call. (Closing a
+        worker's pipe would also end it, but only once its job is done.)"""
         for w in pool:
             if w.state is None:
                 try:

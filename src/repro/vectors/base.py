@@ -1,14 +1,15 @@
 """Vector API shared by all fingerprinting vectors.
 
 ``render_batch`` is the one render path: it renders a (vector, stack)
-group's B jitter paths in one graph build and one engine pass, and
-``render`` is its batch of one. It is the one place a batch is
-deduplicated: it renders, reads out and digests each distinct canonical
+group's jitter paths with one graph build, one engine pass and one
+readout, and ``render`` is its batch of one. It is the one place a
+batch is deduplicated: it reads out and digests each distinct canonical
 path once and gives every row its path's eFP. An audio vector supplies
 only its graph (``_build``) and inherits one of the two readouts:
 
-- ``AnalyserVector``: the AnalyserNode's frequency data, with each row's
-  jitter path applied at the readout (fft, hybrid, merged, am, fm);
+- ``AnalyserVector``: the AnalyserNode's frequency data, one row per
+  distinct jitter path, each path applied at the readout (fft, hybrid,
+  merged, am, fm);
 - ``SampleSumVector``: the sum of |samples| 4500..5000 of the rendered
   buffer, which never touches the analyser (dc, custom).
 
@@ -97,10 +98,10 @@ class AudioVector:
 
     def render_batch(self, stack, jitter_paths) -> list[str]:
         """Batched pure render: one graph build + one engine pass for all
-        paths of a (vector, stack) group, one row per distinct canonical
-        path in first-seen order. Returns one eFP per path; batch rows
-        never interact, so each equals the path rendered alone (pinned)."""
-        first: dict[str, int] = {}  # canonical path -> its rendered row
+        paths of a (vector, stack) group, and one readout row per distinct
+        canonical path in first-seen order. Returns one eFP per path; each
+        equals the path rendered alone (pinned)."""
+        first: dict[str, int] = {}  # canonical path -> its readout row
         inverse = [first.setdefault(self.canonical_path(p), len(first))
                    for p in jitter_paths]
         if not first:
@@ -124,26 +125,26 @@ class AudioVector:
         raise NotImplementedError
 
 
-def _render(vector, stack, rows: int):
-    """Build ``vector``'s graph in a mono ``RENDER_LENGTH`` context of
-    ``rows`` batch rows on ``stack`` and render it. Returns the rendered
-    ``(rows, 1, RENDER_LENGTH)`` batch and what ``_build`` returned."""
+def _render(vector, stack):
+    """Build ``vector``'s graph in a mono ``RENDER_LENGTH`` context on
+    ``stack`` and render it once. Returns the rendered ``AudioBuffer``
+    and what ``_build`` returned."""
     context = OfflineAudioContext(1, RENDER_LENGTH, stack.sample_rate,
-                                  config=stack.realize(), batch_size=rows)
+                                  config=stack.realize())
     built = vector._build(context)
-    return context.start_rendering_batch(), built
+    return context.start_rendering(), built
 
 
 class AnalyserVector(AudioVector):
     """Frequency-data readout: ``_build`` returns the graph's analyser.
-    The engine pass is jitter-independent; each row's jitter path is
-    applied at the analyser readout."""
+    The engine pass is jitter-independent; each jitter path is applied
+    at the analyser readout, one row per path."""
 
     uses_analyser = True
 
     def _features_batch(self, stack, jitters):
-        _, analyser = _render(self, stack, len(jitters))
-        return list(analyser.get_float_frequency_data_batch(jitters))
+        _, analyser = _render(self, stack)
+        return list(analyser.get_float_frequency_data(jitters))
 
 
 class SampleSumVector(AudioVector):
@@ -154,8 +155,8 @@ class SampleSumVector(AudioVector):
     uses_analyser = False
 
     def _features_batch(self, stack, jitters):
-        batch, _ = _render(self, stack, len(jitters))
+        buffer, _ = _render(self, stack)
         # the path is ignored, so ``render_batch`` sends one row: one
-        # 500-element pairwise sum per batch, the same at any batch size
-        return [f"{np.sum(np.abs(batch[b, 0, 4500:5000])):.17g}"
-                for b in range(batch.shape[0])]
+        # 500-element pairwise sum per render
+        samples = buffer.get_channel_data(0)[4500:5000]
+        return [f"{np.sum(np.abs(samples)):.17g}"] * len(jitters)

@@ -4,10 +4,9 @@ A sine chirp built from AudioParam automation (set + linear ramp across
 the whole buffer), compressed, then read through the analyser. The
 automated frequency changes from block to block, and with it the
 harmonic count; the oscillator's whole-buffer kernel keeps that block
-structure (per-block phase sums, one series per distinct count) on one
-row and broadcasts — the compressor and analyser after it run once per
-batch. This is the battery's one automated graph, so its fused ==
-quantum tests guard the automated-oscillator path.
+structure (per-block phase sums, one series per distinct count). This
+is the battery's one automated graph, so its fused == quantum tests
+guard the automated-oscillator path.
 """
 from __future__ import annotations
 

@@ -3,11 +3,9 @@ analyser.
 
 Three waveforms at different frequencies merged into one multi-channel
 stream, compressed, then read through the AnalyserNode — the widest
-graph in the battery. The fused path renders it like the others: the
-merger routes one row of the three row-uniform sources and broadcasts
-it, so the compressor after it also runs once per batch, not once per
-row (fused == quantum is what the tests pin). Inherits the analyser's
-load fickleness.
+graph in the battery. The fused path renders it like the others, each
+node once over the whole buffer (fused == quantum is what the tests
+pin). Inherits the analyser's load fickleness.
 """
 from __future__ import annotations
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import RENDER_QUANTUM_FRAMES
-from .node import AudioNode, batch_uniform, mix_to_channels
+from .node import AudioNode, mix_to_channels
 
 _DB_FLOOR = 1e-12  # linear floor before dB conversion
 
@@ -41,8 +41,8 @@ class DynamicsCompressorNode(AudioNode):
         self.attack = p.attack_s
         self.release = p.release_s
         self._makeup_exponent = p.makeup_exponent
-        #: per-row envelope state — every batch row compresses independently
-        self._envelope = np.zeros(context.batch_size, dtype=np.float64)
+        #: envelope state carried from block to block
+        self._envelope = 0.0
         self.reduction = 0.0  # dB, most recent block (informational, like the spec attr)
         #: cached ``coef ** arange(n)`` tables, keyed (coef, n) — the scan
         #: rebuilds nothing per block (exact same floats, see _pow_table)
@@ -83,31 +83,17 @@ class DynamicsCompressorNode(AudioNode):
             self._pow_cache[key] = tab
         return tab
 
-    def _one_pole_scan(self, x: np.ndarray, a: np.ndarray, y0: np.ndarray) -> np.ndarray:
-        """Closed-form y[n] = a*y[n-1] + (1-a)*x[n], whole block at once.
-
-        ``x`` is (B, n); ``a`` and ``y0`` are (B, 1) per-row coefficients and
-        initial states. ``a``'s entries are this node's attack/release
-        coefficients (that is all ``process_block`` ever passes), so the
-        power tables come from the per-coefficient cache. Every step is an
-        elementwise ufunc or a last-axis cumsum, so each row equals the
-        scalar-coefficient scan of that row.
-        """
-        n = x.shape[-1]
-        apow = np.where(a == self._attack_coef,
-                        self._pow_table(self._attack_coef, n),
-                        self._pow_table(self._release_coef, n))
-        s = np.cumsum(x / apow, axis=-1)
-        return (a * apow) * y0 + (1.0 - a) * apow * s
-
-    def _scan_block(self, level: np.ndarray, env: np.ndarray) -> np.ndarray:
-        """One quantum envelope step: pick attack vs release from the block
-        peak (one comparison per row per *block*, never per sample), then
-        the closed-form scan. ``level`` is (B, n), ``env`` is (B,)."""
-        peak = level.max(axis=-1)                            # (B,)
-        coef = np.where(peak > env,
-                        self._attack_coef, self._release_coef)[:, None]
-        return self._one_pole_scan(level, coef, env[:, None])
+    def _scan_block(self, level: np.ndarray, env: float) -> np.ndarray:
+        """One quantum envelope step from the state ``env``: pick attack
+        vs release from the block peak (one comparison per *block*, never
+        per sample), then the closed-form one-pole scan
+        ``y[n] = a*y[n-1] + (1-a)*x[n]`` over the (n,) ``level``, its
+        power table from the per-coefficient cache."""
+        a = (self._attack_coef if level.max() > env
+             else self._release_coef)
+        apow = self._pow_table(a, level.shape[-1])
+        s = np.cumsum(level / apow)
+        return (a * apow) * env + (1.0 - a) * apow * s
 
     def _gain_pipeline(self, env: np.ndarray, math) -> tuple[np.ndarray, np.ndarray]:
         """level -> dB -> curve -> linear gain, all elementwise — identical
@@ -117,28 +103,23 @@ class DynamicsCompressorNode(AudioNode):
         gain_lin = math.pow(10.0, gain_db / 20.0) * self._makeup
         return gain_db, gain_lin
 
-    def _set_reduction(self, gain_db: np.ndarray) -> None:
-        reduction = gain_db.min(axis=-1)
-        self.reduction = float(reduction[0]) if reduction.shape[0] == 1 else reduction
-
     def process_block(self, inputs, frame0, n):
         x = inputs[0]
         math = self.context.config.math
 
-        level = np.abs(mix_to_channels(x, 1)[:, 0, :])       # (B, n)
+        level = np.abs(mix_to_channels(x, 1)[0])             # (n,)
         env = self._scan_block(level, self._envelope)
-        self._envelope = env[:, -1].copy()
+        self._envelope = float(env[-1])
 
         gain_db, gain_lin = self._gain_pipeline(env, math)
-        self._set_reduction(gain_db)
-        return x * gain_lin[:, None, :]
+        self.reduction = float(gain_db.min())
+        return x * gain_lin
 
     def _scan_blocks(self, blocks: np.ndarray,
-                     env: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_scan_block`` over every block of a (rows, k, n) view, from
-        the (rows,) state ``env``: returns the (rows, k * n) envelope and
-        the state after the last block, every float equal to a
-        block-by-block scan's.
+                     env: float) -> tuple[np.ndarray, float]:
+        """``_scan_block`` over every block of a (k, n) view, from the
+        state ``env``: returns the (k * n,) envelope and the state after
+        the last block, every float equal to a block-by-block scan's.
 
         A block's scan depends on the blocks before it only through its
         start state and its attack/release pick. So the block peaks and
@@ -154,27 +135,23 @@ class DynamicsCompressorNode(AudioNode):
         scans = [np.cumsum(blocks / table, axis=-1) for table in tables]
         att, rel = coefs
         p_att, p_rel = float(tables[0][-1]), float(tables[1][-1])
-        picks, starts, state = [], [], []
-        for peaks, s_atts, s_rels, y in zip(blocks.max(axis=-1).tolist(),
-                                            scans[0][..., -1].tolist(),
-                                            scans[1][..., -1].tolist(),
-                                            env.tolist()):
-            picks.append([])
-            starts.append([])
-            for peak, s_att, s_rel in zip(peaks, s_atts, s_rels):
-                pick = peak > y
-                picks[-1].append(pick)
-                starts[-1].append(y)
-                a, p, s = (att, p_att, s_att) if pick else (rel, p_rel, s_rel)
-                y = (a * p) * y + (1.0 - a) * p * s
-            state.append(y)
+        picks, starts = [], []
+        y = env
+        for peak, s_att, s_rel in zip(blocks.max(axis=-1).tolist(),
+                                      scans[0][:, -1].tolist(),
+                                      scans[1][:, -1].tolist()):
+            pick = peak > y
+            picks.append(pick)
+            starts.append(y)
+            a, p, s = (att, p_att, s_att) if pick else (rel, p_rel, s_rel)
+            y = (a * p) * y + (1.0 - a) * p * s
 
-        attack = np.array(picks)[..., None]
+        attack = np.array(picks)[:, None]
         a = np.where(attack, att, rel)
         apow = np.where(attack, *tables)
-        scan = (a * apow) * np.array(starts)[..., None] \
+        scan = (a * apow) * np.array(starts)[:, None] \
             + (1.0 - a) * apow * np.where(attack, *scans)
-        return scan.reshape(blocks.shape[0], -1), np.array(state)
+        return scan.reshape(-1), y
 
     def process_buffer(self, inputs, length):
         """Fused path: the whole-buffer envelope (``_scan_blocks``), then
@@ -183,43 +160,26 @@ class DynamicsCompressorNode(AudioNode):
         The envelope reproduces the quantum loop's block-sequential scan
         float for float; the transcendental pipeline after it is
         elementwise and therefore blocking-invariant.
-
-        When the input is row-uniform (a batch broadcast — jitter only
-        bites at the analyser readout, so inside a render it always is)
-        and the envelope state is too, the whole pipeline runs on the one
-        distinct row and broadcasts: per-row arithmetic never mixes rows,
-        so row 0's floats ARE every row's floats.
         """
         x = inputs[0]
         math = self.context.config.math
         quantum = RENDER_QUANTUM_FRAMES
-        batch = x.shape[0]
-        uniform = (batch_uniform(x)
-                   and bool(np.all(self._envelope == self._envelope[0])))
-        work = x[:1] if uniform else x
-        env0 = self._envelope[:1] if uniform else self._envelope
 
-        level = np.abs(mix_to_channels(work, 1)[:, 0, :])    # (rows, length)
+        level = np.abs(mix_to_channels(x, 1)[0])             # (length,)
         # the full quanta in one view, then a partial last block with its
         # own power tables, exactly as process_block gets them
         full = length - length % quantum
-        state = env0
         pieces = []
         for lo, hi in ((0, full), (full, length)):
             if hi > lo:
-                blocks = level[:, lo:hi].reshape(len(level), -1,
-                                                 min(quantum, hi - lo))
-                piece, state = self._scan_blocks(blocks, state)
+                blocks = level[lo:hi].reshape(-1, min(quantum, hi - lo))
+                piece, self._envelope = self._scan_blocks(blocks,
+                                                          self._envelope)
                 pieces.append(piece)
-        env = np.concatenate(pieces, axis=-1) if len(pieces) > 1 else pieces[0]
-        self._envelope = np.broadcast_to(state, (batch,)).copy() if uniform else state
+        env = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
         gain_db, gain_lin = self._gain_pipeline(env, math)
         # the spec-style reduction attr reflects the most recent block
         last_n = length - (length - 1) // quantum * quantum
-        tail = gain_db[:, length - last_n:]
-        if uniform:
-            tail = np.broadcast_to(tail, (batch, last_n))
-        self._set_reduction(tail)
-        y = work * gain_lin[:, None, :]
-        return np.broadcast_to(y, x.shape) if uniform else y
+        self.reduction = float(gain_db[length - last_n:].min())
+        return x * gain_lin

@@ -4,8 +4,8 @@
 (``repro.platform``) builds richer configs (ulp-perturbed math backends,
 alternative FFTs, compressor tuning forks) and passes them in here; the
 engine itself only duck-types against them. Jitter is not configuration:
-a render is jitter-independent, and each batch row's jitter path is
-applied at the analyser readout (``get_float_frequency_data_batch``).
+a render is jitter-independent, and each jitter path is applied at the
+analyser readout (``AnalyserNode.get_float_frequency_data``).
 """
 from __future__ import annotations
 

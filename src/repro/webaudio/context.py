@@ -1,13 +1,10 @@
-"""OfflineAudioContext: the batched render loop.
+"""OfflineAudioContext: the render loop.
 
-The renderer carries a batch axis end to end: every node produces
-``(batch_size, channels, frames)`` blocks, so one graph build and one
-render pass render ``batch_size`` independent equivalence classes at
-once. All per-render interpreter overhead (the Python loop, the
-topological dispatch, the mixing calls) is paid once per *batch* instead
-of once per render — the NumPy kernels below it are elementwise or
-fixed-axis reductions, so each batch row is bit-identical to rendering
-that row alone with ``batch_size == 1`` (pinned by tests).
+A context renders one signal: every node produces ``(channels, frames)``
+blocks. Jitter does not enter a render — it is applied at the analyser
+readout, which reads one row per jitter path from the one rendered
+history — so a (vector, stack) group's paths share one graph build and
+one render pass (``AudioVector.render_batch``).
 
 A render runs the fused loop: ``topological_order`` (``graph.py``)
 orders the graph, raising ``ValueError`` on a cycle, then each node
@@ -33,8 +30,7 @@ from ..obs.profiler import current_node_profiler
 from .buffer import AudioBuffer
 from .config import EngineConfig
 from .graph import node_label, topological_order
-from .node import (AudioNode, batch_uniform, mix_sources, mix_sources_uniform,
-                   mix_to_channels)
+from .node import AudioNode, mix_sources, mix_to_channels
 
 
 class DestinationNode(AudioNode):
@@ -51,18 +47,14 @@ class DestinationNode(AudioNode):
 
 class OfflineAudioContext:
     def __init__(self, number_of_channels: int, length: int, sample_rate: float,
-                 config: EngineConfig | None = None, batch_size: int = 1):
+                 config: EngineConfig | None = None):
         if length <= 0:
             raise ValueError("length must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         self.length = int(length)
         self.sample_rate = float(sample_rate)
-        self.batch_size = int(batch_size)
         self.config = config if config is not None else EngineConfig.default()
         self._nodes: list[AudioNode] = []
         self._rendered: AudioBuffer | None = None
-        self._rendered_batch: np.ndarray | None = None
         self.destination = DestinationNode(self, int(number_of_channels))
 
     # -- node registry ------------------------------------------------------
@@ -95,36 +87,21 @@ class OfflineAudioContext:
 
     # -- rendering ----------------------------------------------------------
     def start_rendering(self) -> AudioBuffer:
-        """Render and return the (channels, length) buffer; batch size 1 only."""
-        if self.batch_size != 1:
-            raise ValueError(
-                "start_rendering() requires batch_size == 1; "
-                "use start_rendering_batch() for batched contexts")
+        """Render once and return the (channels, length) buffer; later
+        calls return the same buffer."""
         if self._rendered is None:
-            self._rendered = AudioBuffer(self.start_rendering_batch()[0],
-                                         self.sample_rate)
+            self._rendered = AudioBuffer(
+                self._render_fused(topological_order(self._nodes)),
+                self.sample_rate)
         return self._rendered
-
-    def start_rendering_batch(self) -> np.ndarray:
-        """Render all batch rows at once; returns (B, channels, length).
-
-        When every row is the same memory (the fused path kept the
-        signal row-uniform to the destination), the result is a
-        read-only broadcast of one row; otherwise it is a fresh writable
-        array. ``start_rendering()`` (B = 1) always returns a writable
-        buffer."""
-        if self._rendered_batch is None:
-            self._rendered_batch = self._render_fused(
-                topological_order(self._nodes))
-        return self._rendered_batch
 
     def _render_fused(self, order) -> np.ndarray:
         """One whole-buffer pass per node, in topological order.
 
         The per-block interpreter loop disappears entirely: the graph is
-        walked once, each kernel sees the full (B, channels, length)
-        signal, and an active profiler gets each node's time under the
-        same labels as the quantum loop.
+        walked once, each kernel sees the full (channels, length) signal,
+        and an active profiler gets each node's time under the same
+        labels as the quantum loop.
 
         One block is left to the quantum kernels: a final block of ONE
         frame. NumPy sums a (k, 1) array along k pairwise, but the same
@@ -134,7 +111,6 @@ class OfflineAudioContext:
         short of such a buffer, and the last frame renders through
         ``process_block`` exactly as in the quantum loop.
         """
-        batch = self.batch_size
         quantum = RENDER_QUANTUM_FRAMES
         tail = 1 if self.length > quantum and self.length % quantum == 1 else 0
         length = self.length - tail
@@ -143,10 +119,8 @@ class OfflineAudioContext:
         for node in order:
             if profiler is not None:
                 start = time.perf_counter()
-            ins = [
-                mix_sources_uniform([buffer_out[s] for s in port], batch, length)
-                for port in node._inputs
-            ]
+            ins = [mix_sources([buffer_out[s] for s in port], length)
+                   for port in node._inputs]
             buffer_out[node] = node.process_buffer(ins, length)
             if profiler is not None:
                 profiler.add(node_label(node), time.perf_counter() - start)
@@ -154,26 +128,19 @@ class OfflineAudioContext:
         if tail:
             block_out: dict[AudioNode, np.ndarray] = {}
             for node in order:
-                ins = [mix_sources([block_out[s] for s in port], batch, tail)
+                ins = [mix_sources([block_out[s] for s in port], tail)
                        for port in node._inputs]
                 block_out[node] = node.process_block(ins, length, tail)
             out = np.concatenate([out, block_out[self.destination]], axis=-1)
-        # values are the exact floats the quantum loop writes into its
-        # output array; a row-uniform result keeps one contiguous row
-        # under a (read-only) broadcast instead of copying it B times
-        if batch_uniform(out):
-            row = np.ascontiguousarray(out[:1], dtype=np.float64)
-            return np.broadcast_to(row, out.shape)
-        return np.ascontiguousarray(out, dtype=np.float64)
+        return out
 
     def _render_quantum(self) -> np.ndarray:
         """The 128-frame-quantum block loop — the reference semantics the
         fused loop reproduces byte for byte. Renders run the fused loop;
         tests call this one directly to compare the two."""
         order = topological_order(self._nodes)
-        batch = self.batch_size
         channels = self.destination.channel_count
-        out = np.zeros((batch, channels, self.length), dtype=np.float64)
+        out = np.zeros((channels, self.length), dtype=np.float64)
         quantum = RENDER_QUANTUM_FRAMES
         block_out: dict[AudioNode, np.ndarray] = {}
         profiler = current_node_profiler()
@@ -183,10 +150,10 @@ class OfflineAudioContext:
             for node in order:
                 if profiler is not None:
                     start = time.perf_counter()
-                ins = [mix_sources([block_out[s] for s in port], batch, n)
+                ins = [mix_sources([block_out[s] for s in port], n)
                        for port in node._inputs]
                 block_out[node] = node.process_block(ins, frame0, n)
                 if profiler is not None:
                     profiler.add(node_label(node), time.perf_counter() - start)
-            out[:, :, frame0:frame0 + n] = block_out[self.destination][..., :n]
+            out[:, frame0:frame0 + n] = block_out[self.destination][:, :n]
         return out

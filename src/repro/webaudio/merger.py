@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .node import AudioNode, batch_uniform, mix_to_channels
+from .node import AudioNode, mix_to_channels
 
 
 class ChannelMergerNode(AudioNode):
@@ -14,23 +14,12 @@ class ChannelMergerNode(AudioNode):
         super().__init__(context)
 
     def process_block(self, inputs, frame0, n):
-        out = np.zeros((self.context.batch_size, self.number_of_inputs, n),
-                       dtype=np.float64)
+        out = np.zeros((self.number_of_inputs, n), dtype=np.float64)
         for port, block in enumerate(inputs):
-            out[:, port] = mix_to_channels(block, 1)[:, 0]
+            out[port] = mix_to_channels(block, 1)[0]
         return out
 
     def process_buffer(self, inputs, length):
         # channel routing is stateless and elementwise in the frame axis:
-        # the whole-buffer pass is the block pass with n == length. When
-        # every port is row-uniform (a batch broadcast), route the one
-        # distinct row and broadcast — rows never interact, so row 0's
-        # floats are every row's, and the nodes downstream see a
-        # broadcast they can also compute once
-        batch = self.context.batch_size
-        if not all(batch_uniform(block) for block in inputs):
-            return self.process_block(inputs, 0, length)
-        out = np.zeros((1, self.number_of_inputs, length), dtype=np.float64)
-        for port, block in enumerate(inputs):
-            out[:, port] = mix_to_channels(block[:1], 1)[:, 0]
-        return np.broadcast_to(out, (batch,) + out.shape[1:])
+        # the whole-buffer pass is the block pass with n == length
+        return self.process_block(inputs, 0, length)

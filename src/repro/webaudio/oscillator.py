@@ -147,7 +147,7 @@ class OscillatorNode(AudioNode):
         raise ValueError(f"unknown oscillator type {self.type!r}")
 
     def _block_signal(self, frame0: int, n: int) -> np.ndarray:
-        """One quantum block of the signal, on one row: the block's param
+        """One quantum block of the signal: the block's param
         values, the carried-phase update and the harmonic choice from the
         block's first frequency. Advances ``self._phase``."""
         fs = self.context.sample_rate
@@ -167,22 +167,19 @@ class OscillatorNode(AudioNode):
         return self._synthesize(math, phases, fs / 2.0, float(freq[0]))
 
     def process_block(self, inputs, frame0, n):
-        batch = self.context.batch_size
         if self._start_frame is None:
-            return np.zeros((batch, 1, n), dtype=np.float64)
+            return np.zeros((1, n), dtype=np.float64)
         signal = self._block_signal(frame0, n)
 
         frames = frame0 + np.arange(n)
         active = frames >= self._start_frame
         if self._stop_frame is not None:
             active &= frames < self._stop_frame
-        # oscillator params are graph state shared by every batch row, so the
-        # signal is row-uniform: compute it once, hand out a read-only view
-        return np.broadcast_to(np.where(active, signal, 0.0), (batch, 1, n))
+        return np.where(active, signal, 0.0)[None]
 
     def _buffer_signal(self, length: int) -> np.ndarray:
         """``_block_signal`` for every quantum block of the buffer at once,
-        on one row, whether or not the params are automated. Advances
+        whether or not the params are automated. Advances
         ``self._phase`` past the last block.
 
         Each param is evaluated once, over the buffer padded to whole
@@ -243,11 +240,9 @@ class OscillatorNode(AudioNode):
         return signal
 
     def process_buffer(self, inputs, length):
-        """Fused path: synthesize the entire buffer on one row
-        (``_buffer_signal``), broadcast."""
-        batch = self.context.batch_size
+        """Fused path: synthesize the entire buffer (``_buffer_signal``)."""
         if self._start_frame is None:
-            return np.zeros((batch, 1, length), dtype=np.float64)
+            return np.zeros((1, length), dtype=np.float64)
         signal = self._buffer_signal(length)
         # started at frame 0 and never stopped: every frame is active
         if self._start_frame > 0 or self._stop_frame is not None:
@@ -256,4 +251,4 @@ class OscillatorNode(AudioNode):
             if self._stop_frame is not None:
                 active &= frames < self._stop_frame
             signal = np.where(active, signal, 0.0)
-        return np.broadcast_to(signal, (batch, 1, length))
+        return signal[None]

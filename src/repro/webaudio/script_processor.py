@@ -14,7 +14,7 @@ axis** — output frame ``i`` may depend only on ``samples[..., i]`` and
 ``t[i]``. That makes the node stateless and blocking-invariant, so the
 fused whole-buffer kernel is bit-identical to the 128-frame quantum loop
 by construction (the same ufunc evaluations in the same order per
-frame), and batch rows never interact. Scripts with cross-frame state
+frame). Scripts with cross-frame state
 would need a block-granular kernel like the compressor's; none of the
 paper's probes do.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .node import AudioNode, batch_uniform
+from .node import AudioNode
 
 #: the spec's valid ``bufferSize`` values for createScriptProcessor
 VALID_BUFFER_SIZES = (256, 512, 1024, 2048, 4096, 8192, 16384)
@@ -59,9 +59,4 @@ class ScriptProcessorNode(AudioNode):
         return self._apply(inputs[0], frame0, n)
 
     def process_buffer(self, inputs, length):
-        x = inputs[0]
-        if batch_uniform(x):
-            # row-uniform input stays row-uniform: run the script once,
-            # broadcast (bit-identical — rows never interact)
-            return np.broadcast_to(self._apply(x[:1], 0, length), x.shape)
-        return self._apply(x, 0, length)
+        return self._apply(inputs[0], 0, length)

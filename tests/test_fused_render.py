@@ -16,14 +16,13 @@ from repro.vectors import AUDIO_VECTORS, get_vector
 from repro.webaudio import OfflineAudioContext
 from repro.webaudio.fft import FFT_BACKENDS
 from repro.webaudio.graph import topological_order
-from repro.webaudio.node import mix_to_channels
 
 BACKENDS = sorted(FFT_BACKENDS)
 
 
 def _paths_under_load(rng, count):
     """Heavy-load jitter paths: duplicates dominate, so batches exercise
-    the analyser's readout dedup alongside genuinely distinct rows."""
+    ``render_batch``'s dedup alongside genuinely distinct paths."""
     repertoire = sample_repertoire(rng, 0.9)
     return [sample_path(rng, 0.9, repertoire) for _ in range(count)]
 
@@ -66,7 +65,7 @@ class TestFusedMatchesQuantum:
         assert vector.render(stack, None) == quantum
 
     def test_rendered_buffer_bytes_identical(self):
-        """Not just digests: the raw (B, c, n) buffer is byte-equal."""
+        """Not just digests: the raw (channels, n) buffer is byte-equal."""
         def build(ctx):
             osc = ctx.create_oscillator()
             comp = ctx.create_dynamics_compressor()
@@ -79,35 +78,13 @@ STUDY = dict(user_count=6, iterations=3, vectors=("dc", "fft", "hybrid"),
              seed=13)
 
 
-class TestRowUniformResults:
-    """A row-uniform signal is computed and returned as one row."""
-
-    @staticmethod
-    def _render(batch):
-        ctx = OfflineAudioContext(1, 5000, 44100, batch_size=batch)
+class TestRenderedBuffer:
+    def test_single_render_stays_writable(self):
+        ctx = OfflineAudioContext(1, 5000, 44100)
         osc = ctx.create_oscillator()
         osc.connect(ctx.create_dynamics_compressor()).connect(ctx.destination)
         osc.start(0.0)
-        return ctx
-
-    def test_uniform_batch_returns_one_read_only_row(self):
-        out = self._render(4).start_rendering_batch()
-        assert out.shape == (4, 1, 5000) and out.strides[0] == 0
-        assert not out.flags.writeable
-        np.testing.assert_array_equal(out, self._render(4)._render_quantum())
-
-    def test_single_render_stays_writable(self):
-        buffer = self._render(1).start_rendering()
-        assert buffer.get_channel_data(0).flags.writeable
-
-    @pytest.mark.parametrize("channels,to", [(3, 1), (1, 2), (3, 2)])
-    def test_mix_of_a_broadcast_block_stays_broadcast(self, channels, to):
-        row = np.random.default_rng(4).standard_normal((1, channels, 300))
-        block = np.broadcast_to(row, (5, channels, 300))
-        mixed = mix_to_channels(block, to)
-        assert mixed.shape == (5, to, 300) and mixed.strides[0] == 0
-        np.testing.assert_array_equal(
-            mixed, mix_to_channels(np.ascontiguousarray(block), to))
+        assert ctx.start_rendering().get_channel_data(0).flags.writeable
 
 
 class TestStudyDatasetAcrossRenderPaths:
@@ -189,14 +166,20 @@ class TestFusedOrder:
         _assert_fused_equals_quantum(build)
 
 
-def _assert_fused_equals_quantum(build, batch=3):
+def _channels(buffer):
+    """A rendered ``AudioBuffer`` as one (channels, length) array."""
+    return np.stack([buffer.get_channel_data(c)
+                     for c in range(buffer.number_of_channels)])
+
+
+def _assert_fused_equals_quantum(build):
     """The graph ``build(ctx)`` makes renders byte-equal buffers through
-    the fused loop (``start_rendering_batch``) and the quantum loop."""
-    fused = OfflineAudioContext(1, 5000, 44100, batch_size=batch)
-    quantum = OfflineAudioContext(1, 5000, 44100, batch_size=batch)
+    the fused loop (``start_rendering``) and the quantum loop."""
+    fused = OfflineAudioContext(1, 5000, 44100)
+    quantum = OfflineAudioContext(1, 5000, 44100)
     build(fused)
     build(quantum)
-    np.testing.assert_array_equal(fused.start_rendering_batch(),
+    np.testing.assert_array_equal(_channels(fused.start_rendering()),
                                   quantum._render_quantum())
 
 
@@ -214,6 +197,6 @@ class TestParamClamp:
                 osc.frequency.set_value_at_time(30000.0, 1.0)
             osc.connect(ctx.destination)
             osc.start(0.0)
-            outs.append(ctx.start_rendering_batch() if path == "fused"
+            outs.append(_channels(ctx.start_rendering()) if path == "fused"
                         else ctx._render_quantum())
         np.testing.assert_array_equal(outs[0], outs[1])

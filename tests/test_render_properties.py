@@ -6,10 +6,11 @@ acyclic graph, not only on the seven vectors' graphs. Hypothesis draws
 the graph — 1-3 oscillators of any type (a ``PeriodicWave`` included),
 merger or gain fan-in with several sources on one port, fan-out taps to
 the destination, automation on ``frequency``, ``detune`` and ``gain``,
-an optional ScriptProcessor — plus a platform stack, a batch size and
-the readout jitter paths. ``HYPOTHESIS_PROFILE=deep`` searches longer
-(profiles are registered in the root ``conftest.py``).
+an optional ScriptProcessor — plus a platform stack and the readout
+jitter paths. ``HYPOTHESIS_PROFILE=deep`` searches longer (profiles are
+registered in the root ``conftest.py``).
 """
+import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -112,8 +113,7 @@ def _build(spec):
     analyser."""
     stack = spec["stack"]
     ctx = OfflineAudioContext(spec["channels"], spec["length"],
-                              stack.sample_rate, config=stack.realize(),
-                              batch_size=len(spec["jitters"]))
+                              stack.sample_rate, config=stack.realize())
     oscillators = []
     for osc_spec in spec["oscillators"]:
         osc = ctx.create_oscillator()
@@ -189,11 +189,15 @@ _DETUNED_SWEEP = dict(
               oscillators=[_tone("sine", 733.0), _tone("sine", 2911.0),
                            _tone("sine", 9001.0)]))
 def test_fused_render_equals_quantum_loop(spec):
-    rendered = {}
+    outputs = {}
     for loop in ("fused", "quantum"):
         ctx, analyser = _build(spec)
-        buffer = (ctx.start_rendering_batch() if loop == "fused"
-                  else ctx._render_quantum())
-        readout = analyser.get_float_frequency_data_batch(spec["jitters"])
-        rendered[loop] = (buffer.tobytes(), readout.tobytes())
-    assert rendered["fused"] == rendered["quantum"]
+        if loop == "fused":
+            rendered = ctx.start_rendering()
+            buffer = np.stack([rendered.get_channel_data(c)
+                               for c in range(rendered.number_of_channels)])
+        else:
+            buffer = ctx._render_quantum()
+        readout = analyser.get_float_frequency_data(spec["jitters"])
+        outputs[loop] = (buffer.tobytes(), readout.tobytes())
+    assert outputs["fused"] == outputs["quantum"]

@@ -1,9 +1,14 @@
 """SupervisedExecutor unit coverage: retry/backoff, validation, bisection,
 quarantine, budget, pool crash/hang recovery, worker exceptions, inline
-fallback, reaping of every worker, and a randomised fault mix — all on
-synthetic workers, independent of the render pipeline."""
+fallback, reaping of every worker, workers outliving no supervisor, and
+a randomised fault mix — all on synthetic workers, independent of the
+render pipeline."""
 import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
 import tempfile
 import time
 from collections import Counter
@@ -202,8 +207,8 @@ class TestInline:
 class TestPooled:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_happy_path(self, workers):
-        # at 4, each later worker holds the parent's end of every earlier
-        # worker's pipe: closing that end would not stop its worker
+        # at 4, each later worker is forked holding the supervisor's end of
+        # every earlier worker's pipe, and closes those copies
         ex = SupervisedExecutor(_double, workers=workers, policy=FAST)
         results = _no_survivor(lambda: sorted(ex.run(range(12))))
         assert results == [2 * n for n in range(12)]
@@ -294,6 +299,92 @@ class TestPooled:
         summary = ex.summary()["degraded"]
         assert summary["inline_fallback"] is True
         assert summary["pool_rebuilds"] >= 1
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+class TestSupervisorGone:
+    """A worker must not outlive its supervisor: once no process holds the
+    supervisor's end of its pipe, it reads EOF (or its reply meets a
+    broken pipe) and exits, with status 0 and no traceback."""
+
+    @pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
+    def test_worker_exits_quietly_when_its_pipe_closes(self, busy, capfd):
+        ex = SupervisedExecutor(_nap, workers=2, policy=FAST)
+        pool = ex._new_pool(2)
+        try:
+            for w in pool:
+                if busy:
+                    w.conn.send((0.2,))
+                w.conn.close()
+            for w in pool:
+                w.process.join(5.0)
+            assert [w.process.exitcode for w in pool] == [0, 0]
+        finally:
+            for w in pool:
+                w.process.terminate()
+                w.process.join()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_workers_exit_when_their_supervisor_is_killed(self):
+        """SIGKILL a supervising process mid-run: each worker pid is gone,
+        or a zombie nobody reaps, within a few seconds."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        code = (
+            "import os, sys, time\n"
+            "sys.path.insert(0, %r)\n"
+            "from repro.resilience import SupervisedExecutor\n"
+            "def nap(seconds):\n"
+            "    print(os.getpid(), flush=True)\n"
+            "    time.sleep(seconds)\n"
+            "for _ in SupervisedExecutor(nap, workers=2).run([0.5] * 40):\n"
+            "    pass\n" % src)
+        proc = subprocess.Popen([sys.executable, "-c", code],
+                                stdout=subprocess.PIPE)
+        workers, pending = set(), b""
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(workers) < 2:
+                ready, _, _ = select.select(
+                    [proc.stdout], [], [],
+                    max(0.0, deadline - time.monotonic()))
+                assert ready, "the workers never started a job"
+                chunk = os.read(proc.stdout.fileno(), 4096)
+                assert chunk, "the supervisor exited before its workers ran"
+                *lines, pending = (pending + chunk).split(b"\n")
+                workers.update(int(line) for line in lines)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait()
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline \
+                    and not all(map(_exited, workers)):
+                time.sleep(0.05)
+            assert [pid for pid in workers if not _exited(pid)] == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie (state ``Z``): an orphan is
+    only reaped if something adopts and waits for it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
 
 
 _FAULT_KINDS = ("clean", "crash", "raise", "corrupt")

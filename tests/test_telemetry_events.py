@@ -277,13 +277,13 @@ class TestProgressMeter:
     def test_heartbeat_lines_carry_the_vitals(self):
         stream = io.StringIO()
         clock = iter([0.0, 1.0, 2.0, 3.0]).__next__
-        meter = ProgressMeter(total_jobs=4, total_classes=8, stream=stream,
+        meter = ProgressMeter(total_jobs=4, total_rows=8, stream=stream,
                               interval_s=0.5, clock=clock)
         meter.update(2, 4, retries=1, hit_rate=0.25)
         meter.finish(8, retries=1, hit_rate=0.25)
         out = stream.getvalue()
-        assert "classes 4/8" in out
-        assert "renders/s" in out
+        assert "rows 4/8" in out
+        assert "rows/s" in out
         assert "cache 25.0% hit" in out
         assert "retries 1" in out
         assert "eta" in out
@@ -292,7 +292,7 @@ class TestProgressMeter:
     def test_throttled_between_intervals_but_final_job_always_prints(self):
         stream = io.StringIO()
         ticks = iter([0.0] + [0.01 * i for i in range(1, 50)]).__next__
-        meter = ProgressMeter(total_jobs=10, total_classes=10, stream=stream,
+        meter = ProgressMeter(total_jobs=10, total_rows=10, stream=stream,
                               interval_s=10.0, clock=ticks)
         for done in range(1, 10):
             meter.update(done, done)
@@ -305,6 +305,24 @@ class TestProgressMeter:
         run_study(cache=RenderCache(), workers=0, progress=stream, **STUDY)
         out = stream.getvalue()
         assert "[repro.study]" in out and "done in" in out
+
+    @pytest.mark.parametrize("disabled", [False, True],
+                             ids=["cache-on", "cache-off"])
+    def test_study_heartbeat_ends_on_every_row(self, disabled):
+        """The final line counts the rows of completed jobs against every
+        row sent to render: each grid item with the cache off, each
+        distinct class with it on."""
+        stream = io.StringIO()
+        recorder = Recorder()
+        run_study(60, 30, ("dc", "fft", "hybrid"), seed=3, workers=0,
+                  cache=RenderCache(disabled=disabled), recorder=recorder,
+                  progress=stream)
+        rows = recorder.counters["render.renders"]
+        if disabled:
+            assert rows == 60 * 30 * 3
+        final = stream.getvalue().splitlines()[-1]
+        assert f" rows {rows}/{rows} " in final
+        assert " eta 0.0s " in final and "done in" in final
 
     def test_progress_off_touches_no_stream(self, tmp_path, capsys):
         run_study(cache=RenderCache(), workers=0, **STUDY)

@@ -171,47 +171,39 @@ class TestAnalyser:
         osc.connect(analyser).connect(ctx.destination)
         osc.start(0.0)
         ctx.start_rendering()
-        db = analyser.get_float_frequency_data_batch([None])[0]
+        db = analyser.get_float_frequency_data([None])[0]
         expected_bin = round(osc.frequency.value * analyser.fft_size / ctx.sample_rate)
         assert abs(int(np.argmax(db)) - expected_bin) <= 1
         # read again after rendering: the same data, not smoothed
-        assert np.array_equal(analyser.get_float_frequency_data_batch([None])[0], db)
+        assert np.array_equal(analyser.get_float_frequency_data([None])[0], db)
 
     @staticmethod
-    def _rendered_analyser(rows):
-        """An analyser on a 1 kHz tone, rendered in a ``rows``-row batch."""
-        ctx = OfflineAudioContext(1, 4096, 44100.0, batch_size=rows)
+    def _rendered_analyser():
+        """An analyser on a rendered 1 kHz tone."""
+        ctx = OfflineAudioContext(1, 4096, 44100.0)
         osc = ctx.create_oscillator()
         osc.frequency.value = 1000.0
         analyser = ctx.create_analyser()
         osc.connect(analyser).connect(ctx.destination)
         osc.start(0.0)
-        ctx.start_rendering_batch()
+        ctx.start_rendering()
         return analyser
 
-    def test_batch_readout_takes_one_jitter_per_row(self):
-        analyser = self._rendered_analyser(2)
-        for jitters in ([None], [None, None, None]):
-            with pytest.raises(ValueError, match="expected 2 jitter entries"):
-                analyser.get_float_frequency_data_batch(jitters)
-
     def test_equal_paths_read_the_row_they_read_alone(self):
-        """The readout runs once per distinct path and scatters it back:
-        each row is the bytes its path reads in a batch of one."""
+        """One row per jitter given, repeats included: each row is the
+        bytes its path reads alone."""
         late, fused = parse_path("t1.d0.m1.p0"), parse_path("t0.d0.m0.p1")
         jitters = [late, fused, late, None, fused, None]
-        db = self._rendered_analyser(len(jitters)) \
-            .get_float_frequency_data_batch(jitters)
+        db = self._rendered_analyser().get_float_frequency_data(jitters)
         assert db.shape == (6, 1024)
-        alone = {j: self._rendered_analyser(1)
-                 .get_float_frequency_data_batch([j])[0]
+        alone = {j: self._rendered_analyser().get_float_frequency_data([j])[0]
                  for j in (late, fused, None)}
         for row, jitter in zip(db, jitters):
             assert row.tobytes() == alone[jitter].tobytes()
         assert len({row.tobytes() for row in db}) == 3
 
     def test_none_reads_the_reference_path(self):
-        db = self._rendered_analyser(2).get_float_frequency_data_batch(
+        db = self._rendered_analyser().get_float_frequency_data(
             [None, parse_path(REFERENCE_PATH)])
         assert db[0].tobytes() == db[1].tobytes()
 
