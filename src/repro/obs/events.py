@@ -12,15 +12,23 @@ Data model
 ----------
 One event is one flat JSON object:
 
-    {"schema": 1, "seq": 12, "kind": "job.retry",
+    {"schema": 2, "seq": 12, "kind": "job.retry",
      "t_wall_s": 1754650000.12, "t_mono_s": 3.5041, "pid": 4242, ...}
 
 ``schema`` versions the record shape, ``kind`` is drawn from the closed
 ``EVENT_KINDS`` registry (an unknown kind is a bug, caught at emit *and*
 at validation), ``seq`` is the recorder-assigned append index,
-``t_mono_s`` is monotonic time relative to the recorder epoch (the same
-clock spans use, so traces line up), ``t_wall_s`` is wall time, ``pid``
-identifies the emitting process. Everything else is the event's payload.
+``t_mono_s`` is ``time.perf_counter`` relative to the recorder epoch
+(the clock spans use, so traces line up), ``t_wall_s`` is wall time,
+``pid`` identifies the emitting process. Everything else is the event's
+payload.
+
+One clock: ``perf_counter`` is ``CLOCK_MONOTONIC``, which is system-wide,
+so a forked pool worker reads the same clock as its parent.
+``make_event`` stamps the raw clock and the recorder that takes the
+event, its own or a worker's, subtracts its epoch. Schema 2 marks that
+meaning of a worker's ``t_mono_s``: a schema-1 log, whose worker events
+kept the worker's raw clock, is refused by name.
 
 Crash safety
 ------------
@@ -57,7 +65,7 @@ from ..io import JsonlLog, scan_lines
 from ..schema import COUNT, NON_NEGATIVE, NUMBER, optional
 from ..schema import problems as schema_problems
 
-EVENT_SCHEMA = 1
+EVENT_SCHEMA = 2
 
 #: the closed registry of event kinds (schema-versioned: extending it is
 #: an EVENT_SCHEMA-visible change)
@@ -100,11 +108,10 @@ VOLATILE_FIELDS = frozenset({"t_wall_s", "t_mono_s", "pid",
                              "wall_s", "delay_s"})
 
 
-def make_event(kind: str, *, epoch: float = 0.0, **fields) -> dict:
-    """Build one event record (no ``seq`` — the recorder assigns that on
-    append). ``epoch`` rebases the monotonic stamp; pool workers pass 0
-    (their clock is not synchronized with the parent's and is rebased at
-    trace-export time instead)."""
+def make_event(kind: str, **fields) -> dict:
+    """Build one event record stamped with the raw ``perf_counter`` clock
+    (no ``seq``: the recorder that takes it assigns that, and rebases the
+    stamp onto its epoch)."""
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown event kind {kind!r} "
                          f"(EVENT_SCHEMA {EVENT_SCHEMA} kinds: "
@@ -117,7 +124,7 @@ def make_event(kind: str, *, epoch: float = 0.0, **fields) -> dict:
         "schema": EVENT_SCHEMA,
         "kind": kind,
         "t_wall_s": time.time(),
-        "t_mono_s": time.perf_counter() - epoch,
+        "t_mono_s": time.perf_counter(),
         "pid": os.getpid(),
     }
     event.update(fields)

@@ -21,7 +21,9 @@ from contextlib import contextmanager
 
 
 class NodeProfiler:
-    """Accumulates wall-clock seconds and call counts per node label."""
+    """Accumulates CPU seconds and call counts per node label. The
+    engine times each step with ``time.thread_time``, so a worker's
+    time spent preempted is not charged to the node it interrupted."""
 
     __slots__ = ("seconds", "calls")
 

@@ -208,17 +208,19 @@ class Recorder:
 
     # -- events --------------------------------------------------------------
     def event(self, kind: str, **fields) -> None:
-        """Record one event (monotonic stamp rebased to this recorder's
-        epoch, so events and spans share a clock)."""
-        self._append_event(make_event(kind, epoch=self._epoch, **fields))
+        """Record one event."""
+        self._append_event(make_event(kind, **fields))
 
     def merge_event(self, event: dict) -> None:
         """Fold in an event made elsewhere (a pool worker's, shipped home
-        inside a metrics dict): it keeps its own pid and clock stamps but
-        takes the next local ``seq``."""
+        inside a metrics dict): it keeps its own pid."""
         self._append_event(dict(event))
 
     def _append_event(self, event: dict) -> None:
+        """Take one event: its raw ``perf_counter`` stamp is rebased to
+        this recorder's epoch, so events and spans share a clock (a forked
+        worker's clock is this process's), and it takes the next ``seq``."""
+        event["t_mono_s"] -= self._epoch
         event["seq"] = len(self.events)
         self.events.append(event)
         if self._event_log is not None:

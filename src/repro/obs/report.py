@@ -1,11 +1,13 @@
 """The machine-readable run report: build, validate, render, CLI.
 
 A report is one JSON document describing where a study run spent its
-time: top-level phase spans (plan/render/assemble), the full span list,
-counters, per-vector latency histograms, cache statistics, the per-stack
-hot-node profile, and pool utilization. ``run_study(report_path=...)``
-writes one; CI schema-checks it with ``--check`` and uploads it as an
-artifact; ``python -m repro.obs.report <path>`` renders it as tables.
+time: the span list (its top-level spans are the plan/render/assemble
+phases), counters, per-vector latency histograms, cache statistics, the
+per-stack hot-node profile, and pool size and utilization. Each fact is
+kept once: supervision (``retry.*`` / ``degraded.*``) is counters, and
+no section restates a counter. ``run_study(report_path=...)`` writes
+one; CI schema-checks it with ``--check`` and uploads it as an artifact;
+``python -m repro.obs.report <path>`` renders it as tables.
 
 The CLI dispatches on the document's ``kind``: run reports
 (``repro.obs.report``) are handled here; analysis, tables and shard
@@ -25,7 +27,7 @@ import json
 import os
 import sys
 
-from ..schema import (BOOL, COUNT, NON_NEGATIVE, NUMBER, OBJECT, STRING,
+from ..schema import (COUNT, NON_NEGATIVE, NUMBER, OBJECT, STRING,
                       each, maybe, optional)
 from ..schema import problems as schema_problems
 from .recorder import Histogram
@@ -39,15 +41,8 @@ STUDY_PHASES = ("plan", "render", "assemble")
 
 def build_report(recorder, workload: dict, cache_stats: dict | None = None,
                  pool: dict | None = None,
-                 resilience: dict | None = None,
                  events_path: str | None = None) -> dict:
     """Assemble the report document from a recorder plus run context.
-
-    ``resilience`` is the supervised-execution summary produced by
-    ``run_study`` (``repro.resilience.SupervisedExecutor.summary()``);
-    its ``retry`` / ``degraded`` members become top-level report sections
-    so dashboards and the CI schema check see recovery activity next to
-    the latency data it perturbed.
 
     ``events_path`` names the JSONL event-log sidecar the run streamed
     its events to (see ``repro.obs.events``). The report embeds only the
@@ -56,11 +51,6 @@ def build_report(recorder, workload: dict, cache_stats: dict | None = None,
     lost events.
     """
     snapshot = recorder.snapshot()
-    top_level = [s for s in snapshot["spans"] if s.get("parent") is None]
-    top_level.sort(key=lambda s: s["start_s"])
-    phases = [{"name": s["name"], "start_s": s["start_s"],
-               "duration_s": s["duration_s"]} for s in top_level]
-    resilience = resilience or {}
     events = None
     if snapshot.get("events"):
         kinds: dict[str, int] = {}
@@ -76,23 +66,17 @@ def build_report(recorder, workload: dict, cache_stats: dict | None = None,
         "kind": REPORT_KIND,
         "format": REPORT_FORMAT,
         "workload": dict(workload),
-        "phases": phases,
         "spans": snapshot["spans"],
         "counters": snapshot["counters"],
         "histograms": snapshot["histograms"],
         "cache": dict(cache_stats) if cache_stats is not None else None,
         "node_profile": snapshot["node_profile"],
         "pool": dict(pool) if pool is not None else None,
-        "retry": resilience.get("retry"),
-        "degraded": resilience.get("degraded"),
         "events": events,
     }
 
 
 # -- validation (the CI schema check) ----------------------------------------
-
-_RETRY_FIELDS = ("attempts", "retries", "timeouts", "crashes",
-                 "worker_errors", "corrupt_returns", "bisections")
 
 #: the histogram bucket keys ``Histogram.to_dict`` can emit
 _BUCKET_KEYS = frozenset(str(i) for i in range(Histogram.MAX_BUCKET + 1))
@@ -103,7 +87,6 @@ REPORT_SCHEMA = {
     "kind": REPORT_KIND,
     "format": REPORT_FORMAT,
     "workload": OBJECT,
-    "phases": [{"name": STRING, "duration_s": NUMBER}],
     "spans": [{"id": COUNT, "parent": maybe(COUNT), "name": STRING,
                "start_s": NON_NEGATIVE, "duration_s": NON_NEGATIVE,
                "attrs": optional(OBJECT)}],
@@ -113,23 +96,9 @@ REPORT_SCHEMA = {
     "cache": maybe({"hits": NUMBER, "misses": NUMBER}),
     "node_profile": each(each({"seconds": NUMBER, "calls": COUNT})),
     "pool": maybe(OBJECT),
-    "retry": maybe({**dict.fromkeys(_RETRY_FIELDS, NUMBER),
-                    "quarantined": [STRING],
-                    "budget": {"limit": NUMBER, "spent": NUMBER}}),
-    "degraded": maybe({"pool_rebuilds": NUMBER, "inline_fallback": BOOL}),
     "events": maybe({"path": maybe(STRING), "count": COUNT,
                      "kinds": each(COUNT), "pid": COUNT}),
 }
-
-#: the resilience contract: the supervised executor writes its summary
-#: both as counters and as the retry/degraded sections, and the two
-#: views must agree — (section, field, counter)
-_RESTATED = (
-    *(("retry", field, f"retry.{field}") for field in
-      ("attempts", "retries", "timeouts", "crashes", "corrupt_returns",
-       "bisections")),
-    ("degraded", "pool_rebuilds", "degraded.pool_rebuilds"),
-)
 
 
 def validate_report(payload, base_dir: str | None = None) -> list[str]:
@@ -143,10 +112,12 @@ def validate_report(payload, base_dir: str | None = None) -> list[str]:
     problems = schema_problems(payload, REPORT_SCHEMA)
     if problems:
         return problems
-    names = {phase["name"] for phase in payload["phases"]}
+    names = {span["name"] for span in payload["spans"]
+             if span["parent"] is None}
     missing = [p for p in STUDY_PHASES if p not in names]
     if missing:
-        problems.append(f"phases missing {missing} (need all of {list(STUDY_PHASES)})")
+        problems.append(f"top-level spans missing phases {missing} "
+                        f"(need all of {list(STUDY_PHASES)})")
 
     histograms = payload["histograms"]
     for name, hist in histograms.items():
@@ -156,22 +127,10 @@ def validate_report(payload, base_dir: str | None = None) -> list[str]:
         elif sum(hist["buckets"].values()) != hist["count"]:
             problems.append(f"histogram {name!r} bucket counts do not sum to count")
 
-    counters = payload["counters"]
-    for section, field, counter in _RESTATED:
-        if payload[section] is not None \
-                and payload[section][field] != counters.get(counter, 0):
-            problems.append(f"{section}.{field} does not match counter {counter}")
-    retry = payload["retry"]
-    if retry is None and counters.get("retry.attempts"):
-        problems.append("retry.* counters present but retry section missing")
-    if retry is not None \
-            and len(retry["quarantined"]) != counters.get("retry.quarantined", 0):
-        problems.append("retry.quarantined length does not match "
-                        "counter retry.quarantined")
-
     # batched-render contract: any run that counted batches must also have
     # recorded the batch-size histogram, and its observations must account
     # for every batch (the per-batch latency attribution rides on it)
+    counters = payload["counters"]
     batches = counters.get("render.batches")
     if batches:
         batch_hist = histograms.get("render.batch_size")
@@ -238,7 +197,8 @@ def render_report(payload: dict) -> str:
     out.append("== run report ==")
     out.append("workload: " + ", ".join(f"{k}={v}" for k, v in workload.items()))
 
-    phases = payload.get("phases", [])
+    phases = sorted((s for s in payload.get("spans", [])
+                     if s.get("parent") is None), key=lambda s: s["start_s"])
     total = sum(p["duration_s"] for p in phases) or 1.0
     out.append("")
     out.append("phases:")
@@ -304,22 +264,6 @@ def render_report(payload: dict) -> str:
         out.append("  " + ", ".join(f"{kind}={n}"
                                     for kind, n in events["kinds"].items()))
 
-    retry = payload.get("retry")
-    if retry:
-        out.append("")
-        parts = [f"{k}={retry[k]}"
-                 for k in ("attempts", "retries", "timeouts", "crashes",
-                           "worker_errors", "corrupt_returns", "bisections")
-                 if k in retry]
-        budget = retry.get("budget") or {}
-        parts.append(f"budget={budget.get('spent', 0)}/{budget.get('limit', 0)}")
-        out.append("retry: " + ", ".join(parts))
-        if retry.get("quarantined"):
-            out.append("  quarantined: " + ", ".join(retry["quarantined"]))
-    degraded = payload.get("degraded")
-    if degraded:
-        out.append("degraded: " + ", ".join(f"{k}={v}"
-                                            for k, v in degraded.items()))
     out.append("")
     return "\n".join(out)
 

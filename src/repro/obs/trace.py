@@ -8,17 +8,14 @@ Perfetto. Spans become ``"X"`` complete events (microsecond ``ts`` /
 ``dur``), log events become ``"i"`` instant events at their emitting
 pid, and ``"M"`` metadata events name each process lane.
 
-Clock domains: the parent's spans and events share the recorder epoch
-(``time.perf_counter() - epoch``), so they land on one timeline
-directly. Events shipped home from pool workers carry the worker's *raw*
-``perf_counter`` clock (epoch 0 — a worker cannot know the parent's
-epoch). The exporter rebases each foreign pid onto the anchor timeline:
-the pid's first event is pinned to the timestamp of the nearest
-preceding anchor-pid event in sequence order (the merge point bounds it
-from above, the preceding emit bounds it from below), and later events
-of that pid keep their true relative spacing. The anchor pid comes from
-the report's ``events`` section when exporting a report, else from the
-first event in the log (``study.start`` is always parent-side).
+One clock: spans and events, the parent's and those shipped home from
+pool workers alike, carry ``time.perf_counter()`` relative to the
+recorder's epoch (a forked worker reads the parent's system-wide
+monotonic clock, and the recorder rebases each event it takes; see
+``repro.obs.events``), so each instant is placed at its ``t_mono_s``.
+The anchor pid, whose lane holds the spans, comes from the report's
+``events`` section when exporting a report, else from the first event
+in the log (``study.start`` is always parent-side).
 
 A report is checked against the run-report schema before export, and an
 event log through ``read_events``, so malformed input exits 2 naming
@@ -42,31 +39,6 @@ def _us(seconds: float) -> float:
     return round(float(seconds) * 1e6, 3)
 
 
-def _rebase_offsets(events: list[dict], anchor_pid: int) -> dict[int, float]:
-    """Per-pid offsets (seconds) mapping each foreign pid's raw clock onto
-    the anchor timeline. Anchor events pass through with offset 0."""
-    offsets: dict[int, float] = {anchor_pid: 0.0}
-    anchor_ts = 0.0
-    pinned_at: dict[int, float] = {}   # pid -> anchor_ts at first sighting
-    min_raw: dict[int, float] = {}     # pid -> earliest raw clock seen
-    for event in sorted(events, key=lambda e: e.get("seq", 0)):
-        pid = event.get("pid", anchor_pid)
-        t = float(event.get("t_mono_s", 0.0))
-        if pid == anchor_pid:
-            anchor_ts = t
-        else:
-            # the parent may absorb a worker's jobs out of emission order,
-            # so the pid's earliest raw clock (not its first-by-seq event)
-            # is what gets pinned — everything else lands after it
-            if pid not in pinned_at:
-                pinned_at[pid] = anchor_ts
-            if pid not in min_raw or t < min_raw[pid]:
-                min_raw[pid] = t
-    for pid, raw in min_raw.items():
-        offsets[pid] = pinned_at[pid] - raw
-    return offsets
-
-
 def _event_args(event: dict) -> dict:
     skip = {"schema", "seq", "kind", "t_wall_s", "t_mono_s", "pid"}
     return {k: v for k, v in event.items() if k not in skip}
@@ -81,12 +53,11 @@ def build_trace(spans: list[dict] | None = None,
     events = events or []
     if anchor_pid is None:
         anchor_pid = events[0].get("pid", 0) if events else 0
-    offsets = _rebase_offsets(events, anchor_pid)
     trace_events: list[dict] = [
         {"ph": "M", "name": "process_name", "pid": anchor_pid, "tid": 0,
          "args": {"name": "repro study (driver)"}},
     ]
-    for pid in sorted(offsets):
+    for pid in sorted({event.get("pid", anchor_pid) for event in events}):
         if pid != anchor_pid:
             trace_events.append(
                 {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
@@ -105,14 +76,12 @@ def build_trace(spans: list[dict] | None = None,
             entry["args"] = dict(span["attrs"])
         trace_events.append(entry)
     for event in sorted(events, key=lambda e: e.get("seq", 0)):
-        pid = event.get("pid", anchor_pid)
-        t = float(event.get("t_mono_s", 0.0)) + offsets.get(pid, 0.0)
         trace_events.append({
             "ph": "i",
             "name": event["kind"],
-            "pid": pid,
+            "pid": event.get("pid", anchor_pid),
             "tid": 0,
-            "ts": _us(t),
+            "ts": _us(event.get("t_mono_s", 0.0)),
             "s": "p",  # process-scoped instant marker
             "cat": "event",
             "args": _event_args(event),

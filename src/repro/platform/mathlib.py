@@ -1,49 +1,14 @@
-"""Math-library variants: ulp-level perturbed transcendentals.
+"""Math-library variants: the named builds the population draws from.
 
-Real platforms differ in the last bits of sin/exp/pow/tanh (different libm
-builds, SIMD paths, polynomial orders). We model a build as a deterministic
-ulp shift applied to the reference result: multiplying by (1 + k*2^-52)
-moves the significand by ~k ulps, which after the compressor's
-nonlinearity is exactly the kind of divergence that separates real
-browser fingerprints. Vectorized; applies to whole blocks.
+Real platforms differ in the last bits of sin/exp/pow/tanh (different
+libm builds, SIMD paths, polynomial orders). Each build here is a
+``MathBackend`` (``repro.webaudio.config``): NumPy's result moved by a
+few ulps, which after the compressor's nonlinearity is exactly the kind
+of divergence that separates real browser fingerprints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-_ULP = 2.0 ** -52
-
-
-@dataclass(frozen=True)
-class MathBackend:
-    name: str
-    ulp_shift: int = 0
-
-    def _perturb(self, y):
-        if self.ulp_shift == 0:
-            return y
-        return y * (1.0 + self.ulp_shift * _ULP)
-
-    def sin(self, x):
-        return self._perturb(np.sin(x))
-
-    def cos(self, x):
-        return self._perturb(np.cos(x))
-
-    def exp(self, x):
-        return self._perturb(np.exp(x))
-
-    def log10(self, x):
-        return self._perturb(np.log10(x))
-
-    def pow(self, x, y):
-        return self._perturb(np.power(x, y))
-
-    def tanh(self, x):
-        return self._perturb(np.tanh(x))
-
+from ..webaudio.config import MathBackend
 
 #: Named builds, one per (OS, toolchain) family the population model uses.
 MATH_BACKENDS = {

@@ -50,17 +50,17 @@ per-render calls and the dataset is bit-identical either way. With a
 batch is timed, the first batch per (vector, stack) also runs under the
 per-node profiler, and pool workers ship their measurements and events
 home next to the eFPs, so aggregate counters are identical at any worker
-count. The supervisor adds ``retry.*`` / ``degraded.*`` counters and
-report sections. ``event_log_path`` streams the event sequence to a
-crash-safe JSONL sidecar; ``progress`` prints a live heartbeat to
-stderr.
+count. Each render step publishes its supervisor's ``counts`` as the
+``retry.*`` / ``degraded.*`` counters, once, also when a quarantine
+raises. ``event_log_path`` streams the event sequence to a crash-safe
+JSONL sidecar; ``progress`` prints a live heartbeat to stderr.
 """
 from __future__ import annotations
 
 import os
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -404,8 +404,6 @@ class _StudyRun:
 class _Tally:
     """What a run's render steps add up to; the run report reads it."""
 
-    summaries: list[dict] = field(default_factory=list)  # one per supervisor
-    jobs: int = 0
     workers: int = 0  # the largest pool a render step used (<= 1: inline)
 
 
@@ -532,26 +530,32 @@ def _render_range(run: _StudyRun, tally: _Tally, grids,
 
     rendered: dict[str, str] = {}
     completed_jobs = rows_done = 0
-    for pairs, metrics in supervisor.run(jobs):
-        rendered.update(pairs)
-        if metrics is not None:
-            _absorb_batch_metrics(recorder, metrics)
-        completed_jobs += 1
-        rows_done += len(pairs)
-        if meter is not None:
-            meter.update(completed_jobs, rows_done,
-                         retries=supervisor.retries, hit_rate=cache.hit_rate)
+    counts = supervisor.counts
+    try:
+        for pairs, metrics in supervisor.run(jobs):
+            rendered.update(pairs)
+            if metrics is not None:
+                _absorb_batch_metrics(recorder, metrics)
+            completed_jobs += 1
+            rows_done += len(pairs)
+            if meter is not None:
+                meter.update(completed_jobs, rows_done,
+                             retries=counts["retry.retries"],
+                             hit_rate=cache.hit_rate)
+    finally:
+        # the supervisor's counts are the step's record: published once,
+        # also when a quarantine raises
+        if run.measuring:
+            recorder.count("pool.jobs", len(jobs))
+            for name, value in counts.items():
+                recorder.count(name, value)
     if meter is not None:
-        meter.finish(rows_done, retries=supervisor.retries,
+        meter.finish(rows_done, retries=counts["retry.retries"],
                      hit_rate=cache.hit_rate)
     if not cache.disabled:
         for key, efp in rendered.items():
             cache.put(key, efp)
-    tally.summaries.append(supervisor.summary())
-    tally.jobs += len(jobs)
     tally.workers = max(tally.workers, workers)
-    if run.measuring:
-        recorder.count("pool.jobs", len(jobs))
     found.update(rendered)
     return [found[key] for key, _ in classes], len(rendered)
 
@@ -589,28 +593,6 @@ def _assemble(run: _StudyRun, devices: list[Device], grids, classes,
                         interned=interned)
 
 
-def _merge_resilience(summaries: list[dict]) -> dict:
-    """Fold per-range supervisor summaries into one report-shaped block
-    (sums match the recorder's counters, which also accumulated across
-    ranges — the report validator cross-checks exactly that)."""
-    retries = [s["retry"] for s in summaries]
-    budgets = [r["budget"] for r in retries]
-    degraded = [s["degraded"] for s in summaries]
-    retry = {key: sum(r[key] for r in retries)
-             for key in ("attempts", "retries", "timeouts", "crashes",
-                         "worker_errors", "corrupt_returns", "bisections")}
-    retry["quarantined"] = sorted({key for r in retries
-                                   for key in r["quarantined"]})
-    retry["budget"] = {"limit": max((b["limit"] for b in budgets), default=0),
-                       "spent": sum(b["spent"] for b in budgets),
-                       "exhausted": any(b["exhausted"] for b in budgets)}
-    return {"retry": retry,
-            "degraded": {"pool_rebuilds": sum(d["pool_rebuilds"]
-                                              for d in degraded),
-                         "inline_fallback": any(d["inline_fallback"]
-                                                for d in degraded)}}
-
-
 def _write_report(run: _StudyRun, tally: _Tally, render_s: float,
                   **workload) -> None:
     """Write the run report to ``run.report_path`` (no-op when unset).
@@ -623,29 +605,19 @@ def _write_report(run: _StudyRun, tally: _Tally, render_s: float,
         return
     from ..obs.report import build_report  # deferred: only report users pay for it
     recorder = run.recorder
-    resilience = (_merge_resilience(tally.summaries) if tally.summaries
-                  else None)
     pool = None
     if run.measuring:
         busy = recorder.histograms.get("pool.task_wall_s")
         busy_s = busy.total if busy else 0.0
         lanes = max(tally.workers, 1)
-        pool = {
-            "workers": tally.workers, "pooled": tally.workers > 1,
-            "jobs": tally.jobs,
-            "supervised": True,
-            "rebuilds": sum(s["degraded"]["pool_rebuilds"]
-                            for s in tally.summaries),
-            "busy_s": round(busy_s, 6),
-            "utilization": round(busy_s / (render_s * lanes), 4)
-            if render_s > 0 else None,
-        }
+        pool = {"workers": tally.workers,
+                "utilization": round(busy_s / (render_s * lanes), 4)
+                if render_s > 0 else None}
     workload = {"users": run.user_count, "iterations": run.iterations,
                 "vectors": list(run.vectors), "seed": run.seed,
                 "grid_items": run.grid_items, **workload}
     report = build_report(recorder, workload, cache_stats=run.cache.stats(),
-                          pool=pool, resilience=resilience,
-                          events_path=run.event_log_path)
+                          pool=pool, events_path=run.event_log_path)
     atomic_write_json(run.report_path, report, indent=2)
 
 

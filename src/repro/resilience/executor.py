@@ -34,9 +34,15 @@ reads EOF.
 
 Jobs that exhaust their attempts (or the budget) are *quarantined*: the
 run completes everything else, then raises ``StudyExecutionError`` naming
-the quarantined class keys. A fault-free run takes none of these paths
-and yields exactly one result per job — bit-identical, same-order
-metrics, any worker count.
+the quarantined class keys and the budget. A fault-free run takes none
+of these paths and yields exactly one result per job — bit-identical,
+same-order metrics, any worker count.
+
+``counts`` is the executor's one record of what it did, keyed by the
+recorder's counter names (``retry.*``, ``degraded.*``); the study driver
+publishes it into its recorder after each render step. With an enabled
+recorder the executor also emits ``job.*`` / ``pool.*`` events and the
+``retry.backoff_s`` histogram as they happen.
 """
 from __future__ import annotations
 
@@ -50,7 +56,7 @@ from ..obs import NULL_RECORDER
 from .errors import SimulatedWorkerCrash, StudyExecutionError
 from .policy import RetryBudget, RetryPolicy
 
-#: failure kind -> recorder counter
+#: failure kind -> its counter
 _FAIL_COUNTERS = {
     "crash": "retry.crashes",
     "timeout": "retry.timeouts",
@@ -137,8 +143,7 @@ class SupervisedExecutor:
         self.budget = budget
         self._recorder = recorder
         # the null-recorder fast path is a study-wide contract: a disabled
-        # recorder sees ZERO per-job calls, so supervision metrics go
-        # through this flag (the plain-dict summary() is always kept)
+        # recorder sees ZERO per-job calls, so events go through this flag
         self._measuring = bool(getattr(recorder, "enabled", False))
         self._seed = seed
         self._splitter = splitter
@@ -147,11 +152,12 @@ class SupervisedExecutor:
         self._sleep = sleep
         self._clock = clock
         self._quarantined: list[str] = []
-        self._counts = {"attempts": 0, "retries": 0, "timeouts": 0,
-                        "crashes": 0, "worker_errors": 0,
-                        "corrupt_returns": 0, "bisections": 0,
-                        "pool_rebuilds": 0}
-        self._inline_fallback = False
+        #: what the executor did, under the recorder's counter names
+        self.counts = dict.fromkeys(
+            ("retry.attempts", "retry.retries", "retry.crashes",
+             "retry.timeouts", "retry.worker_errors", "retry.corrupt_returns",
+             "retry.bisections", "retry.quarantined",
+             "degraded.pool_rebuilds", "degraded.inline_fallbacks"), 0)
 
     # -- public surface ------------------------------------------------------
     def run(self, jobs):
@@ -174,50 +180,12 @@ class SupervisedExecutor:
                 budget_limit=self.budget.limit,
                 budget_exhausted=self.budget.exhausted)
 
-    @property
-    def retries(self) -> int:
-        """Retries so far — read by the live progress heartbeat."""
-        return self._counts["retries"]
-
-    def summary(self) -> dict:
-        """Report-shaped snapshot: the ``retry`` and ``degraded`` sections
-        of the run report (see ``repro.obs.report``)."""
-        c = self._counts
-        return {
-            "retry": {
-                "attempts": c["attempts"], "retries": c["retries"],
-                "timeouts": c["timeouts"], "crashes": c["crashes"],
-                "worker_errors": c["worker_errors"],
-                "corrupt_returns": c["corrupt_returns"],
-                "bisections": c["bisections"],
-                "quarantined": sorted(self._quarantined),
-                "budget": {
-                    "limit": self.budget.limit if self.budget else 0,
-                    "spent": self.budget.spent if self.budget else 0,
-                    "exhausted": bool(self.budget and self.budget.exhausted),
-                },
-            },
-            "degraded": {
-                "pool_rebuilds": c["pool_rebuilds"],
-                "inline_fallback": self._inline_fallback,
-            },
-        }
-
     # -- shared failure handling ---------------------------------------------
-    def _record_attempt(self) -> None:
-        self._counts["attempts"] += 1
-        if self._measuring:
-            self._recorder.count("retry.attempts")
-
     def _fail(self, state: _JobState, kind: str, states: deque) -> None:
         """One failed attempt: count it, then bisect, quarantine, or
         schedule a backed-off retry."""
-        counter_key = {"crash": "crashes", "timeout": "timeouts",
-                       "corrupt": "corrupt_returns",
-                       "error": "worker_errors"}[kind]
-        self._counts[counter_key] += 1
+        self.counts[_FAIL_COUNTERS[kind]] += 1
         if self._measuring:
-            self._recorder.count(_FAIL_COUNTERS[kind])
             self._recorder.event("job.failed", failure=kind,
                                  key=state.token,
                                  failures=state.failures + 1)
@@ -227,9 +195,8 @@ class SupervisedExecutor:
                 and state.failures >= self.policy.bisect_after:
             halves = self._splitter(state.job)
             if halves and len(halves) > 1:
-                self._counts["bisections"] += 1
+                self.counts["retry.bisections"] += 1
                 if self._measuring:
-                    self._recorder.count("retry.bisections")
                     self._recorder.event("job.bisected", key=state.token,
                                          halves=len(halves))
                 for sub in reversed(halves):
@@ -240,17 +207,16 @@ class SupervisedExecutor:
                 or not self.budget.try_spend():
             keys = self._keys_of(state.job)
             self._quarantined.extend(keys)
+            self.counts["retry.quarantined"] += len(keys)
             if self._measuring:
-                self._recorder.count("retry.quarantined", len(keys))
                 self._recorder.event("job.quarantined", keys=list(keys),
                                      failures=state.failures)
             return
 
         delay = self.policy.backoff_delay(state.failures, self._seed,
                                           state.token)
-        self._counts["retries"] += 1
+        self.counts["retry.retries"] += 1
         if self._measuring:
-            self._recorder.count("retry.retries")
             self._recorder.observe("retry.backoff_s", delay)
             self._recorder.event("job.retry", key=state.token,
                                  failures=state.failures, delay_s=delay)
@@ -289,7 +255,7 @@ class SupervisedExecutor:
             if state is None:
                 self._sleep(max(0.0, min(s.not_before for s in states) - now))
                 continue
-            self._record_attempt()
+            self.counts["retry.attempts"] += 1
             try:
                 result = self._worker(state.job)
             except Exception as exc:
@@ -348,12 +314,11 @@ class SupervisedExecutor:
         """Tear down a broken/wedged pool; a fresh one, or None once the
         rebuild allowance is spent (inline fallback)."""
         self._stop_pool(pool)
-        self._counts["pool_rebuilds"] += 1
+        self.counts["degraded.pool_rebuilds"] += 1
+        rebuilds = self.counts["degraded.pool_rebuilds"]
         if self._measuring:
-            self._recorder.count("degraded.pool_rebuilds")
-            self._recorder.event("pool.rebuild",
-                                 rebuilds=self._counts["pool_rebuilds"])
-        if self._counts["pool_rebuilds"] > self.policy.max_pool_rebuilds:
+            self._recorder.event("pool.rebuild", rebuilds=rebuilds)
+        if rebuilds > self.policy.max_pool_rebuilds:
             return None
         return self._new_pool(len(states))
 
@@ -368,7 +333,7 @@ class SupervisedExecutor:
             state = self._pop_ready(states, now)
             if state is None:
                 break
-            self._record_attempt()
+            self.counts["retry.attempts"] += 1
             try:
                 w.conn.send((state.job,))
             except OSError:  # the worker has died
@@ -445,11 +410,9 @@ class SupervisedExecutor:
 
             # pool death past the rebuild allowance: drain what is left
             # inline, in this process
-            if not self._inline_fallback:
-                self._inline_fallback = True
-                if self._measuring:
-                    self._recorder.count("degraded.inline_fallbacks")
-                    self._recorder.event("pool.inline_fallback")
+            self.counts["degraded.inline_fallbacks"] += 1
+            if self._measuring:
+                self._recorder.event("pool.inline_fallback")
             yield from self._run_inline(states)
         finally:
             if pool is not None:

@@ -330,7 +330,6 @@ class FingerprintService:
             record = self._validate(visit)
             self.counts["shed_stopping"] += 1
             if self._measuring:
-                self._recorder.count("service.shed.stopping")
                 self._recorder.event("ingest.shed", reason=SHED_STOPPING,
                                      visit_id=record["visit_id"])
             return IngestShed(record["visit_id"], SHED_STOPPING)
@@ -340,7 +339,6 @@ class FingerprintService:
         if self._queue.full():
             self.counts["shed_queue_full"] += 1
             if self._measuring:
-                self._recorder.count("service.shed.queue_full")
                 self._recorder.event("ingest.shed", reason=SHED_QUEUE_FULL,
                                      visit_id=record["visit_id"])
             return IngestShed(record["visit_id"], SHED_QUEUE_FULL)
@@ -369,7 +367,6 @@ class FingerprintService:
         if not self.breaker.allow_live():
             self.counts["lookups_degraded"] += 1
             if self._measuring:
-                self._recorder.count("service.lookup.degraded")
                 self._recorder.event("lookup.degraded", user=user)
             return self._stale_lookup(user, deadline_missed=False)
         found, identities, anonymity = self.state.lookup(user)
@@ -381,7 +378,6 @@ class FingerprintService:
         if miss:
             self.counts["lookup_deadline_misses"] += 1
             if self._measuring:
-                self._recorder.count("service.lookup.deadline_miss")
                 self._recorder.event("lookup.deadline_miss", user=user)
             return self._stale_lookup(user, deadline_missed=True)
         return LookupResult(user=user, found=found, identities=identities,
@@ -421,7 +417,6 @@ class FingerprintService:
             if now > deadline:
                 self.counts["shed_deadline"] += 1
                 if self._measuring:
-                    self._recorder.count("service.shed.deadline")
                     self._recorder.event("ingest.shed", reason=SHED_DEADLINE,
                                          visit_id=record["visit_id"])
                 future.set_result(IngestShed(record["visit_id"],

@@ -13,7 +13,7 @@ render cache at once (see DESIGN.md, "Performance architecture").
 ENGINE_VERSION = "1"
 RENDER_QUANTUM_FRAMES = 128
 
-from .config import EngineConfig, CompressorParams, NumpyMath  # noqa: E402
+from .config import EngineConfig, CompressorParams, MathBackend  # noqa: E402
 from .buffer import AudioBuffer  # noqa: E402
 from .context import OfflineAudioContext  # noqa: E402
 from .oscillator import OscillatorNode, PeriodicWave  # noqa: E402
@@ -29,7 +29,7 @@ __all__ = [
     "RENDER_QUANTUM_FRAMES",
     "EngineConfig",
     "CompressorParams",
-    "NumpyMath",
+    "MathBackend",
     "AudioBuffer",
     "OfflineAudioContext",
     "OscillatorNode",

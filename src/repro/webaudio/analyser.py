@@ -14,7 +14,7 @@ it (readout offset and transform), finishing with ONE FFT over the rows
 — the FFT kernel's per-stage Python overhead is paid once per render
 instead of once per path. ``AudioVector.render_batch`` sends one jitter
 per distinct path, so the readout keeps no dedup of its own. An active
-profiler gets that FFT's time under ``fft:<backend>``; the readout runs
+profiler gets that FFT's CPU time under ``fft:<backend>``; the readout runs
 after ``start_rendering`` returns, so no node's time includes it.
 """
 from __future__ import annotations
@@ -108,11 +108,11 @@ class AnalyserNode(AudioNode):
                 frames[row] = jitter.transform(frames[row])
         profiler = current_node_profiler()
         if profiler is not None:
-            start = time.perf_counter()
+            start = time.thread_time()
         spectrum = cfg.fft.fft(frames)[..., : self.frequency_bin_count]
         if profiler is not None:
             # attribute the transform itself to its backend, so hot-node
             # reports split Analyser bookkeeping from FFT kernel time
-            profiler.add(f"fft:{cfg.fft.name}", time.perf_counter() - start)
+            profiler.add(f"fft:{cfg.fft.name}", time.thread_time() - start)
         magnitude = np.abs(spectrum) / self._fft_size
         return 20.0 * math.log10(np.maximum(magnitude, 1e-40))

@@ -1,11 +1,11 @@
 """Engine configuration: the pluggable backends a render runs against.
 
 ``repro.webaudio`` depends only on NumPy. The platform layer
-(``repro.platform``) builds richer configs (ulp-perturbed math backends,
-alternative FFTs, compressor tuning forks) and passes them in here; the
-engine itself only duck-types against them. Jitter is not configuration:
-a render is jitter-independent, and each jitter path is applied at the
-analyser readout (``AnalyserNode.get_float_frequency_data``).
+(``repro.platform``) builds richer configs (its table of ulp-perturbed
+math builds, alternative FFTs, compressor tuning forks) and passes them
+in here. Jitter is not configuration: a render is jitter-independent,
+and each jitter path is applied at the analyser readout
+(``AnalyserNode.get_float_frequency_data``).
 """
 from __future__ import annotations
 
@@ -15,29 +15,41 @@ import numpy as np
 
 from .fft import FFTBackend, NumpyFFT
 
+_ULP = 2.0 ** -52
 
-class NumpyMath:
-    """Reference math library: raw NumPy ufuncs, no perturbation."""
 
-    name = "numpy"
+@dataclass(frozen=True)
+class MathBackend:
+    """A math library build: NumPy's transcendentals, each result
+    multiplied by ``1 + ulp_shift * 2**-52``, which moves its significand
+    by about ``ulp_shift`` ulps. A zero shift returns the ufunc's result
+    untouched; ``MathBackend()`` is that reference build."""
+
+    name: str = "numpy"
+    ulp_shift: int = 0
+
+    def _perturb(self, y):
+        if self.ulp_shift == 0:
+            return y
+        return y * (1.0 + self.ulp_shift * _ULP)
 
     def sin(self, x):
-        return np.sin(x)
+        return self._perturb(np.sin(x))
 
     def cos(self, x):
-        return np.cos(x)
+        return self._perturb(np.cos(x))
 
     def exp(self, x):
-        return np.exp(x)
+        return self._perturb(np.exp(x))
 
     def log10(self, x):
-        return np.log10(x)
+        return self._perturb(np.log10(x))
 
     def pow(self, x, y):
-        return np.power(x, y)
+        return self._perturb(np.power(x, y))
 
     def tanh(self, x):
-        return np.tanh(x)
+        return self._perturb(np.tanh(x))
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,7 @@ class CompressorParams:
 class EngineConfig:
     """Everything a render's numeric output depends on, besides the graph."""
 
-    math: object = field(default_factory=NumpyMath)
+    math: MathBackend = field(default_factory=MathBackend)
     fft: FFTBackend = field(default_factory=NumpyFFT)
     compressor: CompressorParams = field(default_factory=CompressorParams)
 

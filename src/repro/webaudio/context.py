@@ -16,8 +16,9 @@ stages are blocking-invariant, and block-granular state — the
 compressor's envelope, an automated oscillator's per-block params —
 keeps its block structure inside the kernels.
 
-Each loop times a node's step only when ``current_node_profiler()`` is
-set; the arithmetic is the same either way.
+Each loop times a node's step, in the rendering thread's CPU seconds
+(``time.thread_time``), only when ``current_node_profiler()`` is set;
+the arithmetic is the same either way.
 """
 from __future__ import annotations
 
@@ -118,12 +119,12 @@ class OfflineAudioContext:
         profiler = current_node_profiler()
         for node in order:
             if profiler is not None:
-                start = time.perf_counter()
+                start = time.thread_time()
             ins = [mix_sources([buffer_out[s] for s in port], length)
                    for port in node._inputs]
             buffer_out[node] = node.process_buffer(ins, length)
             if profiler is not None:
-                profiler.add(node_label(node), time.perf_counter() - start)
+                profiler.add(node_label(node), time.thread_time() - start)
         out = buffer_out[self.destination]
         if tail:
             block_out: dict[AudioNode, np.ndarray] = {}
@@ -149,11 +150,11 @@ class OfflineAudioContext:
             block_out.clear()
             for node in order:
                 if profiler is not None:
-                    start = time.perf_counter()
+                    start = time.thread_time()
                 ins = [mix_sources([block_out[s] for s in port], n)
                        for port in node._inputs]
                 block_out[node] = node.process_block(ins, frame0, n)
                 if profiler is not None:
-                    profiler.add(node_label(node), time.perf_counter() - start)
+                    profiler.add(node_label(node), time.thread_time() - start)
             out[:, frame0:frame0 + n] = block_out[self.destination][:, :n]
         return out

@@ -1,6 +1,7 @@
 """Chaos coverage for the supervised study: injected worker crashes,
 hangs, and corrupted returns must be recovered bit-identically at any
-worker count, surface in the run report's retry/degraded sections, and —
+worker count, surface in the run report's ``retry.*`` / ``degraded.*``
+counters (each render step's supervisor counts, published once), and —
 when unrecoverable — turn into StudyExecutionError naming the
 quarantined classes instead of a hang or a dead worker pool."""
 import json
@@ -9,7 +10,7 @@ import pytest
 
 import repro.population.study as study_mod
 from repro import (FaultPlan, Recorder, RenderCache, StudyExecutionError,
-                   run_study)
+                   run_study, run_study_sharded)
 from repro.obs import validate_report
 from repro.resilience import CORRUPT_EFP, Fault, RetryPolicy
 from repro.resilience.faults import ENV_VAR, render_faults
@@ -46,6 +47,23 @@ def _install(monkeypatch, tmp_path, faults, seed=99):
     path = plan.save(str(tmp_path / "plan.json"))
     monkeypatch.setenv(ENV_VAR, path)
     return plan
+
+
+def _supervisors(monkeypatch) -> list:
+    """Every executor the study's render steps build, in build order."""
+    built = []
+    executor = study_mod.SupervisedExecutor
+
+    def spy(*args, **kwargs):
+        built.append(executor(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(study_mod, "SupervisedExecutor", spy)
+    return built
+
+
+def _summed_counts(supervisors) -> dict:
+    return {name: sum(ex.counts[name] for ex in supervisors)
+            for name in supervisors[0].counts}
 
 
 def _dataset_bytes(dataset, tmp_path, name):
@@ -178,6 +196,28 @@ class TestUnrecoverable:
         assert err.value.quarantined == [poison]
         assert poison in str(err.value)
 
+    def test_quarantine_still_publishes_the_counts(self, clean, monkeypatch,
+                                                   tmp_path):
+        """The render step publishes its supervisor's counts in a
+        ``finally``: a step that quarantines and raises still leaves every
+        count, and its ``pool.jobs``, in the recorder. Inline, each job,
+        bisected half and retry is one attempt."""
+        _, keys = clean
+        _install(monkeypatch, tmp_path, [
+            Fault(kind="corrupt", keys=(keys[3],), times=None),
+        ])
+        recorder = Recorder()
+        with pytest.raises(StudyExecutionError):
+            run_study(workers=0, recorder=recorder,
+                      retry_policy=RetryPolicy(max_attempts=2, bisect_after=1,
+                                               base_delay_s=0.005),
+                      **STUDY)
+        counters = recorder.counters
+        assert counters["retry.quarantined"] == 1
+        assert counters["retry.attempts"] > 0
+        assert counters["retry.attempts"] == counters["pool.jobs"] \
+            + counters["retry.retries"] + 2 * counters["retry.bisections"]
+
     def test_budget_exhaustion_raises_not_hangs(self, clean, monkeypatch,
                                                 tmp_path):
         _, keys = clean
@@ -191,8 +231,8 @@ class TestUnrecoverable:
 
 
 class TestChaosReport:
-    def test_report_sections_survive_schema_check(self, clean, monkeypatch,
-                                                  tmp_path):
+    def test_chaos_report_counts_survive_schema_check(self, clean,
+                                                      monkeypatch, tmp_path):
         _, keys = clean
         _install(monkeypatch, tmp_path, [
             Fault(kind="crash", keys=(keys[0],), times=1),
@@ -202,37 +242,70 @@ class TestChaosReport:
                   retry_policy=POLICY, **STUDY)
         report = json.loads(report_path.read_text())
         assert validate_report(report) == []
-        assert report["retry"]["crashes"] >= 1
-        assert report["retry"]["retries"] >= 1
-        assert report["degraded"]["pool_rebuilds"] >= 1
-        assert report["retry"]["budget"]["limit"] > 0
+        counters = report["counters"]
+        assert counters["retry.crashes"] >= 1
+        assert counters["retry.retries"] >= 1
+        assert counters["degraded.pool_rebuilds"] >= 1
 
-    def test_fault_free_report_sections_are_quiet(self, tmp_path):
+    def test_fault_free_report_counts_are_quiet(self, tmp_path):
+        """Every job is one attempt; supervision shows only as counters,
+        and the pool section holds the pool's size and utilization."""
         report_path = tmp_path / "report.json"
         run_study(user_count=3, iterations=2, vectors=("dc", "fft"), seed=5,
                   workers=0, report_path=str(report_path))
         report = json.loads(report_path.read_text())
         assert validate_report(report) == []
-        retry = report["retry"]
-        assert retry["attempts"] == report["pool"]["jobs"]
-        assert retry["retries"] == retry["crashes"] == retry["timeouts"] == 0
-        assert retry["quarantined"] == []
-        assert report["degraded"] == {"pool_rebuilds": 0,
-                                      "inline_fallback": False}
-        assert "checkpoint" not in report
+        counters = report["counters"]
+        assert counters["retry.attempts"] == counters["pool.jobs"] > 0
+        assert {name: value for name, value in counters.items()
+                if name.startswith(("retry.", "degraded."))
+                and name != "retry.attempts"} == dict.fromkeys(
+            ("retry.retries", "retry.crashes", "retry.timeouts",
+             "retry.worker_errors", "retry.corrupt_returns",
+             "retry.bisections", "retry.quarantined",
+             "degraded.pool_rebuilds", "degraded.inline_fallbacks"), 0)
+        assert not {"retry", "degraded", "phases", "checkpoint"} & set(report)
+        assert set(report["pool"]) == {"workers", "utilization"}
 
-    def test_validator_rejects_section_counter_drift(self, tmp_path):
-        report_path = tmp_path / "report.json"
-        run_study(user_count=3, iterations=2, vectors=("dc",), seed=5,
-                  workers=0, report_path=str(report_path))
-        report = json.loads(report_path.read_text())
-        report["retry"]["attempts"] += 1
-        assert any("retry.attempts" in p for p in validate_report(report))
-        report = json.loads(report_path.read_text())
-        del report["retry"]
-        report["retry"] = None
-        assert any("retry section missing" in p
-                   for p in validate_report(report))
+
+class TestCountsPublished:
+    """A run's ``retry.*`` / ``degraded.*`` counters are its render steps'
+    supervisor counts, summed: one record per fact."""
+
+    def test_pooled_study_counters_are_its_supervisor_counts(
+            self, clean, monkeypatch, tmp_path):
+        _, keys = clean
+        _install(monkeypatch, tmp_path, [
+            Fault(kind="crash", keys=(keys[0],), times=1),
+        ])
+        supervisors = _supervisors(monkeypatch)
+        recorder = Recorder()
+        run_study(workers=2, recorder=recorder, retry_policy=POLICY, **STUDY)
+        assert len(supervisors) == 1
+        counts = _summed_counts(supervisors)
+        assert counts["retry.crashes"] >= 1
+        assert {name: recorder.counters[name] for name in counts} == counts
+
+    def test_sharded_study_counters_sum_over_its_shards(
+            self, clean, monkeypatch, tmp_path):
+        """The crashing class renders in the one shard that first needs
+        it (the shards share one cache); the counters add every shard's
+        supervisor."""
+        _, keys = clean
+        _install(monkeypatch, tmp_path, [
+            Fault(kind="crash", keys=(keys[0],), times=1),
+        ])
+        supervisors = _supervisors(monkeypatch)
+        recorder = Recorder()
+        run_study_sharded(STUDY["user_count"], 2, str(tmp_path / "shards"),
+                          iterations=STUDY["iterations"],
+                          vectors=STUDY["vectors"], seed=STUDY["seed"],
+                          workers=2, recorder=recorder, retry_policy=POLICY)
+        assert len(supervisors) == 3
+        assert [ex.counts["retry.crashes"] > 0
+                for ex in supervisors].count(True) == 1
+        counts = _summed_counts(supervisors)
+        assert {name: recorder.counters[name] for name in counts} == counts
 
 
 class TestStudyInputValidation:

@@ -42,9 +42,10 @@ class TestStudyReport:
 
     def test_phase_spans_present(self, report_and_cache):
         report, _, _, _ = report_and_cache
-        names = [p["name"] for p in report["phases"]]
-        assert names == list(STUDY_PHASES)
-        assert all(p["duration_s"] >= 0 for p in report["phases"])
+        phases = sorted((s for s in report["spans"] if s["parent"] is None),
+                        key=lambda s: s["start_s"])
+        assert [p["name"] for p in phases] == list(STUDY_PHASES)
+        assert all(p["duration_s"] >= 0 for p in phases)
         # the probe span nests under render
         span_names = {s["name"] for s in report["spans"]}
         assert {"plan", "render", "assemble", "probe"} <= span_names
@@ -83,8 +84,10 @@ class TestStudyReport:
         report, _, _, _ = report_and_cache
         assert report["workload"]["users"] == STUDY["user_count"]
         assert report["workload"]["grid_items"] == 8 * 4 * 3
-        assert report["pool"]["jobs"] == report["counters"]["pool.jobs"]
-        assert report["pool"]["pooled"] is False
+        pool = report["pool"]
+        assert set(pool) == {"workers", "utilization"}
+        assert pool["workers"] == 0 and 0 < pool["utilization"] <= 1
+        assert report["counters"]["pool.jobs"] > 0
 
     def test_dataset_identical_with_and_without_observability(self, report_and_cache):
         _, _, observed_dataset, _ = report_and_cache
@@ -138,7 +141,7 @@ class TestValidator:
 
     def test_rejects_missing_phase(self, report_and_cache):
         report = self._valid(report_and_cache)
-        report["phases"] = [p for p in report["phases"] if p["name"] != "render"]
+        report["spans"] = [s for s in report["spans"] if s["name"] != "render"]
         assert any("render" in p for p in validate_report(report))
 
     def test_rejects_inconsistent_histogram(self, report_and_cache):
@@ -192,11 +195,36 @@ class TestCLI:
 
     def test_schema_violation_fails(self, tmp_path, report_and_cache, capsys):
         report = copy.deepcopy(report_and_cache[0])
-        del report["phases"]
+        del report["spans"]
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(report))
         assert report_main([str(path), "--check"]) == 2
-        assert "phases" in capsys.readouterr().err
+        assert "spans" in capsys.readouterr().err
+
+    def test_report_with_retired_sections_passes_check(
+            self, tmp_path, report_and_cache, capsys):
+        """Reports written while supervision was restated as sections
+        (``retry``, ``degraded``, ``phases`` and a fuller ``pool``) still
+        check and render: the schema allows extra keys."""
+        report = copy.deepcopy(report_and_cache[0])
+        counters = report["counters"]
+        report["phases"] = [
+            {"name": s["name"], "start_s": s["start_s"],
+             "duration_s": s["duration_s"]}
+            for s in report["spans"] if s["parent"] is None]
+        report["pool"].update(pooled=False, jobs=counters["pool.jobs"],
+                              supervised=True, rebuilds=0, busy_s=0.01)
+        report["retry"] = {
+            "attempts": counters["retry.attempts"], "retries": 0,
+            "timeouts": 0, "crashes": 0, "worker_errors": 0,
+            "corrupt_returns": 0, "bisections": 0, "quarantined": [],
+            "budget": {"limit": 8, "spent": 0, "exhausted": False}}
+        report["degraded"] = {"pool_rebuilds": 0, "inline_fallback": False}
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(report))
+        assert report_main([str(path), "--check"]) == 0
+        assert report_main([str(path)]) == 0
+        assert "phases:" in capsys.readouterr().out
 
     def test_python_dash_m_entrypoint(self, report_and_cache):
         import os
@@ -246,7 +274,7 @@ class TestChaosReportCheck:
         report_path, _ = chaos_report
         payload = json.load(open(report_path))
         # the faults really perturbed the run this report describes
-        assert payload["retry"]["retries"] >= 2
+        assert payload["counters"]["retry.retries"] >= 2
         assert payload["events"]["kinds"].get("job.failed", 0) == 2
         assert report_main([report_path, "--check"]) == 0
 

@@ -106,28 +106,23 @@ class TestInline:
     def test_happy_path_yields_every_job(self):
         ex = SupervisedExecutor(_double, workers=0, policy=FAST)
         assert sorted(ex.run(range(5))) == [0, 2, 4, 6, 8]
-        summary = ex.summary()
-        assert summary["retry"]["attempts"] == 5
-        assert summary["retry"]["retries"] == 0
-        assert summary["retry"]["quarantined"] == []
-        assert summary["degraded"] == {"pool_rebuilds": 0,
-                                       "inline_fallback": False}
+        assert ex.counts == {**dict.fromkeys(ex.counts, 0),
+                             "retry.attempts": 5}
 
     def test_retries_worker_exceptions(self):
         worker = _FlakyInline(fail_jobs={3}, failures=2)
         ex = SupervisedExecutor(worker, workers=0, policy=FAST)
         assert sorted(ex.run(range(5))) == [0, 2, 4, 6, 8]
-        summary = ex.summary()["retry"]
-        assert summary["worker_errors"] == 2
-        assert summary["retries"] == 2
-        assert summary["attempts"] == 7
+        assert ex.counts["retry.worker_errors"] == 2
+        assert ex.counts["retry.retries"] == 2
+        assert ex.counts["retry.attempts"] == 7
 
     def test_corrupted_return_detected_and_retried(self):
         worker = _FlakyInline(fail_jobs={1}, failures=1, bad_value="garbage")
         ex = SupervisedExecutor(worker, workers=0, policy=FAST,
                                 validator=lambda job, res: res == job * 2)
         assert sorted(ex.run(range(3))) == [0, 2, 4]
-        assert ex.summary()["retry"]["corrupt_returns"] == 1
+        assert ex.counts["retry.corrupt_returns"] == 1
 
     def test_quarantines_after_max_attempts(self):
         worker = _FlakyInline(fail_jobs={2}, failures=99)
@@ -143,6 +138,7 @@ class TestInline:
         assert sorted(results) == [0, 2, 6]
         assert err.value.quarantined == ["job-2"]
         assert "job-2" in str(err.value)
+        assert ex.counts["retry.quarantined"] == 1
 
     def test_budget_exhaustion_stops_retrying(self):
         worker = _FlakyInline(fail_jobs={0}, failures=99)
@@ -154,7 +150,7 @@ class TestInline:
         assert err.value.quarantined == ["job-0"]
         assert err.value.budget_exhausted
         # one single failed attempt: the budget forbade any retry at all
-        assert ex.summary()["retry"]["retries"] == 0
+        assert ex.counts["retry.retries"] == 0
 
     def test_bisection_corners_the_poison_member(self):
         """A splittable job with one poison member quarantines exactly
@@ -181,7 +177,7 @@ class TestInline:
                 done.extend(result)
         assert sorted(done) == ["a", "b", "c", "d"]
         assert err.value.quarantined == ["poison"]
-        assert ex.summary()["retry"]["bisections"] >= 2
+        assert ex.counts["retry.bisections"] >= 2
 
     def test_deterministic_backoff_jitter(self):
         policy = RetryPolicy()
@@ -191,17 +187,19 @@ class TestInline:
         assert first != policy.backoff_delay(3, seed=7, token="other")
         assert first <= policy.max_delay_s * (1 + policy.jitter_fraction)
 
-    def test_recorder_counters_mirror_summary(self):
+    def test_recorder_takes_events_not_counts(self):
+        """``counts`` is the executor's one record: an enabled recorder
+        gets the retry's events and its backoff, and no counter."""
         recorder = Recorder()
         worker = _FlakyInline(fail_jobs={1}, failures=1)
         ex = SupervisedExecutor(worker, workers=0, policy=FAST,
                                 recorder=recorder)
         list(ex.run(range(3)))
-        summary = ex.summary()["retry"]
-        assert recorder.counters["retry.attempts"] == summary["attempts"]
-        assert recorder.counters["retry.retries"] == summary["retries"]
-        assert recorder.counters["retry.worker_errors"] == \
-            summary["worker_errors"]
+        assert recorder.counters == {}
+        assert [e["kind"] for e in recorder.events] == ["job.failed",
+                                                        "job.retry"]
+        assert recorder.histograms["retry.backoff_s"].count == 1
+        assert ex.counts["retry.retries"] == 1
 
 
 class TestPooled:
@@ -212,7 +210,7 @@ class TestPooled:
         ex = SupervisedExecutor(_double, workers=workers, policy=FAST)
         results = _no_survivor(lambda: sorted(ex.run(range(12))))
         assert results == [2 * n for n in range(12)]
-        assert ex.summary()["degraded"]["pool_rebuilds"] == 0
+        assert ex.counts["degraded.pool_rebuilds"] == 0
 
     def test_recovers_from_worker_crash(self, tmp_path):
         """os._exit in a worker breaks the whole pool; the supervisor
@@ -222,10 +220,9 @@ class TestPooled:
         ex = SupervisedExecutor(_crash_once, workers=2, policy=FAST)
         results = _no_survivor(lambda: sorted(ex.run(jobs)))
         assert results == [2 * n for n in range(8)]
-        summary = ex.summary()
-        assert summary["retry"]["crashes"] >= 1
-        assert summary["degraded"]["pool_rebuilds"] >= 1
-        assert summary["retry"]["quarantined"] == []
+        assert ex.counts["retry.crashes"] >= 1
+        assert ex.counts["degraded.pool_rebuilds"] >= 1
+        assert ex.counts["retry.quarantined"] == 0
 
     def test_recovers_from_hung_worker(self, tmp_path):
         """A worker sleeping past its deadline is presumed hung: its pool
@@ -238,9 +235,8 @@ class TestPooled:
             policy=RetryPolicy(job_deadline_s=1.0, base_delay_s=0.01))
         results = _no_survivor(lambda: sorted(ex.run(jobs)))
         assert results == [2 * n for n in range(4)]
-        summary = ex.summary()
-        assert summary["retry"]["timeouts"] >= 1
-        assert summary["degraded"]["pool_rebuilds"] >= 1
+        assert ex.counts["retry.timeouts"] >= 1
+        assert ex.counts["degraded.pool_rebuilds"] >= 1
 
     @pytest.mark.parametrize("error", [RuntimeError, _UnpicklableError,
                                        _UnloadableError],
@@ -253,10 +249,9 @@ class TestPooled:
         jobs = [(n, marker if n == 2 else None, error) for n in range(6)]
         ex = SupervisedExecutor(_raise_once, workers=2, policy=FAST)
         assert sorted(ex.run(jobs)) == [2 * n for n in range(6)]
-        summary = ex.summary()
-        assert summary["retry"]["worker_errors"] == 1
-        assert summary["retry"]["retries"] == 1
-        assert summary["degraded"]["pool_rebuilds"] == 0
+        assert ex.counts["retry.worker_errors"] == 1
+        assert ex.counts["retry.retries"] == 1
+        assert ex.counts["degraded.pool_rebuilds"] == 0
 
     def test_quarantine_reaps_the_pool(self):
         worker = _FlakyInline(fail_jobs={2}, failures=99)
@@ -296,9 +291,8 @@ class TestPooled:
                                max_attempts=6))
         results = _no_survivor(lambda: sorted(ex.run(jobs)))
         assert results == [2 * n for n in range(6)]
-        summary = ex.summary()["degraded"]
-        assert summary["inline_fallback"] is True
-        assert summary["pool_rebuilds"] >= 1
+        assert ex.counts["degraded.inline_fallbacks"] == 1
+        assert ex.counts["degraded.pool_rebuilds"] >= 1
 
 
 def _nap(seconds):
@@ -339,7 +333,9 @@ class TestSupervisorGone:
             "sys.path.insert(0, %r)\n"
             "from repro.resilience import SupervisedExecutor\n"
             "def nap(seconds):\n"
-            "    print(os.getpid(), flush=True)\n"
+            # one write per line: an unbuffered print writes the pid and
+            # its newline separately, and two workers' lines interleave
+            "    os.write(1, b'%%d\\n' %% os.getpid())\n"
             "    time.sleep(seconds)\n"
             "for _ in SupervisedExecutor(nap, workers=2).run([0.5] * 40):\n"
             "    pass\n" % src)
@@ -436,13 +432,13 @@ def test_pooled_equals_inline_under_faults(drawn, workers):
     assert pooled == sorted(inline)
     assert multiprocessing.active_children() == []
 
-    retry = ex.summary()["retry"]
-    assert retry["crashes"] >= fired["crash"]
-    assert retry["worker_errors"] <= fired["raise"]
-    assert retry["corrupt_returns"] <= fired["corrupt"]
-    assert retry["crashes"] + retry["worker_errors"] \
-        + retry["corrupt_returns"] >= sum(fired.values())
+    counts = ex.counts
+    assert counts["retry.crashes"] >= fired["crash"]
+    assert counts["retry.worker_errors"] <= fired["raise"]
+    assert counts["retry.corrupt_returns"] <= fired["corrupt"]
+    assert counts["retry.crashes"] + counts["retry.worker_errors"] \
+        + counts["retry.corrupt_returns"] >= sum(fired.values())
     if not fired["crash"]:
-        assert retry["worker_errors"] == fired["raise"]
-        assert retry["corrupt_returns"] == fired["corrupt"]
-        assert ex.summary()["degraded"]["pool_rebuilds"] == 0
+        assert counts["retry.worker_errors"] == fired["raise"]
+        assert counts["retry.corrupt_returns"] == fired["corrupt"]
+        assert counts["degraded.pool_rebuilds"] == 0

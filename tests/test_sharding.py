@@ -328,7 +328,9 @@ class TestShardedRunReport:
         assert len(result.shards) == 3
         payload = json.loads(report_path.read_text())
         assert validate_report(payload, str(tmp_path)) == []
-        assert [p["name"] for p in payload["phases"]] == list(STUDY_PHASES)
+        phases = sorted((s for s in payload["spans"] if s["parent"] is None),
+                        key=lambda s: s["start_s"])
+        assert [p["name"] for p in phases] == list(STUDY_PHASES)
         assert payload["workload"]["shards"] == 3
         assert payload["workload"]["grid_items"] == 9 * 5 * 3
         utilization = payload["pool"]["utilization"]
@@ -346,7 +348,8 @@ class TestShardedRunReport:
         assert all(shard.resumed for shard in again.shards)
         payload = json.loads(report_path.read_text())
         assert validate_report(payload, str(tmp_path)) == []
-        assert payload["pool"]["jobs"] == 0
+        # no render step ran, so no step counted jobs
+        assert payload["counters"].get("pool.jobs", 0) == 0
 
     def test_fully_resumed_run_reports_the_whole_grid(self, tmp_path):
         """``grid_items`` counts the study's grid, not the shards this run
@@ -402,9 +405,9 @@ class TestShardedRunReport:
         run_study_sharded(5, 4, str(tmp_path / "shards"), iterations=2,
                           vectors=("dc",), seed=7, workers=2,
                           report_path=str(report_path))
-        pool = json.loads(report_path.read_text())["pool"]
-        assert pool["jobs"] == 2
-        assert pool["workers"] == 2 and pool["pooled"] is True
+        report = json.loads(report_path.read_text())
+        assert report["counters"]["pool.jobs"] == 2
+        assert report["pool"]["workers"] == 2
 
 
 def _rewrite_json(path, change):

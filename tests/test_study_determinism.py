@@ -83,10 +83,10 @@ def test_pool_rule(user_count, vectors, workers, cores, jobs, pool,
     report = tmp_path / "report.json"
     dataset = run_study(user_count, 2, vectors, seed=7, workers=workers,
                         report_path=str(report))
-    section = json.loads(report.read_text())["pool"]
-    assert section["jobs"] == jobs
+    payload = json.loads(report.read_text())
+    assert payload["counters"]["pool.jobs"] == jobs
     assert sizes == [pool]
-    assert section["workers"] == pool and section["pooled"] is (pool > 1)
+    assert payload["pool"]["workers"] == pool
     assert dataset == run_study(user_count, 2, vectors, seed=7, workers=0)
 
 

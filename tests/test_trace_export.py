@@ -1,11 +1,12 @@
 """Chrome trace-event export: report/sidecar -> {"traceEvents": [...]},
-clock rebasing across pool-worker pids, and the --check round trip."""
+one clock for the driver's and the pool workers' events, and the --check
+round trip."""
 import json
 
 import pytest
 
 from repro import RenderCache, run_study
-from repro.obs import make_event, read_events
+from repro.obs import read_events
 from repro.obs.trace import build_trace, main, validate_trace
 
 
@@ -43,32 +44,29 @@ class TestBuildTrace:
         named = {e["pid"] for e in trace["traceEvents"] if e["ph"] == "M"}
         assert pids <= named
 
-    def test_foreign_pids_are_rebased_onto_the_anchor_timeline(self):
-        """A worker's raw perf_counter clock (epoch 0, arbitrarily far
-        from the anchor's) must land between the anchor events around its
-        merge point, preserving its own relative spacing."""
-        anchor = [
-            dict(make_event("study.start", epoch=0.0), seq=0,
-                 t_mono_s=1.0, pid=10),
-            dict(make_event("study.end", epoch=0.0), seq=3,
-                 t_mono_s=9.0, pid=10),
-        ]
-        worker = [
-            dict(make_event("render.batch", batch_size=4), seq=1,
-                 t_mono_s=1000.0, pid=20),
-            dict(make_event("render.batch", batch_size=4), seq=2,
-                 t_mono_s=1000.5, pid=20),
-        ]
-        trace = build_trace(events=anchor + worker, anchor_pid=10)
-        instants = {(-e["pid"], e["ts"]): e for e in trace["traceEvents"]
-                    if e["ph"] == "i"}
-        worker_ts = sorted(e["ts"] for e in trace["traceEvents"]
-                           if e["ph"] == "i" and e["pid"] == 20)
-        # first worker event pinned to the preceding anchor event (t=1.0)
-        assert worker_ts[0] == pytest.approx(1.0e6)
-        # relative spacing preserved (0.5 s = 5e5 µs)
-        assert worker_ts[1] - worker_ts[0] == pytest.approx(0.5e6)
-        assert instants  # sanity: instants exist
+    @pytest.mark.parametrize("workers", [0, 2], ids=["inline", "pooled"])
+    def test_render_batches_fall_inside_the_render_span(self, workers,
+                                                        tmp_path, capsys):
+        """A render step's ``render.batch`` events, stamped in the driver
+        (inline) or in a forked worker, land inside the exported
+        ``render`` span: every event is on the recorder's clock."""
+        report_path = str(tmp_path / "report.json")
+        run_study(30, iterations=5, vectors=("dc", "fft", "hybrid"), seed=11,
+                  cache=RenderCache(), workers=workers,
+                  report_path=report_path,
+                  event_log_path=str(tmp_path / "events.jsonl"))
+        out = str(tmp_path / "trace.json")
+        assert main([report_path, "--out", out]) == 0
+        capsys.readouterr()
+        trace = json.load(open(out))["traceEvents"]
+        render, = (e for e in trace if e["ph"] == "X" and e["name"] == "render")
+        batches = [e for e in trace
+                   if e["ph"] == "i" and e["name"] == "render.batch"]
+        assert len(batches) >= 3
+        assert len({e["pid"] for e in batches}) == (1 if workers == 0 else 2)
+        assert [e["ts"] for e in batches
+                if not render["ts"] <= e["ts"] <= render["ts"] + render["dur"]
+                ] == []
 
     def test_validate_trace_flags_garbage(self):
         assert validate_trace([]) == ["trace is not a JSON object"]
